@@ -82,9 +82,6 @@ class CacheModel:
         ]
         self.mshr: dict[int, InsertionClass] = {}
         self._use_clock = 0
-        self.hits = 0
-        self.inflight_hits = 0
-        self.misses = 0
 
     def _locate(self, addr: int) -> tuple[int, int]:
         line = addr // self.config.line_size
@@ -110,7 +107,6 @@ class CacheModel:
         set_idx, tag = self._locate(addr)
         for way in self.sets[set_idx]:
             if way.valid and way.tag == tag:
-                self.hits += 1
                 if iclass is not InsertionClass.BYPASS:
                     self._use_clock += 1
                     way.last_used = self._use_clock
@@ -118,12 +114,10 @@ class CacheModel:
                 return AccessOutcome.HIT
         line = addr // self.config.line_size
         if line in self.mshr:
-            self.inflight_hits += 1
             return AccessOutcome.INFLIGHT_HIT
         if len(self.mshr) >= self.config.mshr_entries:
             raise MshrFull(f"no MSHR entry for line {line:#x}")
         self.mshr[line] = iclass
-        self.misses += 1
         return AccessOutcome.MISS
 
     def fill(self, addr: int, cycle: int) -> None:
@@ -157,11 +151,3 @@ class CacheModel:
             for ways in self.sets:
                 for way in ways:
                     way.priority = _PRIORITY[InsertionClass.NORMAL]
-
-    def resident_lines(self) -> set[int]:
-        out = set()
-        for set_idx, ways in enumerate(self.sets):
-            for way in ways:
-                if way.valid:
-                    out.add(way.tag * self.config.num_sets + set_idx)
-        return out

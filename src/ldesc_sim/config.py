@@ -30,14 +30,14 @@ from .engine import (
     SimMetrics,
     SystemConfig,
     Workload,
-    normal_policies,
     preset,
     select_policies,
     simulate,
 )
-from .errors import LdescError
+from .errors import ConfigError, LdescError
 from .grid import CtaGrid
 from .numa import (
+    NumaPlan,
     distributed_schedule,
     first_touch,
     place_and_partition,
@@ -45,7 +45,6 @@ from .numa import (
 )
 from .prefetch import PrefetchKind
 from .sched import (
-    Schedule,
     assign_clusters,
     assign_clusters_by_zone,
     baseline_bcs,
@@ -53,13 +52,20 @@ from .sched import (
     form_clusters,
 )
 
-POLICY_NAMES = ("rr", "bcs", "ldesc", "ldesc-sched", "ldesc-cache", "ldesc-pref")
+# Which descriptor-driven levers each named policy keeps, as (clusters,
+# insertion, prefetch); a lever left out falls back to the baseline
+# (round-robin or paired-CTA scheduling, LRU insertion, no prefetching).
+POLICY_LEVERS = {
+    "rr": (False, False, False),
+    "bcs": (False, False, False),
+    "ldesc": (True, True, True),
+    "ldesc-sched": (True, False, False),
+    "ldesc-cache": (False, True, False),
+    "ldesc-pref": (False, False, True),
+}
+POLICY_NAMES = tuple(POLICY_LEVERS)
 PLACEMENT_NAMES = ("ldesc", "xor", "first_touch")
 SWEEP_AXES = ("sm_count", "zone_count", "l1_capacity", "pin_reset_period", "seed")
-
-
-class ConfigError(Exception):
-    """Malformed or inconsistent experiment configuration (CLI exit 2)."""
 
 
 @dataclass
@@ -80,25 +86,31 @@ def _get(obj: dict, key: str, path: str, default=None, required: bool = False):
     return obj[key]
 
 
+def _int(value, path: str, minimum: int | None = None) -> int:
+    """An integer field of the schema; JSON booleans are not integers."""
+    if type(value) is not int:
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}: {value} is below the minimum {minimum}")
+    return value
+
+
 def _addr(value, path: str) -> int:
     if isinstance(value, str):
         try:
             return int(value, 16)
         except ValueError:
             raise ConfigError(f"{path}: {value!r} is not a hex address") from None
-    if isinstance(value, int):
+    if type(value) is int:
         return value
     raise ConfigError(f"{path}: expected hex string or integer")
 
 
 def _triple(value, path: str) -> tuple[int, int, int]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 3
-        or not all(isinstance(v, int) for v in value)
-    ):
+    if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{path}: expected a list of three integers")
-    return (value[0], value[1], value[2])
+    x, y, z = (_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return (x, y, z)
 
 
 def _system(raw: dict | str | None, preset_override: str | None) -> SystemConfig:
@@ -115,29 +127,25 @@ def _system(raw: dict | str | None, preset_override: str | None) -> SystemConfig
     updates = {}
     for key in ("sm_count", "zone_count", "max_resident_ctas_per_sm"):
         if key in raw:
-            updates[key] = raw.pop(key)
+            updates[key] = _int(raw.pop(key), f"system.{key}", 1)
     if "remote_link_capacity" in raw:
         updates["remote_link_capacity"] = float(raw.pop("remote_link_capacity"))
-    for level in ("l1", "l2"):
-        if level in raw:
-            sub = raw.pop(level)
-            cur = getattr(base, level)
+    for group in ("l1", "l2", "latencies"):  # every field of these is an integer
+        if group in raw:
+            sub = raw.pop(group)
+            if not isinstance(sub, dict):
+                raise ConfigError(f"system.{group}: expected an object")
+            sub = {
+                k: _int(v, f"system.{group}.{k}", 0 if k == "pin_reset_period" else 1)
+                for k, v in sub.items()
+            }
             try:
-                updates[level] = dataclasses.replace(cur, **sub)
+                updates[group] = dataclasses.replace(getattr(base, group), **sub)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"system.{level}: {exc}") from None
-    if "latencies" in raw:
-        try:
-            updates["latencies"] = dataclasses.replace(
-                base.latencies, **raw.pop("latencies")
-            )
-        except TypeError as exc:
-            raise ConfigError(f"system.latencies: {exc}") from None
+                raise ConfigError(f"system.{group}: {exc}") from None
     if raw:
         raise ConfigError(f"system: unknown fields {sorted(raw)}")
     cfg = dataclasses.replace(base, **updates)
-    if cfg.sm_count < 1 or cfg.zone_count < 1:
-        raise ConfigError("system: sm_count and zone_count must be positive")
     if cfg.sm_count % cfg.zone_count != 0:
         raise ConfigError(
             f"system: {cfg.sm_count} SMs do not divide into {cfg.zone_count} zones"
@@ -150,7 +158,7 @@ def _pattern(raw, path: str) -> AccessPattern:
         raise ConfigError(f"{path}: expected an object")
     kind = _get(raw, "kind", path, required=True)
     if kind == "REGULAR":
-        stride = _get(raw, "stride_bytes", path, required=True)
+        stride = _int(_get(raw, "stride_bytes", path, required=True), f"{path}.stride_bytes", 1)
         return AccessPattern.regular_stride(stride)
     if kind == "IRREGULAR":
         return AccessPattern.irregular()
@@ -174,8 +182,12 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
     graw = _get(raw, "grid", "top level", required=True)
     grid = CtaGrid(
         dims=_triple(_get(graw, "dims", "grid", required=True), "grid.dims"),
-        warps_per_cta=_get(graw, "warps_per_cta", "grid", default=8),
-        threads_per_warp=_get(graw, "threads_per_warp", "grid", default=32),
+        warps_per_cta=_int(
+            _get(graw, "warps_per_cta", "grid", default=8), "grid.warps_per_cta", 1
+        ),
+        threads_per_warp=_int(
+            _get(graw, "threads_per_warp", "grid", default=32), "grid.threads_per_warp", 1
+        ),
     )
 
     structures: dict[str, DataStructureRef] = {}
@@ -187,7 +199,7 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
         structures[name] = DataStructureRef(
             name=name,
             base_addr=_addr(_get(sraw, "base_addr", path, required=True), f"{path}.base_addr"),
-            elem_size=_get(sraw, "elem_size", path, required=True),
+            elem_size=_int(_get(sraw, "elem_size", path, required=True), f"{path}.elem_size", 1),
             dims=_triple(_get(sraw, "dims", path, required=True), f"{path}.dims"),
         )
 
@@ -214,7 +226,7 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
                 ),
                 pattern=_pattern(_get(draw, "pattern", path, required=True), f"{path}.pattern"),
                 sharing=sharing,
-                priority=_get(draw, "priority", path, default=0),
+                priority=_int(_get(draw, "priority", path, default=0), f"{path}.priority", 0),
             )
         )
     if not descs:
@@ -240,7 +252,7 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
         descs=ordered,
         policy=policy,
         placement=placement,
-        seed=_get(raw, "seed", "top level", default=1),
+        seed=_int(_get(raw, "seed", "top level", default=1), "seed"),
     )
 
 
@@ -255,75 +267,53 @@ def load_config(path: str | Path, preset_override: str | None = None) -> Experim
 
 def build_policies(name: str, descs: list[LocalityDescriptor]) -> PolicySet:
     """Cache/prefetch policy set for a named configuration."""
-    if name in ("rr", "bcs"):
-        return normal_policies(descs)
-    full = select_policies(descs)
-    if name == "ldesc":
-        return full
-    out = {}
-    for d, p in full.by_desc.items():
-        if name == "ldesc-sched":
-            out[d] = DescriptorPolicy(p.schedule_with_clusters, InsertionClass.NORMAL, PrefetchKind.NONE)
-        elif name == "ldesc-cache":
-            out[d] = DescriptorPolicy(False, p.insertion, PrefetchKind.NONE)
-        elif name == "ldesc-pref":
-            out[d] = DescriptorPolicy(False, InsertionClass.NORMAL, p.prefetch)
-        else:
-            raise ConfigError(f"unknown policy {name!r}")
-    return PolicySet(out)
-
-
-def _cluster_schedule(cfg: ExperimentConfig, policies: PolicySet) -> Schedule:
-    if not policies.wants_clusters():
-        return baseline_round_robin(cfg.grid, cfg.system.sm_count)
-    cls = form_clusters(cfg.descs, cfg.grid, cfg.system.sm_count)
-    return assign_clusters(cls, cfg.grid, cfg.system.sm_count)
+    try:
+        clusters, insertion, prefetch = POLICY_LEVERS[name]
+    except KeyError:
+        raise ConfigError(f"unknown policy {name!r}") from None
+    return PolicySet(
+        tuple(
+            DescriptorPolicy(
+                clusters and p.schedule_with_clusters,
+                p.insertion if insertion else InsertionClass.NORMAL,
+                p.prefetch if prefetch else PrefetchKind.NONE,
+            )
+            for p in select_policies(descs).per_desc
+        )
+    )
 
 
 def compose(cfg: ExperimentConfig):
-    """Build (workload, policies, schedule, placement) for one experiment."""
+    """Build (workload, policies, schedule, placement) for one experiment.
+
+    The placement comes first, then the schedule: paired CTAs for ``bcs``,
+    round-robin when no descriptor asks for clusters, clusters kept next to
+    their data under a placement plan, plain clusters otherwise.
+    """
     policies = build_policies(cfg.policy, cfg.descs)
     workload = Workload(cfg.grid, cfg.descs, cfg.seed)
-    system = cfg.system
-    uses_clusters = cfg.policy in ("ldesc", "ldesc-sched")
+    grid, sms, zones = cfg.grid, cfg.system.sm_count, cfg.system.zone_count
+    if zones == 1:
+        placement = None
+    elif cfg.placement == "ldesc":
+        placement = place_and_partition(cfg.descs, grid, zones)
+    elif cfg.placement == "xor":
+        placement = xor_hash(zones)
+    else:
+        # first_touch prescribes its own distributed contiguous schedule;
+        # pages are placed in-simulation at the zone of their first toucher.
+        return workload, policies, distributed_schedule(grid, zones, sms), first_touch(zones)
 
-    if system.zone_count == 1:
-        if cfg.policy == "bcs":
-            schedule = baseline_bcs(cfg.grid, system.sm_count)
-        elif uses_clusters:
-            schedule = _cluster_schedule(cfg, policies)
-        else:
-            schedule = baseline_round_robin(cfg.grid, system.sm_count)
-        return workload, policies, schedule, None
-
-    if cfg.placement == "ldesc":
-        plan = place_and_partition(cfg.descs, cfg.grid, system.zone_count)
-        if uses_clusters and policies.wants_clusters():
-            sm_per_zone = system.sm_count // system.zone_count
-            cls = form_clusters(cfg.descs, cfg.grid, sm_per_zone)
-            schedule = assign_clusters_by_zone(
-                cls, cfg.grid, plan.cta_partition, system.sm_count, system.zone_count
-            )
-        elif cfg.policy == "bcs":
-            schedule = baseline_bcs(cfg.grid, system.sm_count)
-        else:
-            schedule = baseline_round_robin(cfg.grid, system.sm_count)
-        return workload, policies, schedule, plan
-
-    if cfg.placement == "xor":
-        placement = xor_hash(system.zone_count)
-        if cfg.policy == "bcs":
-            schedule = baseline_bcs(cfg.grid, system.sm_count)
-        elif uses_clusters:
-            schedule = _cluster_schedule(cfg, policies)
-        else:
-            schedule = baseline_round_robin(cfg.grid, system.sm_count)
-        return workload, policies, schedule, placement
-
-    # first_touch prescribes its own distributed contiguous schedule; pages
-    # are placed in-simulation at the zone of their first toucher.
-    schedule = distributed_schedule(cfg.grid, system.zone_count, system.sm_count)
-    return workload, policies, schedule, first_touch(system.zone_count)
+    if cfg.policy == "bcs":
+        schedule = baseline_bcs(grid, sms)
+    elif not policies.wants_clusters():
+        schedule = baseline_round_robin(grid, sms)
+    elif isinstance(placement, NumaPlan):
+        cls = form_clusters(cfg.descs, grid, sms // zones)
+        schedule = assign_clusters_by_zone(cls, grid, placement.cta_partition, sms, zones)
+    else:
+        schedule = assign_clusters(form_clusters(cfg.descs, grid, sms), grid, sms)
+    return workload, policies, schedule, placement
 
 
 def run_experiment(

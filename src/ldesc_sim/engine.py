@@ -19,18 +19,13 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Iterable, NamedTuple, TextIO
 
 from . import prefetch as pf
 from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
-from .descriptor import (
-    DataStructureRef,
-    LocalityDescriptor,
-    LocalityType,
-    SharingType,
-)
-from .errors import ConfigMismatch, MshrFull
+from .descriptor import LocalityDescriptor, LocalityType, SharingType
+from .errors import ConfigError, ConfigMismatch, MshrFull
 from .grid import (
     CtaGrid,
     cta_flat,
@@ -100,10 +95,10 @@ class DescriptorPolicy:
 
 @dataclass
 class PolicySet:
-    by_desc: dict[LocalityDescriptor, DescriptorPolicy]
+    per_desc: tuple[DescriptorPolicy, ...]  # aligned with Workload.descs
 
     def wants_clusters(self) -> bool:
-        return any(p.schedule_with_clusters for p in self.by_desc.values())
+        return any(p.schedule_with_clusters for p in self.per_desc)
 
 
 def select_policies(descs: list[LocalityDescriptor]) -> PolicySet:
@@ -115,7 +110,7 @@ def select_policies(descs: list[LocalityDescriptor]) -> PolicySet:
     the cache. Conflicts between overlapping descriptors resolve by
     priority at access time.
     """
-    out: dict[LocalityDescriptor, DescriptorPolicy] = {}
+    out: list[DescriptorPolicy] = []
     for d in descs:
         if d.ltype is LocalityType.INTER_THREAD:
             if d.sharing is SharingType.NEARBY:
@@ -124,21 +119,18 @@ def select_policies(descs: list[LocalityDescriptor]) -> PolicySet:
                 kind = PrefetchKind.STRIDE
             else:
                 kind = PrefetchKind.NONE
-            out[d] = DescriptorPolicy(True, InsertionClass.SOFT_PIN, kind)
+            out.append(DescriptorPolicy(True, InsertionClass.SOFT_PIN, kind))
         elif d.ltype is LocalityType.INTRA_THREAD:
-            out[d] = DescriptorPolicy(False, InsertionClass.HARD_PIN, PrefetchKind.NONE)
+            out.append(DescriptorPolicy(False, InsertionClass.HARD_PIN, PrefetchKind.NONE))
         else:
-            out[d] = DescriptorPolicy(False, InsertionClass.BYPASS, PrefetchKind.NONE)
-    return PolicySet(out)
+            out.append(DescriptorPolicy(False, InsertionClass.BYPASS, PrefetchKind.NONE))
+    return PolicySet(tuple(out))
 
 
 def normal_policies(descs: list[LocalityDescriptor]) -> PolicySet:
     """Baseline cache behaviour: plain LRU insertion, no prefetching."""
     return PolicySet(
-        {
-            d: DescriptorPolicy(False, InsertionClass.NORMAL, PrefetchKind.NONE)
-            for d in descs
-        }
+        (DescriptorPolicy(False, InsertionClass.NORMAL, PrefetchKind.NONE),) * len(descs)
     )
 
 
@@ -151,12 +143,6 @@ class Workload:
     grid: CtaGrid
     descs: list[LocalityDescriptor]  # validated, priority order
     seed: int = 1
-
-    def structures(self) -> list[DataStructureRef]:
-        seen: dict[str, DataStructureRef] = {}
-        for d in self.descs:
-            seen.setdefault(d.data.name, d.data)
-        return list(seen.values())
 
 
 def _lines_of_runs(runs, line_size: int) -> list[int]:
@@ -306,15 +292,29 @@ def dump_trace(events: Iterable[AccessEvent], fp: TextIO) -> None:
 
 
 def load_trace(fp: TextIO) -> list[AccessEvent]:
+    """Parse a JSONL demand trace; a malformed line raises ConfigError naming it."""
     events = []
-    for line in fp:
+    for n, line in enumerate(fp, 1):
         line = line.strip()
         if not line:
             continue
-        raw = json.loads(line)
-        events.append(
-            AccessEvent(raw["sm"], raw["cta"], raw["warp"], int(raw["addr"], 16), raw["cycle"])
-        )
+        where = f"{getattr(fp, 'name', 'trace')}:{n}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{where}: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where}: expected a JSON object")
+        for key in ("sm", "cta", "warp", "addr", "cycle"):
+            if key not in raw:
+                raise ConfigError(f"{where}: missing key {key!r}")
+            if key != "addr" and type(raw[key]) is not int:
+                raise ConfigError(f"{where}: {key} {raw[key]!r} is not an integer")
+        try:
+            addr = int(raw["addr"], 16)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: addr {raw['addr']!r} is not a hex string") from None
+        events.append(AccessEvent(raw["sm"], raw["cta"], raw["warp"], addr, raw["cycle"]))
     return events
 
 
@@ -381,9 +381,6 @@ class _Cta:
         self.inflight = 0
         self.started = False
 
-    def finished(self) -> bool:
-        return self.remaining == 0 and self.inflight == 0
-
 
 class _WarpSlot:
     __slots__ = ("cta", "warp", "ready_at")
@@ -407,6 +404,17 @@ class _Sm:
         self.ptr = 0
 
 
+class _Row(NamedTuple):
+    """One descriptor's address range and the levers resolved for it."""
+
+    base: int
+    end: int
+    index: int
+    desc: LocalityDescriptor
+    policy: DescriptorPolicy
+    mapping: ZoneMapping | None  # None on a single-zone system
+
+
 class _Simulation:
     def __init__(
         self,
@@ -420,7 +428,6 @@ class _Simulation:
         self.workload = workload
         self.config = config
         self.schedule = schedule
-        self.policies = policies
         self.trace_sink = trace_sink
         self.line_size = config.l1.line_size
         self._check_consistency()
@@ -437,22 +444,38 @@ class _Simulation:
             )
         self.cta_coords = {cta_flat(c, grid): c for c in ctas_in_grid(grid)}
 
-        # Address resolution tables
-        self.structures = workload.structures()
-        self.mappings: dict[str, ZoneMapping] | None = None
-        self.global_mapping: ZoneMapping | None = None
-        if isinstance(placement, NumaPlan):
-            self.mappings = placement.per_structure
-            for ds in self.structures:
-                if ds.name not in self.mappings:
-                    raise ConfigMismatch(f"placement plan lacks structure {ds.name!r}")
-        elif isinstance(placement, ZoneMapping):
-            self.global_mapping = placement
-        elif placement is not None or config.zone_count != 1:
+        # Address resolution: one row per descriptor, in priority order. The
+        # first row whose range holds an address is its highest-priority
+        # descriptor. Each run fills first-touch page tables of its own.
+        if not isinstance(placement, (NumaPlan, ZoneMapping)) and (
+            placement is not None or config.zone_count != 1
+        ):
             raise ConfigMismatch("zone_count > 1 requires a placement")
+        if len(policies.per_desc) != len(workload.descs):
+            raise ConfigMismatch(
+                f"policy set has {len(policies.per_desc)} entries for "
+                f"{len(workload.descs)} descriptors"
+            )
+        copies: dict[int, ZoneMapping] = {}
+        self.rows: list[_Row] = []
+        for i, (desc, policy) in enumerate(zip(workload.descs, policies.per_desc)):
+            mapping = placement
+            if isinstance(placement, NumaPlan):
+                mapping = placement.per_structure.get(desc.data.name)
+                if mapping is None:
+                    raise ConfigMismatch(f"placement plan lacks structure {desc.data.name!r}")
+            if mapping is not None and config.zone_count > 1:
+                fresh = replace(mapping, page_table=dict(mapping.page_table))
+                mapping = copies.setdefault(id(mapping), fresh)
+            else:
+                mapping = None
+            data = desc.data
+            self.rows.append(_Row(data.base_addr, data.end_addr, i, desc, policy, mapping))
+        self.prefetch_rows = [
+            r.index for r in self.rows if r.policy.prefetch is not PrefetchKind.NONE
+        ]
 
         # Prefetcher state, keyed by (sm, descriptor index)
-        self.desc_order = list(workload.descs)
         self.streams: dict[tuple[int, int], StreamState] = {}
         self.dtile_users: dict[tuple[int, int, int], int] = {}
         self._cta_dtile: dict[tuple[int, int], int] = {}
@@ -503,26 +526,15 @@ class _Simulation:
 
     # -- address resolution ------------------------------------------------
 
-    def _structure_of(self, addr: int) -> DataStructureRef:
-        for ds in self.structures:
-            if ds.contains(addr):
-                return ds
-        raise ConfigMismatch(f"address {addr:#x} belongs to no data structure")
-
-    def _desc_of(self, addr: int) -> tuple[int, LocalityDescriptor]:
-        for i, d in enumerate(self.desc_order):
-            if d.data.contains(addr):
-                return i, d
+    def _row_of(self, addr: int) -> _Row:
+        for row in self.rows:
+            if row.base <= addr < row.end:
+                return row
         raise ConfigMismatch(f"address {addr:#x} matches no descriptor")
 
-    def _home_zone(self, addr: int, toucher_zone: int) -> int:
-        if self.config.zone_count == 1:
+    def _home_zone(self, addr: int, mapping: ZoneMapping | None, toucher_zone: int) -> int:
+        if mapping is None:
             return 0
-        mapping = (
-            self.global_mapping
-            if self.global_mapping is not None
-            else self.mappings[self._structure_of(addr).name]  # type: ignore[index]
-        )
         if mapping.scheme is MappingScheme.FIRST_TOUCH:
             return mapping.page_table.setdefault(addr >> PAGE_BITS, toucher_zone)
         return zone_of_address(addr, mapping, self.config.zone_count)
@@ -551,15 +563,14 @@ class _Simulation:
 
     # -- prefetching ---------------------------------------------------------
 
-    def _maybe_prefetch(self, sm: _Sm, addr: int, idx: int, desc, cycle: int) -> None:
-        policy = self.policies.by_desc[desc]
-        if policy.prefetch is PrefetchKind.NONE:
+    def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
+        if row.policy.prefetch is PrefetchKind.NONE:
             return
-        state = self.streams.get((sm.sm, idx))
+        state = self.streams.get((sm.sm, row.index))
         if state is None:
-            state = StreamState.for_descriptor(desc)
-            self.streams[(sm.sm, idx)] = state
-        for req in pf.on_miss(addr, desc, self.config.l1.capacity, state, self.line_size):
+            state = StreamState.for_descriptor(row.desc)
+            self.streams[(sm.sm, row.index)] = state
+        for req in pf.on_miss(addr, row.desc, self.config.l1.capacity, state, self.line_size):
             line_addr = sm.l1.line_addr(req.addr)
             if sm.l1.contains(line_addr) or sm.l1.inflight(line_addr):
                 continue
@@ -567,7 +578,7 @@ class _Simulation:
                 sm.l1.access(line_addr, InsertionClass.SOFT_PIN, cycle)
             except MshrFull:
                 continue
-            home = self._home_zone(line_addr, sm.zone)
+            home = self._home_zone(line_addr, self._row_of(line_addr).mapping, sm.zone)
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             self._schedule_fill(sm, line_addr, cycle + latency)
             self.pf_issued += 1
@@ -579,23 +590,16 @@ class _Simulation:
         key = (idx, flat)
         cached = self._cta_dtile.get(key)
         if cached is None:
-            desc = self.desc_order[idx]
+            desc = self.rows[idx].desc
             grid = self.workload.grid
             ctile = ctile_of_cta(self.cta_coords[flat], desc, grid)
             cached = dtile_of_ctile(ctile, desc, grid).flat
             self._cta_dtile[key] = cached
         return cached
 
-    def _prefetch_descs(self) -> list[int]:
-        return [
-            i
-            for i, d in enumerate(self.desc_order)
-            if self.policies.by_desc[d].prefetch is not PrefetchKind.NONE
-        ]
-
     def _mark_started(self, sm: _Sm, cta: _Cta) -> None:
         cta.started = True
-        for idx in self._prefetch_descs():
+        for idx in self.prefetch_rows:
             dt = self._cta_dtile_flat(idx, cta.flat)
             key = (sm.sm, idx, dt)
             self.dtile_users[key] = self.dtile_users.get(key, 0) + 1
@@ -603,7 +607,7 @@ class _Simulation:
     def _complete_cta(self, sm: _Sm, cta: _Cta) -> None:
         self.unfinished -= 1
         if cta.started:
-            for idx in self._prefetch_descs():
+            for idx in self.prefetch_rows:
                 dt = self._cta_dtile_flat(idx, cta.flat)
                 key = (sm.sm, idx, dt)
                 self.dtile_users[key] -= 1
@@ -638,15 +642,14 @@ class _Simulation:
 
     def _issue(self, sm: _Sm, cta: _Cta, warp: int, addr: int, cycle: int) -> int | None:
         """Run one demand access; returns its completion cycle, or None on stall."""
-        idx, desc = self._desc_of(addr)
-        iclass = self.policies.by_desc[desc].insertion
+        row = self._row_of(addr)
         try:
-            outcome = sm.l1.access(addr, iclass, cycle)
+            outcome = sm.l1.access(addr, row.policy.insertion, cycle)
         except MshrFull:
             return None
 
         self.demand += 1
-        home = self._home_zone(addr, sm.zone)
+        home = self._home_zone(addr, row.mapping, sm.zone)
         self.zone_counts[home] += 1
         if home == sm.zone:
             self.local_accesses += 1
@@ -675,7 +678,7 @@ class _Simulation:
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             completion = cycle + latency
             self._schedule_fill(sm, line_addr, completion)
-            self._maybe_prefetch(sm, addr, idx, desc, cycle)
+            self._maybe_prefetch(sm, addr, row, cycle)
 
         cta.remaining -= 1
         cta.inflight += 1

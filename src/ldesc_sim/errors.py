@@ -43,3 +43,7 @@ class UnknownStream(LdescError):
 
 class ConfigMismatch(LdescError):
     """Schedule, workload and system configuration disagree."""
+
+
+class ConfigError(Exception):
+    """Malformed experiment configuration or trace input (CLI exit 2)."""

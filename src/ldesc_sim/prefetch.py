@@ -29,7 +29,6 @@ class PrefetchKind(Enum):
 @dataclass(frozen=True)
 class PrefetchRequest:
     addr: int
-    trigger_addr: int
     kind: PrefetchKind
 
 
@@ -68,7 +67,7 @@ def on_miss(
         return []  # COACCESSED irregular: retention is the cache's job
     if not desc.data.contains(target):
         return []
-    return [PrefetchRequest(target, addr, kind)]
+    return [PrefetchRequest(target, kind)]
 
 
 def retire_stream(dtile_flat: int, state: StreamState) -> None:

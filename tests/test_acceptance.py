@@ -171,13 +171,16 @@ def test_criterion_6_hard_pin_thrash_resistance():
     def steady_hit_rate(iclass):
         cache = CacheModel(CacheConfig(capacity=2 * KB, ways=4, line_size=128))
         lines = [i * 128 for i in range(32)]  # 4 KiB cyclic trace
+        steady = []
         for lap in range(12):
-            if lap == 4:
-                cache.hits = cache.misses = cache.inflight_hits = 0
             for addr in lines:
-                if cache.access(addr, iclass, 0) is AccessOutcome.MISS:
+                out = cache.access(addr, iclass, 0)
+                if out is AccessOutcome.MISS:
                     cache.fill(addr, 0)
-        return cache.hits / (cache.hits + cache.misses)
+                if lap >= 4:
+                    steady.append(out)
+        hits, misses = steady.count(AccessOutcome.HIT), steady.count(AccessOutcome.MISS)
+        return hits / (hits + misses)
 
     lru = steady_hit_rate(InsertionClass.NORMAL)
     pinned = steady_hit_rate(InsertionClass.HARD_PIN)

@@ -121,11 +121,9 @@ def test_thrash_protection_hit_rates():
         for _ in range(3):  # warmup laps
             for a in lines:
                 touch(c, a, iclass)
-        c.hits = c.misses = c.inflight_hits = 0
-        for _ in range(8):
-            for a in lines:
-                touch(c, a, iclass)
-        return c.hits / (c.hits + c.misses)
+        steady = [touch(c, a, iclass) for _ in range(8) for a in lines]
+        hits, misses = steady.count(AccessOutcome.HIT), steady.count(AccessOutcome.MISS)
+        return hits / (hits + misses)
 
     assert run(NORMAL) == 0.0
     assert run(HARD) == pytest.approx(0.375, abs=0.01)
@@ -160,20 +158,24 @@ def test_soft_pin_between_normal_and_hard():
 def test_conservation_counts():
     c = small_cache(mshr_entries=64)
     rng = random.Random(8)
-    issued = 0
+    outcomes = []
     outstanding = []
+    fills = 0
     for cycle in range(2000):
         addr = rng.randrange(0, 8192, 4)
         try:
             out = c.access(addr, rng.choice([NORMAL, SOFT, HARD]), cycle)
         except MshrFull:
             continue
-        issued += 1
+        outcomes.append(out)
         if out is AccessOutcome.MISS:
             outstanding.append(addr)
         if outstanding and rng.random() < 0.5:
             c.fill(outstanding.pop(0), cycle)
-    assert c.hits + c.inflight_hits + c.misses == issued
+            fills += 1
+    assert set(outcomes) == set(AccessOutcome)
+    # Every primary miss holds one MSHR entry until its fill.
+    assert outcomes.count(AccessOutcome.MISS) == fills + len(c.mshr)
 
 
 def test_config_validation():

@@ -137,6 +137,66 @@ def test_trace_round_trip_all_placements(tmp_path, placement):
     assert m1.read_bytes() == m2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"sm": 0, "cta": 0', "Expecting"),
+        ('[0, 0, 0, "0x0", 0]', "expected a JSON object"),
+        ('{"sm": 0, "cta": 0, "warp": 0, "cycle": 9}', "missing key 'addr'"),
+        ('{"sm": 0, "cta": 0, "warp": 0, "addr": "0xzz", "cycle": 9}', "not a hex string"),
+        ('{"sm": 0, "cta": 0, "warp": 0, "addr": 128, "cycle": 9}', "not a hex string"),
+        ('{"sm": "0", "cta": 0, "warp": 0, "addr": "0x0", "cycle": 9}', "sm '0'"),
+        ('{"sm": 0, "cta": 1.5, "warp": 0, "addr": "0x0", "cycle": 9}', "cta 1.5"),
+        ('{"sm": 0, "cta": 0, "warp": true, "addr": "0x0", "cycle": 9}', "warp True"),
+        ('{"sm": 0, "cta": 0, "warp": 0, "addr": "0x0", "cycle": null}', "cycle None"),
+    ],
+    ids=["bad-json", "not-object", "missing-key", "non-hex-addr", "int-addr", "str-sm",
+         "float-cta", "bool-warp", "null-cycle"],
+)
+def test_run_malformed_trace_line(tmp_path, capsys, line, message):
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", HISTO, "--trace-out", str(trace), "--out", str(tmp_path / "m")]) == 0
+    first = trace.read_text().splitlines()[0]
+    trace.write_text(f"{first}\n\n{line}\n")
+    assert main(["run", HISTO, "--trace-in", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:3: " in err
+    assert message in err
+
+
+def _set_field(raw, keys, value):
+    for k in keys[:-1]:
+        raw = raw[k]
+    raw[keys[-1]] = value
+
+
+BAD_INTEGER_FIELDS = [
+    (["data_structures", 0, "elem_size"], "4", "data_structures[0].elem_size"),
+    (["grid", "warps_per_cta"], 0, "grid.warps_per_cta"),
+    (["grid", "threads_per_warp"], True, "grid.threads_per_warp"),
+    (["grid", "dims"], [5, 8, 1.0], "grid.dims[2]"),
+    (["system", "sm_count"], 0, "system.sm_count"),
+    (["system", "l1"], {"ways": "4"}, "system.l1.ways"),
+    (["system", "l2"], {"pin_reset_period": -1}, "system.l2.pin_reset_period"),
+    (["system", "latencies"], {"l2_hit": 0}, "system.latencies.l2_hit"),
+    (["descriptors", 0, "pattern", "stride_bytes"], 0, "pattern.stride_bytes"),
+    (["descriptors", 0, "priority"], -1, "descriptors[0].priority"),
+    (["seed"], "1", "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys,value,field", BAD_INTEGER_FIELDS, ids=[f for _, _, f in BAD_INTEGER_FIELDS]
+)
+def test_run_rejects_bad_integer_field(tmp_path, capsys, keys, value, field):
+    raw = json.loads(Path(HISTO).read_text())
+    _set_field(raw, keys, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg)]) == 2
+    assert f"{field}: " in capsys.readouterr().err
+
+
 def test_compare_three_policies(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", HISTO, "--policies", "rr,bcs,ldesc", "--out", str(out)]) == 0

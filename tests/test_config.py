@@ -78,14 +78,14 @@ def test_placement_without_scheduling_is_ineffective():
 def test_ablation_policy_sets():
     cfg = load_config(CONFIGS / "histo.json")
     descs = cfg.descs
-    sched_only = build_policies("ldesc-sched", descs).by_desc[descs[0]]
+    sched_only = build_policies("ldesc-sched", descs).per_desc[0]
     assert sched_only.schedule_with_clusters
     assert sched_only.insertion is InsertionClass.NORMAL
     assert sched_only.prefetch is PrefetchKind.NONE
-    cache_only = build_policies("ldesc-cache", descs).by_desc[descs[0]]
+    cache_only = build_policies("ldesc-cache", descs).per_desc[0]
     assert not cache_only.schedule_with_clusters
     assert cache_only.insertion is InsertionClass.SOFT_PIN
-    pref_only = build_policies("ldesc-pref", descs).by_desc[descs[0]]
+    pref_only = build_policies("ldesc-pref", descs).per_desc[0]
     assert pref_only.prefetch is PrefetchKind.STRIDE
     assert pref_only.insertion is InsertionClass.NORMAL
 

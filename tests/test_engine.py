@@ -28,7 +28,7 @@ from ldesc_sim.cache import CacheConfig
 from ldesc_sim.descriptor import AccessPattern
 from ldesc_sim.engine import preset
 from ldesc_sim.errors import ConfigMismatch
-from ldesc_sim.numa import xor_hash
+from ldesc_sim.numa import distributed_schedule, first_touch, xor_hash
 from ldesc_sim.sched import assign_clusters_by_zone
 
 from conftest import make_desc
@@ -59,7 +59,7 @@ def stripe_workload(tiles=16, tile_kb=16, seed=1):
 
 def test_policies_coaccessed_regular():
     d = make_desc()
-    p = select_policies([d]).by_desc[d]
+    p = select_policies([d]).per_desc[0]
     assert p.schedule_with_clusters
     assert p.insertion is InsertionClass.SOFT_PIN
     assert p.prefetch is PrefetchKind.STRIDE
@@ -67,7 +67,7 @@ def test_policies_coaccessed_regular():
 
 def test_policies_intra_thread():
     d = make_desc(ltype=LocalityType.INTRA_THREAD)
-    p = select_policies([d]).by_desc[d]
+    p = select_policies([d]).per_desc[0]
     assert not p.schedule_with_clusters
     assert p.insertion is InsertionClass.HARD_PIN
     assert p.prefetch is PrefetchKind.NONE
@@ -75,7 +75,7 @@ def test_policies_intra_thread():
 
 def test_policies_no_reuse():
     d = make_desc(ltype=LocalityType.NO_REUSE)
-    p = select_policies([d]).by_desc[d]
+    p = select_policies([d]).per_desc[0]
     assert p.insertion is InsertionClass.BYPASS
     assert p.prefetch is PrefetchKind.NONE
 
@@ -84,10 +84,10 @@ def test_policies_nearby_and_irregular():
     nearby = make_desc(sharing=SharingType.NEARBY)
     irregular = make_desc(pattern=AccessPattern.irregular())
     pol = select_policies([nearby])
-    assert pol.by_desc[nearby].prefetch is PrefetchKind.NEXTLINE
+    assert pol.per_desc[0].prefetch is PrefetchKind.NEXTLINE
     pol = select_policies([irregular])
-    assert pol.by_desc[irregular].prefetch is PrefetchKind.NONE
-    assert pol.by_desc[irregular].insertion is InsertionClass.SOFT_PIN
+    assert pol.per_desc[0].prefetch is PrefetchKind.NONE
+    assert pol.per_desc[0].insertion is InsertionClass.SOFT_PIN
 
 
 # -- generate_accesses -------------------------------------------------------
@@ -441,6 +441,25 @@ def test_zone_without_placement_raises():
     cfg = SystemConfig(sm_count=8, zone_count=4)
     with pytest.raises(ConfigMismatch):
         simulate(wl, cfg, baseline_round_robin(wl.grid, 8))
+
+
+def test_policy_set_must_cover_every_descriptor():
+    wl = histo_workload()
+    with pytest.raises(ConfigMismatch, match="policy set"):
+        simulate(wl, SystemConfig(sm_count=4), baseline_round_robin(wl.grid, 4),
+                 policies=normal_policies([]))
+
+
+def test_first_touch_run_leaves_caller_mapping_untouched():
+    # Pages are placed in a per-run copy of the page table: a mapping reused
+    # across runs under different schedules gives what a fresh one gives.
+    wl = stripe_workload()
+    cfg = SystemConfig(sm_count=16, zone_count=4)
+    shared = first_touch(4)
+    for sched in (baseline_round_robin(wl.grid, 16), distributed_schedule(wl.grid, 4, 16)):
+        got = simulate(wl, cfg, sched, placement=shared).json_str()
+        assert shared.page_table == {}
+        assert got == simulate(wl, cfg, sched, placement=first_touch(4)).json_str()
 
 
 def test_trace_replay_reproduces_metrics():
