@@ -78,6 +78,22 @@ class ExperimentConfig:
     seed: int = 1
 
 
+def _typed(value, path: str, kind: type):
+    """A field of JSON type object, array or string (``dict``, ``list``, ``str``)."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ConfigError(f"{path}: expected {name}")
+    return value
+
+
+def _object(value, path: str, fields: tuple[str, ...]) -> dict:
+    """A JSON object of the schema, holding no field outside ``fields``."""
+    unknown = sorted(set(_typed(value, path, dict)) - set(fields))
+    if unknown:
+        raise ConfigError(f"{path}: unknown fields {unknown}")
+    return value
+
+
 def _get(obj: dict, key: str, path: str, default=None, required: bool = False):
     if key not in obj:
         if required:
@@ -113,13 +129,14 @@ def _triple(value, path: str) -> tuple[int, int, int]:
     return (x, y, z)
 
 
-def _system(raw: dict | str | None, preset_override: str | None) -> SystemConfig:
+def _system(raw, preset_override: str | None) -> SystemConfig:
     if isinstance(raw, str):
         raw = {"preset": raw}
-    raw = dict(raw or {})
-    name = raw.pop("preset", "desk")
-    if preset_override:
-        name = preset_override
+    raw = _object(raw, "system", (
+        "preset", "sm_count", "zone_count", "max_resident_ctas_per_sm",
+        "remote_link_capacity", "l1", "l2", "latencies",
+    ))
+    name = preset_override or _typed(raw.get("preset", "desk"), "system.preset", str)
     try:
         base = preset(name)
     except LdescError as exc:
@@ -127,24 +144,23 @@ def _system(raw: dict | str | None, preset_override: str | None) -> SystemConfig
     updates = {}
     for key in ("sm_count", "zone_count", "max_resident_ctas_per_sm"):
         if key in raw:
-            updates[key] = _int(raw.pop(key), f"system.{key}", 1)
+            updates[key] = _int(raw[key], f"system.{key}", 1)
     if "remote_link_capacity" in raw:
-        updates["remote_link_capacity"] = float(raw.pop("remote_link_capacity"))
+        capacity = raw["remote_link_capacity"]
+        if type(capacity) not in (int, float) or not capacity > 0:
+            raise ConfigError(f"system.remote_link_capacity: expected a number above 0, got {capacity!r}")
+        updates["remote_link_capacity"] = float(capacity)
     for group in ("l1", "l2", "latencies"):  # every field of these is an integer
         if group in raw:
-            sub = raw.pop(group)
-            if not isinstance(sub, dict):
-                raise ConfigError(f"system.{group}: expected an object")
+            fields = tuple(f.name for f in dataclasses.fields(getattr(base, group)))
             sub = {
                 k: _int(v, f"system.{group}.{k}", 0 if k == "pin_reset_period" else 1)
-                for k, v in sub.items()
+                for k, v in _object(raw[group], f"system.{group}", fields).items()
             }
             try:
                 updates[group] = dataclasses.replace(getattr(base, group), **sub)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"system.{group}: {exc}") from None
-    if raw:
-        raise ConfigError(f"system: unknown fields {sorted(raw)}")
     cfg = dataclasses.replace(base, **updates)
     if cfg.sm_count % cfg.zone_count != 0:
         raise ConfigError(
@@ -154,8 +170,7 @@ def _system(raw: dict | str | None, preset_override: str | None) -> SystemConfig
 
 
 def _pattern(raw, path: str) -> AccessPattern:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
+    raw = _object(raw, path, ("kind", "stride_bytes"))
     kind = _get(raw, "kind", path, required=True)
     if kind == "REGULAR":
         stride = _int(_get(raw, "stride_bytes", path, required=True), f"{path}.stride_bytes", 1)
@@ -175,11 +190,13 @@ def _enum(cls, value, path: str):
 
 
 def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a JSON object")
-    system = _system(raw.get("system"), preset_override)
+    _object(raw, "top level", (
+        "system", "grid", "data_structures", "descriptors", "policy", "placement", "seed",
+    ))
+    system = _system(raw.get("system", {}), preset_override)
 
     graw = _get(raw, "grid", "top level", required=True)
+    _object(graw, "grid", ("dims", "warps_per_cta", "threads_per_warp"))
     grid = CtaGrid(
         dims=_triple(_get(graw, "dims", "grid", required=True), "grid.dims"),
         warps_per_cta=_int(
@@ -191,9 +208,11 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
     )
 
     structures: dict[str, DataStructureRef] = {}
-    for i, sraw in enumerate(_get(raw, "data_structures", "top level", required=True)):
+    sraws = _get(raw, "data_structures", "top level", required=True)
+    for i, sraw in enumerate(_typed(sraws, "data_structures", list)):
         path = f"data_structures[{i}]"
-        name = _get(sraw, "name", path, required=True)
+        sraw = _object(sraw, path, ("name", "base_addr", "elem_size", "dims"))
+        name = _typed(_get(sraw, "name", path, required=True), f"{path}.name", str)
         if name in structures:
             raise ConfigError(f"{path}.name: duplicate structure {name!r}")
         structures[name] = DataStructureRef(
@@ -204,9 +223,14 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
         )
 
     descs = []
-    for i, draw in enumerate(_get(raw, "descriptors", "top level", required=True)):
+    draws = _get(raw, "descriptors", "top level", required=True)
+    for i, draw in enumerate(_typed(draws, "descriptors", list)):
         path = f"descriptors[{i}]"
-        ref = _get(draw, "data", path, required=True)
+        draw = _object(draw, path, (
+            "data", "locality_type", "sharing", "pattern", "dtile_dims", "ctile_dims",
+            "compute_data_map", "priority",
+        ))
+        ref = _typed(_get(draw, "data", path, required=True), f"{path}.data", str)
         if ref not in structures:
             raise ConfigError(f"{path}.data: unknown data structure {ref!r}")
         ltype = _enum(LocalityType, _get(draw, "locality_type", path, required=True), f"{path}.locality_type")
@@ -229,8 +253,6 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
                 priority=_int(_get(draw, "priority", path, default=0), f"{path}.priority", 0),
             )
         )
-    if not descs:
-        raise ConfigError("descriptors: at least one descriptor is required")
 
     policy = _get(raw, "policy", "top level", default="ldesc")
     if policy not in POLICY_NAMES:

@@ -19,7 +19,7 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, NamedTuple, TextIO
 
 from . import prefetch as pf
@@ -337,23 +337,7 @@ class SimMetrics:
     remote_traffic: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "access_efficiency": self.access_efficiency,
-            "avg_working_set": self.avg_working_set,
-            "demand_accesses": self.demand_accesses,
-            "hits": self.hits,
-            "inflight_hit_rate": self.inflight_hit_rate,
-            "inflight_hits": self.inflight_hits,
-            "l1_hit_rate": self.l1_hit_rate,
-            "misses": self.misses,
-            "prefetch_accuracy": self.prefetch_accuracy,
-            "prefetches_issued": self.prefetches_issued,
-            "prefetches_useful": self.prefetches_useful,
-            "remote_traffic": self.remote_traffic,
-            "total_cycles": self.total_cycles,
-            "working_set": self.working_set,
-            "zone_access_distribution": self.zone_access_distribution,
-        }
+        return asdict(self)
 
     def json_str(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -392,7 +376,7 @@ class _WarpSlot:
 
 
 class _Sm:
-    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ptr")
+    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ptr", "prefetched")
 
     def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int]):
         self.sm = sm
@@ -402,6 +386,7 @@ class _Sm:
         self.resident: list[_Cta] = []
         self.slots: list[_WarpSlot] = []
         self.ptr = 0
+        self.prefetched: set[int] = set()  # lines it prefetched and has not demanded yet
 
 
 class _Row(NamedTuple):
@@ -498,7 +483,6 @@ class _Simulation:
         self.remote_traffic = 0
         self.pf_issued = 0
         self.pf_useful = 0
-        self.pf_pending: set[int] = set()
         self.last_completion = 0
         self.unfinished = 0
         self._last_tick = 0
@@ -582,7 +566,7 @@ class _Simulation:
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             self._schedule_fill(sm, line_addr, cycle + latency)
             self.pf_issued += 1
-            self.pf_pending.add(line_addr)
+            sm.prefetched.add(line_addr)
 
     # -- CTA lifecycle -------------------------------------------------------
 
@@ -660,21 +644,18 @@ class _Simulation:
         if self.trace_sink is not None:
             self.trace_sink.append(AccessEvent(sm.sm, cta.flat, warp, addr, cycle))
 
+        if line_addr in sm.prefetched:
+            sm.prefetched.remove(line_addr)
+            if outcome is not AccessOutcome.MISS:  # a miss: evicted before use
+                self.pf_useful += 1
         if outcome is AccessOutcome.HIT:
             self.hits += 1
             completion = cycle + self.config.latencies.l1_hit
-            if line_addr in self.pf_pending:
-                self.pf_useful += 1
-                self.pf_pending.discard(line_addr)
         elif outcome is AccessOutcome.INFLIGHT_HIT:
             self.inflight_hits += 1
             completion = self.inflight_fill[(sm.sm, line_addr)]
-            if line_addr in self.pf_pending:
-                self.pf_useful += 1
-                self.pf_pending.discard(line_addr)
         else:
             self.misses += 1
-            self.pf_pending.discard(line_addr)  # evicted before use: not useful
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             completion = cycle + latency
             self._schedule_fill(sm, line_addr, completion)

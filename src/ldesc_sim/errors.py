@@ -29,10 +29,6 @@ class UnplacedPage(LdescError):
     """First-touch lookup for a page no CTA has accessed yet."""
 
 
-class NoFeasiblePartition(LdescError):
-    """Every candidate NUMA partition failed the zone balance guard."""
-
-
 class MshrFull(LdescError):
     """No MSHR entry available; the access must stall and retry."""
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .descriptor import LocalityDescriptor, ctile_count, log2_exact
-from .errors import NoFeasiblePartition, UnplacedPage
+from .errors import UnplacedPage
 from .grid import (
+    ByteRun,
     CtaGrid,
     TileIndex,
     cta_flat,
@@ -24,7 +25,7 @@ from .grid import (
     dtile_of_ctile,
     unflatten_xyz,
 )
-from .sched import Schedule
+from .sched import Schedule, majority_zone
 
 PAGE_BITS = 16  # 64 KiB first-touch pages
 LOW_BIT_MIN = 7  # never split a 128 B burst across zones
@@ -95,8 +96,51 @@ def _zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
     return out
 
 
-def _majority_zone(zone_bytes: list[int]) -> int:
-    return zone_bytes.index(max(zone_bytes))
+class _CtileTable:
+    """One descriptor's C-tiles for one placement search.
+
+    Each C-tile keeps its CTA flat ids and its D-tile's byte runs; the bytes
+    each D-tile places in each zone are worked out once per low_bit.
+    """
+
+    def __init__(self, desc: LocalityDescriptor, grid: CtaGrid, zone_count: int):
+        self.total = desc.data.total_bytes
+        self.zone_count = zone_count
+        self.ctas: list[list[int]] = []
+        self.runs: list[list[ByteRun]] = []
+        self._zone_bytes: dict[int, list[list[int]]] = {}
+        counts = ctile_count(desc, grid)
+        for k in range(counts[0] * counts[1] * counts[2]):
+            ctile = TileIndex(unflatten_xyz(k, counts), k)
+            cells = ctas_in_ctile(ctile.coords, desc, grid)
+            self.ctas.append([cta_flat(cta, grid) for cta in cells])
+            self.runs.append(dtile_byte_runs(dtile_of_ctile(ctile, desc, grid), desc))
+
+    def zone_bytes(self, low_bit: int) -> list[list[int]]:
+        """Per C-tile, the bytes of its D-tile in each zone."""
+        if low_bit not in self._zone_bytes:
+            self._zone_bytes[low_bit] = [
+                _zone_bytes_of_runs(runs, low_bit, self.zone_count) for runs in self.runs
+            ]
+        return self._zone_bytes[low_bit]
+
+    def partition(self, low_bit: int) -> dict[int, int]:
+        """Each C-tile's CTAs go to the zone holding most of its D-tile's
+        bytes (ties to the lowest zone)."""
+        part: dict[int, int] = {}
+        for ctas, zone_bytes in zip(self.ctas, self.zone_bytes(low_bit)):
+            zone = zone_bytes.index(max(zone_bytes))
+            for flat in ctas:
+                part[flat] = zone
+        return part
+
+    def homes(self, part: dict[int, int]) -> list[int]:
+        """Each C-tile's zone: the majority zone of its CTAs under ``part``."""
+        return [majority_zone(ctas, part, self.zone_count) for ctas in self.ctas]
+
+    def util(self, weight: int, homes: list[int], low_bit: int) -> float:
+        local = sum(zb[home] for zb, home in zip(self.zone_bytes(low_bit), homes))
+        return weight * local / self.total
 
 
 def numa_part(
@@ -104,15 +148,7 @@ def numa_part(
 ) -> dict[int, int]:
     """Partition CTAs by data affinity: each C-tile goes to the zone that
     holds the majority of its D-tile's bytes (ties to the lowest zone)."""
-    counts = ctile_count(desc, grid)
-    part: dict[int, int] = {}
-    for k in range(counts[0] * counts[1] * counts[2]):
-        ctile = TileIndex(unflatten_xyz(k, counts), k)
-        runs = dtile_byte_runs(dtile_of_ctile(ctile, desc, grid), desc)
-        zone = _majority_zone(_zone_bytes_of_runs(runs, low_bit, zone_count))
-        for cta in ctas_in_ctile(ctile.coords, desc, grid):
-            part[cta_flat(cta, grid)] = zone
-    return part
+    return _CtileTable(desc, grid, zone_count).partition(low_bit)
 
 
 def comp_util(
@@ -129,18 +165,8 @@ def comp_util(
     (ties to the lowest zone); its D-tile's bytes inside that zone count as
     local.
     """
-    counts = ctile_count(desc, grid)
-    total = desc.data.total_bytes
-    local = 0
-    for k in range(counts[0] * counts[1] * counts[2]):
-        ctile = TileIndex(unflatten_xyz(k, counts), k)
-        votes = [0] * zone_count
-        for cta in ctas_in_ctile(ctile.coords, desc, grid):
-            votes[cta_partition[cta_flat(cta, grid)]] += 1
-        zone = votes.index(max(votes))
-        runs = dtile_byte_runs(dtile_of_ctile(ctile, desc, grid), desc)
-        local += _zone_bytes_of_runs(runs, low_bit, zone_count)[zone]
-    return weight * local / total
+    table = _CtileTable(desc, grid, zone_count)
+    return table.util(weight, table.homes(cta_partition), low_bit)
 
 
 @dataclass
@@ -171,75 +197,43 @@ def _is_balanced(part: dict[int, int], zone_count: int) -> bool:
     return max(loads) <= ideal * BALANCE_SLACK
 
 
-def _fit_remaining(
-    descs: list[LocalityDescriptor],
-    part: dict[int, int],
-    grid: CtaGrid,
-    zone_count: int,
-    chosen: dict[str, int],
-) -> float:
-    """Best low_bit per remaining descriptor under a fixed partition."""
-    n = len(descs)
-    added = 0.0
-    for i in range(1, n):
-        desc = descs[i]
-        weight = n - i  # alg position i+1 -> weight n - (i+1) + 1
-        name = desc.data.name
-        if name in chosen:
-            added += comp_util(weight, desc, part, chosen[name], grid, zone_count)
-            continue
-        best_bit, best = LOW_BIT_MIN, 0.0
-        for b_lo in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
-            util = comp_util(weight, desc, part, b_lo, grid, zone_count)
-            if util > best:
-                best_bit, best = b_lo, util
-        chosen[name] = best_bit
-        added += best
-    return added
-
-
 def place_and_partition(
     descs: list[LocalityDescriptor], grid: CtaGrid, zone_count: int
 ) -> NumaPlan:
     """Search all candidate bit fields for the top descriptor, partition the
     CTAs by data affinity, and fit every other structure to that partition.
 
-    Candidates whose partition overloads a zone past 125% of the ideal load
-    are rejected; should every candidate be rejected, the guard is dropped
-    and the best unguarded plan is returned with ``balance_guard_failed``
-    set.
+    Each remaining structure takes the low bit with the highest utility; a
+    structure already placed keeps its bit. Ties go to the lowest bit, both
+    for the top descriptor's candidates and for the fitted bits. The best
+    candidate whose partition loads no zone past 125% of the ideal load
+    wins; should every candidate fail that guard, the best candidate
+    overall is returned with ``balance_guard_failed`` set.
     """
     n = len(descs)
-    if zone_count == 1:
-        part = {cta_flat(c, grid): 0 for c in ctas_in_grid(grid)}
-        mappings = {}
-        for d in descs:
-            mappings.setdefault(d.data.name, bitrange(LOW_BIT_MIN, 1))
-        return NumaPlan(part, mappings, float(n * (n + 1) // 2))
-
-    def search(guard: bool) -> NumaPlan | None:
-        best: NumaPlan | None = None
-        for b_hi in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
-            part = numa_part(descs[0], b_hi, grid, zone_count)
-            if guard and not _is_balanced(part, zone_count):
-                continue
-            chosen = {descs[0].data.name: b_hi}
-            util = comp_util(n, descs[0], part, b_hi, grid, zone_count)
-            util += _fit_remaining(descs, part, grid, zone_count, chosen)
-            if best is None or util > best.utility:
-                mappings = {
-                    name: bitrange(bit, zone_count) for name, bit in chosen.items()
-                }
-                best = NumaPlan(part, mappings, util)
-        return best
-
-    plan = search(guard=True)
-    if plan is None:
-        plan = search(guard=False)
-        if plan is None:  # descs is never empty, so search always yields
-            raise NoFeasiblePartition("no candidate mapping at all")
-        plan.balance_guard_failed = True
-    return plan
+    bits = range(LOW_BIT_MIN, LOW_BIT_MAX + 1)
+    tables = [_CtileTable(d, grid, zone_count) for d in descs]
+    plans = []
+    for b_hi in bits:
+        part = tables[0].partition(b_hi)
+        chosen = {descs[0].data.name: b_hi}
+        util = tables[0].util(n, tables[0].homes(part), b_hi)
+        added = 0.0
+        for i in range(1, n):
+            weight = n - i  # alg position i+1 -> weight n - (i+1) + 1
+            table, name = tables[i], descs[i].data.name
+            homes = table.homes(part)
+            if name not in chosen:  # max() keeps the first, so the lowest bit
+                chosen[name] = max(bits, key=lambda b: table.util(weight, homes, b))
+            added += table.util(weight, homes, chosen[name])
+        mappings = {name: bitrange(bit, zone_count) for name, bit in chosen.items()}
+        plans.append(NumaPlan(part, mappings, util + added))
+    balanced = [p for p in plans if _is_balanced(p.cta_partition, zone_count)]
+    if balanced:
+        return max(balanced, key=lambda p: p.utility)
+    best = max(plans, key=lambda p: p.utility)
+    best.balance_guard_failed = True
+    return best
 
 
 def contiguous_zone_partition(grid: CtaGrid, zone_count: int) -> dict[int, int]:

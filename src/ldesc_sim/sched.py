@@ -75,6 +75,15 @@ def form_clusters(
     return ClusterDims((cls[0], cls[1], cls[2]))
 
 
+def majority_zone(ctas: list[int], cta_zones: dict[int, int], zone_count: int) -> int:
+    """The zone most of ``ctas`` sit in under ``cta_zones``; ties go to the
+    lowest zone id."""
+    votes = [0] * zone_count
+    for cta in ctas:
+        votes[cta_zones[cta]] += 1
+    return votes.index(max(votes))
+
+
 def _cluster_members(
     cluster: Triple, cls: ClusterDims, grid: CtaGrid
 ) -> list[int]:
@@ -120,10 +129,7 @@ def assign_clusters_by_zone(
     assignment: dict[int, int] = {}
     for k in range(counts[0] * counts[1] * counts[2]):
         members = _cluster_members(unflatten_xyz(k, counts), cls, grid)
-        votes = [0] * zone_count
-        for cta in members:
-            votes[cta_zones[cta]] += 1
-        zone = votes.index(max(votes))
+        zone = majority_zone(members, cta_zones, zone_count)
         sm = zone * sm_per_zone + next_slot[zone] % sm_per_zone
         next_slot[zone] += 1
         for cta in members:

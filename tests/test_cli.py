@@ -183,11 +183,31 @@ BAD_INTEGER_FIELDS = [
     (["descriptors", 0, "priority"], -1, "descriptors[0].priority"),
     (["seed"], "1", "seed"),
 ]
+BAD_FIELDS = [pytest.param(k, v, f, id=f) for k, v, f in BAD_INTEGER_FIELDS] + [
+    pytest.param(["system", "remote_link_capacity"], "fast", "system.remote_link_capacity",
+                 id="remote_link_capacity-string"),
+    pytest.param(["system", "remote_link_capacity"], True, "system.remote_link_capacity",
+                 id="remote_link_capacity-bool"),
+    pytest.param(["system", "remote_link_capacity"], 0, "system.remote_link_capacity",
+                 id="remote_link_capacity-zero"),
+    pytest.param(["system", "preset"], [], "system.preset", id="preset-list"),
+    pytest.param(["system"], [1], "system", id="system-list"),
+    pytest.param(["grid"], 5, "grid", id="grid-int"),
+    pytest.param(["data_structures"], [5], "data_structures[0]", id="structure-int"),
+    pytest.param(["data_structures"], ["name"], "data_structures[0]", id="structure-string"),
+    pytest.param(["data_structures"], {}, "data_structures", id="structures-object"),
+    pytest.param(["descriptors"], 5, "descriptors", id="descriptors-int"),
+    pytest.param(["bogus"], 1, "top level", id="unknown-top-level"),
+    pytest.param(["grid", "bogus"], 1, "grid", id="unknown-grid"),
+    pytest.param(["data_structures", 0, "bogus"], 1, "data_structures[0]",
+                 id="unknown-structure"),
+    pytest.param(["descriptors", 0, "bogus"], 1, "descriptors[0]", id="unknown-descriptor"),
+    pytest.param(["descriptors", 0, "pattern", "bogus"], 1, "descriptors[0].pattern",
+                 id="unknown-pattern"),
+]
 
 
-@pytest.mark.parametrize(
-    "keys,value,field", BAD_INTEGER_FIELDS, ids=[f for _, _, f in BAD_INTEGER_FIELDS]
-)
+@pytest.mark.parametrize("keys,value,field", BAD_FIELDS)
 def test_run_rejects_bad_integer_field(tmp_path, capsys, keys, value, field):
     raw = json.loads(Path(HISTO).read_text())
     _set_field(raw, keys, value)

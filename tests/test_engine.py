@@ -1,6 +1,8 @@
 """Policy selection, workload synthesis and the simulation's counting metrics."""
 
+import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from ldesc_sim import (
     working_set,
 )
 from ldesc_sim.cache import CacheConfig
+from ldesc_sim.config import load_config, run_experiment
 from ldesc_sim.descriptor import AccessPattern
 from ldesc_sim.engine import preset
 from ldesc_sim.errors import ConfigMismatch
@@ -333,6 +336,15 @@ def test_sequential_stream_prefetch_accuracy():
     m = simulate(wl, SystemConfig(sm_count=1), baseline_round_robin(grid, 1))
     assert m.prefetches_issued > 0
     assert m.prefetch_accuracy >= 0.9
+
+
+def test_prefetch_counts_useful_only_on_issuing_sm():
+    # histo's C-tiles share their D-tile across SMs, so another SM often
+    # demands a line this SM prefetched; that must neither count as useful
+    # nor drop this SM's prefetch.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "histo.json")
+    m = run_experiment(dataclasses.replace(cfg, policy="ldesc-pref"))
+    assert (m.prefetches_useful, m.prefetches_issued) == (320, 320)
 
 
 def test_randomized_workloads_keep_invariants():

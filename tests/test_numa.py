@@ -1,18 +1,25 @@
 """Zone mapping, CTA partitioning, the placement search and its baselines."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ldesc_sim import (
     CtaGrid,
     baseline_first_touch,
     comp_util,
+    numa,
     numa_part,
     place_and_partition,
     zone_of_address,
 )
+from ldesc_sim.config import load_config
+from ldesc_sim.descriptor import ctile_count
 from ldesc_sim.errors import UnplacedPage
+from ldesc_sim.grid import ByteRun
 from ldesc_sim.numa import (
     LOW_BIT_MAX,
     LOW_BIT_MIN,
@@ -225,6 +232,48 @@ def test_search_matches_brute_force_sample():
             assert plan.balance_guard_failed
         else:
             assert plan.utility == expect
+
+
+def test_search_builds_byte_runs_once_per_ctile(monkeypatch):
+    # Every (b_hi, descriptor, b_lo) candidate reuses the same D-tile runs.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "matrix.json")
+    runs_of = numa.dtile_byte_runs
+    calls = []
+
+    def counting(dtile, desc):
+        calls.append(desc.data.name)
+        return runs_of(dtile, desc)
+
+    monkeypatch.setattr(numa, "dtile_byte_runs", counting)
+    place_and_partition(cfg.descs, cfg.grid, cfg.system.zone_count)
+    ctiles = 0
+    for desc in cfg.descs:
+        c = ctile_count(desc, cfg.grid)
+        ctiles += c[0] * c[1] * c[2]
+    assert 0 < len(calls) <= ctiles
+
+
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(-2048, 2048), st.integers(1, 2048)),
+        min_size=1,
+        max_size=3,
+    ),
+    low_bit=st.integers(LOW_BIT_MIN, LOW_BIT_MAX),
+    zone_count=st.sampled_from([1, 2, 4, 8]),
+)
+def test_zone_bytes_match_per_byte_count(runs, low_bit, zone_count):
+    # Runs start near a stripe boundary so that they often cross it.
+    byte_runs = [
+        ByteRun(max(0, (stripe << low_bit) + offset), length)
+        for stripe, offset, length in runs
+    ]
+    mapping = bitrange(low_bit, zone_count)
+    expect = [0] * zone_count
+    for run in byte_runs:
+        for addr in range(run.start, run.start + run.length):
+            expect[zone_of_address(addr, mapping, zone_count)] += 1
+    assert numa._zone_bytes_of_runs(byte_runs, low_bit, zone_count) == expect
 
 
 def test_first_touch_page_placement():
