@@ -6,6 +6,10 @@ thrash protection: once every way in a set is pinned at the highest
 priority, way 0 becomes the sacrificial way, so ways 1..N-1 stay resident.
 A periodic timer resets all priorities to normal so stale pins fade away.
 
+A line exists only once it has been filled: every set starts empty and
+takes lines in way order until it is full. One dict per cache indexes the
+resident lines by line number, so a lookup never scans a set.
+
 Misses allocate MSHR entries; a second miss to an in-flight line reports
 INFLIGHT_HIT instead of re-requesting. The owner calls ``fill`` when the
 miss data returns and ``tick`` once per cycle.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .descriptor import log2_exact
 from .errors import MshrFull
@@ -63,13 +68,13 @@ class CacheConfig:
 
 
 class _Line:
-    __slots__ = ("tag", "valid", "priority", "last_used")
+    """One filled way. Its fields are set by the fill that creates it."""
 
-    def __init__(self) -> None:
-        self.tag = 0
-        self.valid = False
-        self.priority = 0
-        self.last_used = 0
+    __slots__ = ("tag", "priority", "last_used")
+    valid = True  # every stored line has been filled
+
+
+_victim_key = attrgetter("priority", "last_used")
 
 
 class CacheModel:
@@ -77,25 +82,23 @@ class CacheModel:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self.sets = [
-            [_Line() for _ in range(config.ways)] for _ in range(config.num_sets)
-        ]
+        self.line_size = config.line_size
+        self.num_sets = config.num_sets
+        # sets[i]: the filled lines of set i in way order; lines[n]: the
+        # resident line with line number n (addr // line_size).
+        self.sets: list[list[_Line]] = [[] for _ in range(self.num_sets)]
+        self.lines: dict[int, _Line] = {}
         self.mshr: dict[int, InsertionClass] = {}
         self._use_clock = 0
 
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_size
-        return line % self.config.num_sets, line // self.config.num_sets
-
     def line_addr(self, addr: int) -> int:
-        return addr - addr % self.config.line_size
+        return addr - addr % self.line_size
 
     def contains(self, addr: int) -> bool:
-        set_idx, tag = self._locate(addr)
-        return any(l.valid and l.tag == tag for l in self.sets[set_idx])
+        return addr // self.line_size in self.lines
 
     def inflight(self, addr: int) -> bool:
-        return addr // self.config.line_size in self.mshr
+        return addr // self.line_size in self.mshr
 
     def access(self, addr: int, iclass: InsertionClass, cycle: int) -> AccessOutcome:
         """Look up one address; on a primary miss, allocate an MSHR entry.
@@ -104,15 +107,14 @@ class CacheModel:
         state or priorities. Raises MshrFull when a primary miss finds no
         free entry; the caller retries the access on a later cycle.
         """
-        set_idx, tag = self._locate(addr)
-        for way in self.sets[set_idx]:
-            if way.valid and way.tag == tag:
-                if iclass is not InsertionClass.BYPASS:
-                    self._use_clock += 1
-                    way.last_used = self._use_clock
-                    way.priority = max(way.priority, _PRIORITY[iclass])
-                return AccessOutcome.HIT
-        line = addr // self.config.line_size
+        line = addr // self.line_size
+        way = self.lines.get(line)
+        if way is not None:
+            if iclass is not InsertionClass.BYPASS:
+                self._use_clock += 1
+                way.last_used = self._use_clock
+                way.priority = max(way.priority, _PRIORITY[iclass])
+            return AccessOutcome.HIT
         if line in self.mshr:
             return AccessOutcome.INFLIGHT_HIT
         if len(self.mshr) >= self.config.mshr_entries:
@@ -121,33 +123,35 @@ class CacheModel:
         return AccessOutcome.MISS
 
     def fill(self, addr: int, cycle: int) -> None:
-        """Complete an outstanding miss and install the line (unless bypassed)."""
-        line = addr // self.config.line_size
+        """Complete an outstanding miss and install the line (unless bypassed).
+
+        A set with a free way takes the line in its next way; a full set
+        evicts its victim, which hands over its way.
+        """
+        line = addr // self.line_size
         iclass = self.mshr.pop(line)
         if iclass is InsertionClass.BYPASS:
             return
-        set_idx = line % self.config.num_sets
+        set_idx = line % self.num_sets
         ways = self.sets[set_idx]
-        victim = None
-        for way in ways:
-            if not way.valid:
-                victim = way
-                break
-        if victim is None:
+        if len(ways) < self.config.ways:
+            victim = _Line()
+            ways.append(victim)
+        else:
             if all(w.priority == _MAX_PRIORITY for w in ways):
                 victim = ways[0]
             else:
-                victim = min(ways, key=lambda w: (w.priority, w.last_used))
+                victim = min(ways, key=_victim_key)
+            del self.lines[victim.tag * self.num_sets + set_idx]
         self._use_clock += 1
-        victim.valid = True
-        victim.tag = line // self.config.num_sets
+        victim.tag = line // self.num_sets
         victim.priority = _PRIORITY[iclass]
         victim.last_used = self._use_clock
+        self.lines[line] = victim
 
     def tick(self, cycle: int) -> None:
         """Advance the pin-reset timer; on each period boundary unpin everything."""
         period = self.config.pin_reset_period
         if period > 0 and cycle > 0 and cycle % period == 0:
-            for ways in self.sets:
-                for way in ways:
-                    way.priority = _PRIORITY[InsertionClass.NORMAL]
+            for way in self.lines.values():
+                way.priority = _PRIORITY[InsertionClass.NORMAL]

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cache import CacheConfig, InsertionClass
+from .cache import InsertionClass
 from .descriptor import (
     AccessPattern,
     DataStructureRef,

@@ -427,6 +427,7 @@ class _Simulation:
             self.sms.append(
                 _Sm(s, config.sm_zone(s), CacheModel(config.l1), deque(per_sm_ctas[s]))
             )
+        self.caches = [sm.l1 for sm in self.sms] + self.l2
         self.cta_coords = {cta_flat(c, grid): c for c in ctas_in_grid(grid)}
 
         # Address resolution: one row per descriptor, in priority order. The
@@ -674,7 +675,7 @@ class _Simulation:
         # Visited cycles can jump over idle stretches; apply any pin-reset
         # boundary crossed since the last visit (no accesses happened in
         # between, so one reset is equivalent to several).
-        for cache in [sm.l1 for sm in self.sms] + self.l2:
+        for cache in self.caches:
             period = cache.config.pin_reset_period
             if period <= 0:
                 continue

@@ -84,15 +84,37 @@ def zone_of_address(addr: int, mapping: ZoneMapping, zone_count: int) -> int:
 
 
 def _zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
+    """Bytes the runs place in each zone, without walking their stripes.
+
+    Stripe k (``1 << low_bit`` bytes) lives in zone k % zone_count, so the
+    layout repeats every ``period`` bytes. The bytes of [0, x) in zone z are
+    x // period * stripe + clamp(x % period - z * stripe, 0, stripe), and a
+    run adds that at its end minus that at its start. Summed over every run
+    end (+) and start (-), a zone gets a stripe for each whole period, a
+    stripe for each offset whose stripe lies above it, and the bytes of the
+    offsets inside its own stripe.
+    """
     stripe = 1 << low_bit
-    out = [0] * zone_count
+    period = zone_count << low_bit
+    mask = stripe - 1
+    periods = 0
+    offsets = [0] * zone_count  # signed count of offsets in each stripe
+    partial = [0] * zone_count  # their signed bytes into that stripe
     for run in runs:
-        pos = run.start
-        end = run.start + run.length
-        while pos < end:
-            take = min(end, (pos // stripe + 1) * stripe) - pos
-            out[(pos >> low_bit) % zone_count] += take
-            pos += take
+        start = run.start
+        end = start + run.length
+        periods += end // period - start // period
+        k = (end >> low_bit) % zone_count
+        offsets[k] += 1
+        partial[k] += end & mask
+        k = (start >> low_bit) % zone_count
+        offsets[k] -= 1
+        partial[k] -= start & mask
+    out = [0] * zone_count
+    above = 0
+    for zone in reversed(range(zone_count)):
+        out[zone] = (periods + above) * stripe + partial[zone]
+        above += offsets[zone]
     return out
 
 

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ldesc_sim import AccessOutcome, CacheConfig, CacheModel, InsertionClass
+from ldesc_sim import AccessOutcome, CacheConfig, CacheModel, InsertionClass, preset
 from ldesc_sim.errors import MshrFull
 
 HARD = InsertionClass.HARD_PIN
@@ -183,3 +185,193 @@ def test_config_validation():
         CacheConfig(capacity=1000, ways=4, line_size=128)
     with pytest.raises(ValueError):
         CacheConfig(capacity=2048, ways=4, line_size=100)
+
+
+# -- differential test against the full-array cache ---------------------------
+
+# The reference: the cache as it stood when every way of every set was built
+# up front as an invalid line, kept verbatim (only renamed) as the oracle.
+_PRIORITY = {
+    InsertionClass.NORMAL: 0,
+    InsertionClass.SOFT_PIN: 1,
+    InsertionClass.HARD_PIN: 2,
+}
+_MAX_PRIORITY = _PRIORITY[InsertionClass.HARD_PIN]
+
+
+class _OracleLine:
+    __slots__ = ("tag", "valid", "priority", "last_used")
+
+    def __init__(self) -> None:
+        self.tag = 0
+        self.valid = False
+        self.priority = 0
+        self.last_used = 0
+
+
+class OracleCache:
+    """One cache instance, driven by a single simulation context."""
+
+    def __init__(self, config: CacheConfig):
+        self.config = config
+        self.sets = [
+            [_OracleLine() for _ in range(config.ways)] for _ in range(config.num_sets)
+        ]
+        self.mshr: dict[int, InsertionClass] = {}
+        self._use_clock = 0
+
+    def _locate(self, addr: int) -> tuple[int, int]:
+        line = addr // self.config.line_size
+        return line % self.config.num_sets, line // self.config.num_sets
+
+    def line_addr(self, addr: int) -> int:
+        return addr - addr % self.config.line_size
+
+    def contains(self, addr: int) -> bool:
+        set_idx, tag = self._locate(addr)
+        return any(l.valid and l.tag == tag for l in self.sets[set_idx])
+
+    def inflight(self, addr: int) -> bool:
+        return addr // self.config.line_size in self.mshr
+
+    def access(self, addr: int, iclass: InsertionClass, cycle: int) -> AccessOutcome:
+        """Look up one address; on a primary miss, allocate an MSHR entry.
+
+        BYPASS accesses probe the array but never disturb residency, LRU
+        state or priorities. Raises MshrFull when a primary miss finds no
+        free entry; the caller retries the access on a later cycle.
+        """
+        set_idx, tag = self._locate(addr)
+        for way in self.sets[set_idx]:
+            if way.valid and way.tag == tag:
+                if iclass is not InsertionClass.BYPASS:
+                    self._use_clock += 1
+                    way.last_used = self._use_clock
+                    way.priority = max(way.priority, _PRIORITY[iclass])
+                return AccessOutcome.HIT
+        line = addr // self.config.line_size
+        if line in self.mshr:
+            return AccessOutcome.INFLIGHT_HIT
+        if len(self.mshr) >= self.config.mshr_entries:
+            raise MshrFull(f"no MSHR entry for line {line:#x}")
+        self.mshr[line] = iclass
+        return AccessOutcome.MISS
+
+    def fill(self, addr: int, cycle: int) -> None:
+        """Complete an outstanding miss and install the line (unless bypassed)."""
+        line = addr // self.config.line_size
+        iclass = self.mshr.pop(line)
+        if iclass is InsertionClass.BYPASS:
+            return
+        set_idx = line % self.config.num_sets
+        ways = self.sets[set_idx]
+        victim = None
+        for way in ways:
+            if not way.valid:
+                victim = way
+                break
+        if victim is None:
+            if all(w.priority == _MAX_PRIORITY for w in ways):
+                victim = ways[0]
+            else:
+                victim = min(ways, key=lambda w: (w.priority, w.last_used))
+        self._use_clock += 1
+        victim.valid = True
+        victim.tag = line // self.config.num_sets
+        victim.priority = _PRIORITY[iclass]
+        victim.last_used = self._use_clock
+
+    def tick(self, cycle: int) -> None:
+        """Advance the pin-reset timer; on each period boundary unpin everything."""
+        period = self.config.pin_reset_period
+        if period > 0 and cycle > 0 and cycle % period == 0:
+            for ways in self.sets:
+                for way in ways:
+                    way.priority = _PRIORITY[InsertionClass.NORMAL]
+
+
+def _ways(cache, ways):
+    """Each set's (tag, priority, last_used) in way order, None for a way
+    that holds no line."""
+    return [
+        [(w.tag, w.priority, w.last_used) if w.valid else None for w in s]
+        + [None] * (ways - len(s))
+        for s in cache.sets
+    ]
+
+
+def _call(method, *args):
+    try:
+        return method(*args)
+    except MshrFull as exc:
+        return ("MshrFull", str(exc))
+
+
+LINE = 128
+# A line is drawn as (set, tag) from two sets and more tags than ways, so
+# that sets fill up and evict. An access draws its insertion class from a
+# per-example palette, so that some examples pin nothing but HARD_PIN and
+# saturate their sets.
+_line = st.tuples(st.integers(0, 1), st.integers(0, 9))
+_access = st.tuples(st.just("access"), _line, st.integers(0, LINE - 1), st.integers(0, 3))
+# fill: picks one of the outstanding lines, if any
+_fill = st.tuples(st.just("fill"), st.integers(0, 3))
+_ops = st.one_of(
+    _access,
+    _access,
+    _fill,
+    _fill,
+    # tick: a cycle, or a multiple of the reset period
+    st.tuples(st.just("tick"), st.integers(0, 6), st.booleans()),
+    st.tuples(st.just("contains"), _line),
+    st.tuples(st.just("inflight"), _line),
+)
+
+
+@given(
+    sets=st.integers(1, 8),
+    ways=st.integers(1, 8),
+    mshr_entries=st.integers(1, 4),
+    pin_reset_period=st.sampled_from([0, 3, 8, 50]),
+    palette=st.lists(st.sampled_from(list(InsertionClass)), min_size=1, max_size=3),
+    ops=st.lists(_ops, min_size=60, max_size=240),
+)
+def test_cache_matches_full_array_oracle(
+    sets, ways, mshr_entries, pin_reset_period, palette, ops
+):
+    config = CacheConfig(capacity=sets * ways * LINE, ways=ways, line_size=LINE,
+                         mshr_entries=mshr_entries, pin_reset_period=pin_reset_period)
+    cache, oracle = CacheModel(config), OracleCache(config)
+
+    def addr(line, offset=0):
+        set_pick, tag = line
+        return (tag * sets + set_pick % sets) * LINE + offset
+
+    for cycle, op in enumerate(ops):
+        kind = op[0]
+        if kind == "access":
+            _, line, offset, pick = op
+            args = (addr(line, offset), palette[pick % len(palette)], cycle)
+        elif kind == "fill":
+            if not oracle.mshr:
+                continue
+            args = (list(oracle.mshr)[op[1] % len(oracle.mshr)] * LINE, cycle)
+        elif kind == "tick":
+            _, n, on_boundary = op
+            args = (n * pin_reset_period if on_boundary else n,)
+        else:
+            args = (addr(op[1]),)
+        assert _call(getattr(cache, kind), *args) == _call(getattr(oracle, kind), *args), op
+        assert _ways(cache, ways) == _ways(oracle, ways), op
+        assert cache.mshr == oracle.mshr, op
+
+
+def test_lines_exist_only_once_filled():
+    config = preset("paper-numa").l2
+    cache = CacheModel(config)
+    assert all(s == [] for s in cache.sets)
+    stride = cache.num_sets * config.line_size  # same set, new tag each time
+    for k in range(1, config.ways + 3):
+        touch(cache, 3 * config.line_size + k * stride)
+        assert len(cache.sets[3]) == min(k, config.ways)
+    assert sum(len(s) for s in cache.sets) == config.ways
