@@ -31,7 +31,14 @@ from .engine import (
     simulate,
     working_set,
 )
-from .grid import CtaGrid, TileIndex, ctile_of_cta, dtile_byte_runs, dtile_of_ctile
+from .grid import (
+    CtaGrid,
+    TileIndex,
+    TileTable,
+    ctile_of_cta,
+    dtile_byte_runs,
+    dtile_of_ctile,
+)
 from .numa import (
     NumaPlan,
     ZoneMapping,
@@ -41,7 +48,7 @@ from .numa import (
     place_and_partition,
     zone_of_address,
 )
-from .prefetch import PrefetchKind, PrefetchRequest, StreamState
+from .prefetch import PrefetchKind, StreamState
 from .sched import (
     ClusterDims,
     Schedule,
@@ -70,7 +77,6 @@ __all__ = [
     "NumaPlan",
     "PolicySet",
     "PrefetchKind",
-    "PrefetchRequest",
     "Schedule",
     "SharingType",
     "SimMetrics",
@@ -78,6 +84,7 @@ __all__ = [
     "SystemConfig",
     "TileIndex",
     "TileSemantics",
+    "TileTable",
     "Workload",
     "ZoneMapping",
     "assign_clusters",

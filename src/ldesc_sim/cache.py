@@ -71,7 +71,6 @@ class _Line:
     """One filled way. Its fields are set by the fill that creates it."""
 
     __slots__ = ("tag", "priority", "last_used")
-    valid = True  # every stored line has been filled
 
 
 _victim_key = attrgetter("priority", "last_used")

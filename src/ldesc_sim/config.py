@@ -196,14 +196,11 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
     system = _system(raw.get("system", {}), preset_override)
 
     graw = _get(raw, "grid", "top level", required=True)
-    _object(graw, "grid", ("dims", "warps_per_cta", "threads_per_warp"))
+    _object(graw, "grid", ("dims", "warps_per_cta"))
     grid = CtaGrid(
         dims=_triple(_get(graw, "dims", "grid", required=True), "grid.dims"),
         warps_per_cta=_int(
             _get(graw, "warps_per_cta", "grid", default=8), "grid.warps_per_cta", 1
-        ),
-        threads_per_warp=_int(
-            _get(graw, "threads_per_warp", "grid", default=32), "grid.threads_per_warp", 1
         ),
     )
 

@@ -26,15 +26,7 @@ from . import prefetch as pf
 from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
 from .descriptor import LocalityDescriptor, LocalityType, SharingType
 from .errors import ConfigError, ConfigMismatch, MshrFull
-from .grid import (
-    CtaGrid,
-    cta_flat,
-    ctas_in_ctile,
-    ctas_in_grid,
-    ctile_of_cta,
-    dtile_byte_runs,
-    dtile_of_ctile,
-)
+from .grid import CtaGrid, TileTable
 from .numa import PAGE_BITS, MappingScheme, NumaPlan, ZoneMapping, zone_of_address
 from .prefetch import PrefetchKind, StreamState
 
@@ -171,28 +163,27 @@ def _rng(seed: int, *salt: int) -> random.Random:
 
 
 def generate_accesses(
-    desc: LocalityDescriptor,
-    cta: tuple[int, int, int],
-    grid: CtaGrid,
+    table: TileTable,
+    cta: int,
     seed: int,
     line_size: int = 128,
 ) -> list[tuple[int, int]]:
     """Deterministic (warp, address) stream of one CTA over one descriptor.
 
+    ``table`` is the descriptor's tile table and ``cta`` a CTA flat id.
     Co-accessed tiles are walked in full by every CTA of the C-tile; nearby
     sharing gives each CTA a window overlapping its neighbours by one line;
     intra-thread reuse walks per-warp private sub-ranges twice; no-reuse
     data is streamed through once. Irregular patterns are seeded
     permutations, so equal seeds reproduce equal sequences.
     """
-    ctile = ctile_of_cta(cta, desc, grid)
-    dtile = dtile_of_ctile(ctile, desc, grid)
-    runs = dtile_byte_runs(dtile, desc)
+    desc = table.desc
+    k, rank = table.slot[cta]
+    dtile = table.dtiles[k]
+    runs = table.runs[k]
     lines = _lines_of_runs(runs, line_size)
-    members = ctas_in_ctile(ctile.coords, desc, grid)
-    rank = members.index(cta)
-    warps = grid.warps_per_cta
-    flat = cta_flat(cta, grid)
+    members = len(table.ctas[k])
+    warps = table.grid.warps_per_cta
 
     def deal(addrs: Iterable[int]) -> list[tuple[int, int]]:
         return [(i % warps, a) for i, a in enumerate(addrs)]
@@ -208,16 +199,16 @@ def generate_accesses(
                 ]
             else:
                 addrs = list(lines)
-                _rng(seed, dtile.flat, flat).shuffle(addrs)
+                _rng(seed, dtile.flat, cta).shuffle(addrs)
             return deal(addrs)
-        window = _slice(lines, rank, len(members))
+        window = _slice(lines, rank, members)
         if not window:
             return []
         lo = max(0, lines.index(window[0]) - 1)
         hi = min(len(lines), lines.index(window[-1]) + 2)
         return deal(lines[lo:hi])
 
-    share = _slice(lines, rank, len(members))
+    share = _slice(lines, rank, members)
     if desc.ltype is LocalityType.INTRA_THREAD:
         per_warp = []
         for w in range(warps):
@@ -226,7 +217,7 @@ def generate_accesses(
                 continue
             if not desc.pattern.regular:
                 sub = list(sub)
-                _rng(seed, dtile.flat, flat, w).shuffle(sub)
+                _rng(seed, dtile.flat, cta, w).shuffle(sub)
             per_warp.append((w, sub + sub))  # two passes: the declared reuse
         out: list[tuple[int, int]] = []
         depth = max(len(s) for _, s in per_warp) if per_warp else 0
@@ -239,18 +230,18 @@ def generate_accesses(
     # NO_REUSE: one streaming pass over this CTA's share
     if not desc.pattern.regular:
         share = list(share)
-        _rng(seed, dtile.flat, flat).shuffle(share)
+        _rng(seed, dtile.flat, cta).shuffle(share)
     return deal(share)
 
 
 def cta_warp_queues(
-    workload: Workload, cta: tuple[int, int, int], line_size: int
+    workload: Workload, tables: list[TileTable], cta: int, line_size: int
 ) -> dict[int, deque[int]]:
-    """Per-warp address queues for one CTA, interleaving its descriptors."""
-    streams = [
-        generate_accesses(d, cta, workload.grid, workload.seed, line_size)
-        for d in workload.descs
-    ]
+    """Per-warp address queues for one CTA, interleaving its descriptors.
+
+    ``tables`` holds the tile table of each of the workload's descriptors.
+    """
+    streams = [generate_accesses(t, cta, workload.seed, line_size) for t in tables]
     queues: dict[int, deque[int]] = {w: deque() for w in range(workload.grid.warps_per_cta)}
     depth = max((len(s) for s in streams), default=0)
     for i in range(depth):
@@ -390,12 +381,13 @@ class _Sm:
 
 
 class _Row(NamedTuple):
-    """One descriptor's address range and the levers resolved for it."""
+    """One descriptor's address range, tile table and the levers resolved
+    for it."""
 
     base: int
     end: int
     index: int
-    desc: LocalityDescriptor
+    table: TileTable
     policy: DescriptorPolicy
     mapping: ZoneMapping | None  # None on a single-zone system
 
@@ -417,7 +409,6 @@ class _Simulation:
         self.line_size = config.l1.line_size
         self._check_consistency()
 
-        grid = workload.grid
         self.l2 = [CacheModel(config.l2) for _ in range(config.zone_count)]
         self.sms = []
         per_sm_ctas: dict[int, list[int]] = {s: [] for s in range(config.sm_count)}
@@ -428,7 +419,6 @@ class _Simulation:
                 _Sm(s, config.sm_zone(s), CacheModel(config.l1), deque(per_sm_ctas[s]))
             )
         self.caches = [sm.l1 for sm in self.sms] + self.l2
-        self.cta_coords = {cta_flat(c, grid): c for c in ctas_in_grid(grid)}
 
         # Address resolution: one row per descriptor, in priority order. The
         # first row whose range holds an address is its highest-priority
@@ -456,15 +446,16 @@ class _Simulation:
             else:
                 mapping = None
             data = desc.data
-            self.rows.append(_Row(data.base_addr, data.end_addr, i, desc, policy, mapping))
+            table = TileTable(desc, workload.grid)
+            self.rows.append(_Row(data.base_addr, data.end_addr, i, table, policy, mapping))
+        self.tables = [r.table for r in self.rows]
         self.prefetch_rows = [
-            r.index for r in self.rows if r.policy.prefetch is not PrefetchKind.NONE
+            r for r in self.rows if r.policy.prefetch is not PrefetchKind.NONE
         ]
 
         # Prefetcher state, keyed by (sm, descriptor index)
         self.streams: dict[tuple[int, int], StreamState] = {}
         self.dtile_users: dict[tuple[int, int, int], int] = {}
-        self._cta_dtile: dict[tuple[int, int], int] = {}
 
         # Event plumbing
         self.fills: dict[int, list[tuple[int, int]]] = {}  # cycle -> (sm, line_addr)
@@ -551,12 +542,13 @@ class _Simulation:
     def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
         if row.policy.prefetch is PrefetchKind.NONE:
             return
+        desc = row.table.desc
         state = self.streams.get((sm.sm, row.index))
         if state is None:
-            state = StreamState.for_descriptor(row.desc)
+            state = StreamState.for_descriptor(desc)
             self.streams[(sm.sm, row.index)] = state
-        for req in pf.on_miss(addr, row.desc, self.config.l1.capacity, state, self.line_size):
-            line_addr = sm.l1.line_addr(req.addr)
+        for target in pf.on_miss(addr, desc, self.config.l1.capacity, state, self.line_size):
+            line_addr = sm.l1.line_addr(target)
             if sm.l1.contains(line_addr) or sm.l1.inflight(line_addr):
                 continue
             try:
@@ -571,33 +563,23 @@ class _Simulation:
 
     # -- CTA lifecycle -------------------------------------------------------
 
-    def _cta_dtile_flat(self, idx: int, flat: int) -> int:
-        key = (idx, flat)
-        cached = self._cta_dtile.get(key)
-        if cached is None:
-            desc = self.rows[idx].desc
-            grid = self.workload.grid
-            ctile = ctile_of_cta(self.cta_coords[flat], desc, grid)
-            cached = dtile_of_ctile(ctile, desc, grid).flat
-            self._cta_dtile[key] = cached
-        return cached
-
     def _mark_started(self, sm: _Sm, cta: _Cta) -> None:
         cta.started = True
-        for idx in self.prefetch_rows:
-            dt = self._cta_dtile_flat(idx, cta.flat)
-            key = (sm.sm, idx, dt)
+        for row in self.prefetch_rows:
+            table = row.table
+            key = (sm.sm, row.index, table.dtiles[table.slot[cta.flat][0]].flat)
             self.dtile_users[key] = self.dtile_users.get(key, 0) + 1
 
     def _complete_cta(self, sm: _Sm, cta: _Cta) -> None:
         self.unfinished -= 1
         if cta.started:
-            for idx in self.prefetch_rows:
-                dt = self._cta_dtile_flat(idx, cta.flat)
-                key = (sm.sm, idx, dt)
+            for row in self.prefetch_rows:
+                table = row.table
+                dt = table.dtiles[table.slot[cta.flat][0]].flat
+                key = (sm.sm, row.index, dt)
                 self.dtile_users[key] -= 1
                 if self.dtile_users[key] == 0:
-                    state = self.streams.get((sm.sm, idx))
+                    state = self.streams.get((sm.sm, row.index))
                     if state is not None and dt in state.active_dtiles:
                         pf.retire_stream(dt, state)
         if cta in sm.resident:
@@ -612,7 +594,7 @@ class _Simulation:
     def _refill(self, sm: _Sm) -> None:
         while sm.pending and len(sm.resident) < self.config.max_resident_ctas_per_sm:
             flat = sm.pending.popleft()
-            queues = cta_warp_queues(self.workload, self.cta_coords[flat], self.line_size)
+            queues = cta_warp_queues(self.workload, self.tables, flat, self.line_size)
             remaining = sum(len(q) for q in queues.values())
             cta = _Cta(flat, queues, remaining)
             if remaining == 0:
@@ -734,10 +716,11 @@ class _Simulation:
             cycle = self._next_cycle(cycle, active)
 
     def run_replay(self, events: list[AccessEvent]) -> None:
+        sm_count, cta_count = self.config.sm_count, self.workload.grid.total_ctas
         by_cycle: dict[int, list[AccessEvent]] = {}
         totals: dict[int, int] = {}
         for ev in events:
-            if ev.sm >= self.config.sm_count or ev.cta not in self.cta_coords:
+            if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count):
                 raise ConfigMismatch(
                     f"trace event (sm={ev.sm}, cta={ev.cta}) outside this "
                     "system/grid"

@@ -3,6 +3,11 @@
 Everything here is pure arithmetic over validated descriptors. CTAs, C-tiles
 and D-tiles all flatten in X->Y->Z order (X fastest) unless the descriptor's
 compute-data map says otherwise for the C-tile enumeration.
+
+``TileTable`` enumerates one descriptor's C-tiles once: per C-tile its CTAs,
+its D-tile and that D-tile's byte runs, and per CTA its C-tile and rank.
+The placement search, access generation and prefetch stream retirement all
+read these facts from it rather than working them out again.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ class CtaGrid:
 
     dims: Triple
     warps_per_cta: int = 8
-    threads_per_warp: int = 32
 
     @property
     def total_ctas(self) -> int:
@@ -160,3 +164,31 @@ def ctas_in_ctile(
             for x in range(ext[0]):
                 out.append((base[0] + x, base[1] + y, base[2] + z))
     return out
+
+
+class TileTable:
+    """One descriptor's C-tiles over one grid, enumerated once.
+
+    C-tile k (X->Y->Z flat) keeps ``ctas[k]``, its CTA flat ids in X->Y->Z
+    order; ``dtiles[k]``, the D-tile it accesses; and ``runs[k]``, that
+    D-tile's byte runs. ``slot[flat]`` is a CTA's (k, rank): its C-tile and
+    its index in ``ctas[k]``.
+    """
+
+    def __init__(self, desc: LocalityDescriptor, grid: CtaGrid):
+        self.desc = desc
+        self.grid = grid
+        self.ctas: list[list[int]] = []
+        self.dtiles: list[TileIndex] = []
+        self.runs: list[list[ByteRun]] = []
+        self.slot: dict[int, tuple[int, int]] = {}
+        counts = ctile_count(desc, grid)
+        for k in range(counts[0] * counts[1] * counts[2]):
+            ctile = TileIndex(unflatten_xyz(k, counts), k)
+            flats = [cta_flat(cta, grid) for cta in ctas_in_ctile(ctile.coords, desc, grid)]
+            for rank, flat in enumerate(flats):
+                self.slot[flat] = (k, rank)
+            dtile = dtile_of_ctile(ctile, desc, grid)
+            self.ctas.append(flats)
+            self.dtiles.append(dtile)
+            self.runs.append(dtile_byte_runs(dtile, desc))

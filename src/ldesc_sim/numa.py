@@ -12,19 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .descriptor import LocalityDescriptor, ctile_count, log2_exact
+from .descriptor import LocalityDescriptor, log2_exact
 from .errors import UnplacedPage
-from .grid import (
-    ByteRun,
-    CtaGrid,
-    TileIndex,
-    cta_flat,
-    ctas_in_ctile,
-    ctas_in_grid,
-    dtile_byte_runs,
-    dtile_of_ctile,
-    unflatten_xyz,
-)
+from .grid import CtaGrid, TileTable
 from .sched import Schedule, majority_zone
 
 PAGE_BITS = 16  # 64 KiB first-touch pages
@@ -121,28 +111,22 @@ def _zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
 class _CtileTable:
     """One descriptor's C-tiles for one placement search.
 
-    Each C-tile keeps its CTA flat ids and its D-tile's byte runs; the bytes
+    The C-tiles' CTAs and byte runs come from a ``TileTable``; the bytes
     each D-tile places in each zone are worked out once per low_bit.
     """
 
     def __init__(self, desc: LocalityDescriptor, grid: CtaGrid, zone_count: int):
+        self.tiles = TileTable(desc, grid)
         self.total = desc.data.total_bytes
         self.zone_count = zone_count
-        self.ctas: list[list[int]] = []
-        self.runs: list[list[ByteRun]] = []
         self._zone_bytes: dict[int, list[list[int]]] = {}
-        counts = ctile_count(desc, grid)
-        for k in range(counts[0] * counts[1] * counts[2]):
-            ctile = TileIndex(unflatten_xyz(k, counts), k)
-            cells = ctas_in_ctile(ctile.coords, desc, grid)
-            self.ctas.append([cta_flat(cta, grid) for cta in cells])
-            self.runs.append(dtile_byte_runs(dtile_of_ctile(ctile, desc, grid), desc))
 
     def zone_bytes(self, low_bit: int) -> list[list[int]]:
         """Per C-tile, the bytes of its D-tile in each zone."""
         if low_bit not in self._zone_bytes:
             self._zone_bytes[low_bit] = [
-                _zone_bytes_of_runs(runs, low_bit, self.zone_count) for runs in self.runs
+                _zone_bytes_of_runs(runs, low_bit, self.zone_count)
+                for runs in self.tiles.runs
             ]
         return self._zone_bytes[low_bit]
 
@@ -150,7 +134,7 @@ class _CtileTable:
         """Each C-tile's CTAs go to the zone holding most of its D-tile's
         bytes (ties to the lowest zone)."""
         part: dict[int, int] = {}
-        for ctas, zone_bytes in zip(self.ctas, self.zone_bytes(low_bit)):
+        for ctas, zone_bytes in zip(self.tiles.ctas, self.zone_bytes(low_bit)):
             zone = zone_bytes.index(max(zone_bytes))
             for flat in ctas:
                 part[flat] = zone
@@ -158,7 +142,7 @@ class _CtileTable:
 
     def homes(self, part: dict[int, int]) -> list[int]:
         """Each C-tile's zone: the majority zone of its CTAs under ``part``."""
-        return [majority_zone(ctas, part, self.zone_count) for ctas in self.ctas]
+        return [majority_zone(ctas, part, self.zone_count) for ctas in self.tiles.ctas]
 
     def util(self, weight: int, homes: list[int], low_bit: int) -> float:
         local = sum(zb[home] for zb, home in zip(self.zone_bytes(low_bit), homes))
@@ -258,25 +242,16 @@ def place_and_partition(
     return best
 
 
-def contiguous_zone_partition(grid: CtaGrid, zone_count: int) -> dict[int, int]:
-    """Split the flat CTA order into zone_count equal contiguous ranges."""
-    total = grid.total_ctas
-    span = -(-total // zone_count)
-    return {
-        cta_flat(c, grid): min(cta_flat(c, grid) // span, zone_count - 1)
-        for c in ctas_in_grid(grid)
-    }
-
-
 def distributed_schedule(grid: CtaGrid, zone_count: int, sm_count: int) -> Schedule:
-    """Contiguous CTA ranges per zone, round-robined over each zone's SMs."""
-    zones = contiguous_zone_partition(grid, zone_count)
+    """Split the flat CTA order into zone_count equal contiguous ranges and
+    round-robin each range over its zone's SMs."""
+    span = -(-grid.total_ctas // zone_count)
     sm_per_zone = sm_count // zone_count
     next_slot = [0] * zone_count
+    zones: dict[int, int] = {}
     assignment: dict[int, int] = {}
-    for c in ctas_in_grid(grid):
-        flat = cta_flat(c, grid)
-        zone = zones[flat]
+    for flat in range(grid.total_ctas):
+        zone = zones[flat] = min(flat // span, zone_count - 1)
         assignment[flat] = zone * sm_per_zone + next_slot[zone] % sm_per_zone
         next_slot[zone] += 1
     return Schedule(assignment, sm_count, zones)

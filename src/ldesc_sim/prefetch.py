@@ -26,12 +26,6 @@ class PrefetchKind(Enum):
     STRIDE = "STRIDE"
 
 
-@dataclass(frozen=True)
-class PrefetchRequest:
-    addr: int
-    kind: PrefetchKind
-
-
 @dataclass
 class StreamState:
     """Per-context prefetcher state for one descriptor."""
@@ -50,24 +44,25 @@ def on_miss(
     l1_size: int,
     state: StreamState,
     line_size: int = 128,
-) -> list[PrefetchRequest]:
-    """React to a demand miss: track the stream and emit at most one request."""
+) -> list[int]:
+    """React to a demand miss: track the stream and return the addresses to
+    prefetch, at most one."""
     if desc.ltype is not LocalityType.INTER_THREAD:
         return []
     state.active_dtiles.add(dtile_of_address(addr, desc).flat)
     if desc.sharing is SharingType.NEARBY:
-        target, kind = addr + line_size, PrefetchKind.NEXTLINE
+        target = addr + line_size
     elif desc.sharing is SharingType.COACCESSED and desc.pattern.regular:
         factor = l1_size // (len(state.active_dtiles) * state.dtile_width)
         if factor == 0:
-            target, kind = addr + line_size, PrefetchKind.NEXTLINE
+            target = addr + line_size  # nextline fallback
         else:
-            target, kind = addr + factor * desc.pattern.stride_bytes, PrefetchKind.STRIDE
+            target = addr + factor * desc.pattern.stride_bytes
     else:
         return []  # COACCESSED irregular: retention is the cache's job
     if not desc.data.contains(target):
         return []
-    return [PrefetchRequest(target, kind)]
+    return [target]
 
 
 def retire_stream(dtile_flat: int, state: StreamState) -> None:

@@ -22,6 +22,7 @@ from ldesc_sim import (
     CtaGrid,
     InsertionClass,
     StreamState,
+    TileTable,
     Workload,
     assign_clusters,
     baseline_first_touch,
@@ -145,9 +146,10 @@ def test_criterion_5_first_touch_skew():
     )
     descs = validate_descriptor_set([desc], grid)
     # Run-ahead trace: CTA 0 (zone 0) issues everything before the others.
+    table = TileTable(desc, grid)
     trace = []
-    for x in range(4):
-        for _, addr in generate_accesses(desc, (x, 0, 0), grid, seed=1):
+    for x in range(4):  # CTA (x, 0, 0) has flat id x
+        for _, addr in generate_accesses(table, x, seed=1):
             trace.append((x, addr))
     mapping, _ = baseline_first_touch(grid, 4, trace, sm_count=8)
     ft_counts = [0, 0, 0, 0]
@@ -196,11 +198,11 @@ def test_criterion_7_prefetch_formula_exact():
     )
     trigger = desc.data.base_addr + 4096
     two = StreamState(dtile_width=4096, active_dtiles={0})
-    (req,) = on_miss(trigger, desc, 32768, two)
-    assert req.addr == trigger + 512
+    (target,) = on_miss(trigger, desc, 32768, two)
+    assert target == trigger + 512
     four = StreamState(dtile_width=4096, active_dtiles={0, 2, 3})
-    (req4,) = on_miss(trigger, desc, 32768, four)
-    assert req4.addr - trigger == (req.addr - trigger) // 2
+    (target4,) = on_miss(trigger, desc, 32768, four)
+    assert target4 - trigger == (target - trigger) // 2
     report(7, "stride distance is bit-exact (trigger+512) and halves when "
               "active tiles double")
 

@@ -173,7 +173,6 @@ def _set_field(raw, keys, value):
 BAD_INTEGER_FIELDS = [
     (["data_structures", 0, "elem_size"], "4", "data_structures[0].elem_size"),
     (["grid", "warps_per_cta"], 0, "grid.warps_per_cta"),
-    (["grid", "threads_per_warp"], True, "grid.threads_per_warp"),
     (["grid", "dims"], [5, 8, 1.0], "grid.dims[2]"),
     (["system", "sm_count"], 0, "system.sm_count"),
     (["system", "l1"], {"ways": "4"}, "system.l1.ways"),
@@ -215,6 +214,16 @@ def test_run_rejects_bad_integer_field(tmp_path, capsys, keys, value, field):
     cfg.write_text(json.dumps(raw))
     assert main(["run", str(cfg)]) == 2
     assert f"{field}: " in capsys.readouterr().err
+
+
+def test_run_rejects_threads_per_warp(tmp_path, capsys):
+    # The grid has no thread-count field; setting one is an error, not a no-op.
+    raw = json.loads(Path(HISTO).read_text())
+    raw["grid"]["threads_per_warp"] = 32
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg)]) == 2
+    assert "grid: unknown fields ['threads_per_warp']" in capsys.readouterr().err
 
 
 def test_compare_three_policies(tmp_path):

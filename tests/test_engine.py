@@ -14,6 +14,7 @@ from ldesc_sim import (
     PrefetchKind,
     SharingType,
     SystemConfig,
+    TileTable,
     Workload,
     assign_clusters,
     baseline_round_robin,
@@ -26,11 +27,14 @@ from ldesc_sim import (
     validate_descriptor_set,
     working_set,
 )
+from ldesc_sim import engine as engine_mod
+from ldesc_sim import grid as grid_mod
 from ldesc_sim.cache import CacheConfig
-from ldesc_sim.config import load_config, run_experiment
-from ldesc_sim.descriptor import AccessPattern
+from ldesc_sim.config import compose, load_config, run_experiment
+from ldesc_sim.descriptor import AccessPattern, ctile_count
 from ldesc_sim.engine import preset
 from ldesc_sim.errors import ConfigMismatch
+from ldesc_sim.grid import cta_flat
 from ldesc_sim.numa import distributed_schedule, first_touch, xor_hash
 from ldesc_sim.sched import assign_clusters_by_zone
 
@@ -100,24 +104,26 @@ def test_generate_regular_walk_ascending():
     # One 4 KiB tile at line-size stride: 32 ascending line addresses.
     grid = CtaGrid((1, 1, 1), warps_per_cta=4)
     desc = make_desc(data_dims=(KB, 1, 1), dtile=(KB, 1, 1), ctile=(1, 1, 1), cdmap=(1, 0, 0))
-    pairs = generate_accesses(desc, (0, 0, 0), grid, seed=1)
+    pairs = generate_accesses(TileTable(desc, grid), 0, seed=1)
     addrs = [a for _, a in pairs]
     assert addrs == list(range(0, 4 * KB, 128))
     assert [w for w, _ in pairs[:5]] == [0, 1, 2, 3, 0]
 
 
 def test_generate_coaccessed_identical_multisets(histo_desc, histo_grid):
-    a = generate_accesses(histo_desc, (2, 0, 0), histo_grid, seed=1)
-    b = generate_accesses(histo_desc, (2, 7, 0), histo_grid, seed=1)
+    table = TileTable(histo_desc, histo_grid)
+    a = generate_accesses(table, cta_flat((2, 0, 0), histo_grid), seed=1)
+    b = generate_accesses(table, cta_flat((2, 7, 0), histo_grid), seed=1)
     assert sorted(x for _, x in a) == sorted(x for _, x in b)
 
 
 def test_generate_irregular_deterministic():
     desc = make_desc(pattern=AccessPattern.irregular())
     grid = CtaGrid((5, 8, 1))
-    a = generate_accesses(desc, (1, 2, 0), grid, seed=7)
-    b = generate_accesses(desc, (1, 2, 0), grid, seed=7)
-    c = generate_accesses(desc, (1, 2, 0), grid, seed=8)
+    table, cta = TileTable(desc, grid), cta_flat((1, 2, 0), grid)
+    a = generate_accesses(table, cta, seed=7)
+    b = generate_accesses(table, cta, seed=7)
+    c = generate_accesses(table, cta, seed=8)
     assert a == b
     assert a != c
     assert sorted(x for _, x in a) == sorted(x for _, x in c)
@@ -132,8 +138,10 @@ def test_generate_nearby_windows_overlap_one_line():
         sharing=SharingType.NEARBY,
         cdmap=(1, 0, 0),
     )
+    table = TileTable(desc, grid)
     windows = [
-        {a for _, a in generate_accesses(desc, (0, y, 0), grid, 1)} for y in range(4)
+        {a for _, a in generate_accesses(table, cta_flat((0, y, 0), grid), 1)}
+        for y in range(4)
     ]
     for y in range(3):
         shared = windows[y] & windows[y + 1]
@@ -149,7 +157,7 @@ def test_generate_intra_thread_two_passes():
         ctile=(1, 1, 1),
         cdmap=(1, 0, 0),
     )
-    pairs = generate_accesses(desc, (0, 0, 0), grid, seed=1)
+    pairs = generate_accesses(TileTable(desc, grid), 0, seed=1)
     per_warp = {}
     for w, a in pairs:
         per_warp.setdefault(w, []).append(a)
@@ -167,12 +175,61 @@ def test_generate_no_reuse_single_pass():
         ctile=(1, 1, 1),
         cdmap=(1, 0, 0),
     )
-    pairs = generate_accesses(desc, (0, 0, 0), grid, seed=1)
+    pairs = generate_accesses(TileTable(desc, grid), 0, seed=1)
     addrs = [a for _, a in pairs]
     assert len(addrs) == len(set(addrs))  # no repeats
 
 
+def test_generate_no_reuse_ctile_covers_its_dtile_once():
+    # The grid clips the second C-tile to one CTA, which takes its whole D-tile.
+    grid = CtaGrid((1, 3, 1), warps_per_cta=2)
+    desc = make_desc(ltype=LocalityType.NO_REUSE, data_dims=(2 * KB, 1, 1),
+                     dtile=(KB, 1, 1), ctile=(1, 2, 1), cdmap=(0, 1, 0))
+    table = TileTable(desc, grid)
+    assert [len(ctas) for ctas in table.ctas] == [2, 1]
+    for k, ctas in enumerate(table.ctas):
+        addrs = [a for cta in ctas for _, a in generate_accesses(table, cta, seed=1)]
+        assert sorted(addrs) == list(range(k * 4 * KB, (k + 1) * 4 * KB, 128))
+
+
+def test_simulate_builds_byte_runs_once_per_ctile(monkeypatch):
+    # histo has 8 CTAs per C-tile; all of them read the runs of their
+    # C-tile's D-tile from one tile table. The engine gets the counter too,
+    # in case it imports the name itself.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "histo.json")
+    workload, policies, schedule, placement = compose(cfg)
+    runs_of = grid_mod.dtile_byte_runs
+    calls = []
+
+    def counting(dtile, desc):
+        calls.append(desc.data.name)
+        return runs_of(dtile, desc)
+
+    monkeypatch.setattr(grid_mod, "dtile_byte_runs", counting)
+    monkeypatch.setattr(engine_mod, "dtile_byte_runs", counting, raising=False)
+    simulate(workload, cfg.system, schedule, placement, policies)
+    ctiles = 0
+    for desc in cfg.descs:
+        c = ctile_count(desc, cfg.grid)
+        ctiles += c[0] * c[1] * c[2]
+    assert 0 < len(calls) <= ctiles
+
+
 # -- simulate ----------------------------------------------------------------
+
+
+def test_finished_ctas_retire_their_dtile_streams():
+    # Ranking Y before X pairs C-tile (1, 0), flat 1, with D-tile 2, so the
+    # stream a CTA retires must be its D-tile's, not its C-tile's index.
+    grid = CtaGrid((2, 2, 1), warps_per_cta=2)
+    desc = make_desc(data_dims=(4 * KB, 1, 1), dtile=(KB, 1, 1), ctile=(1, 1, 1),
+                     cdmap=(2, 1, 0))
+    wl = Workload(grid, validate_descriptor_set([desc], grid))
+    sim = engine_mod._Simulation(wl, SystemConfig(sm_count=4), baseline_round_robin(grid, 4),
+                                 None, select_policies(wl.descs), None)
+    sim.run_live()
+    assert len(sim.streams) == 4
+    assert all(not state.active_dtiles for state in sim.streams.values())
 
 
 def test_histo_working_set_reduction():
@@ -482,6 +539,18 @@ def test_trace_replay_reproduces_metrics():
     live = simulate(wl, cfg, sched, trace_sink=events)
     replay = simulate(wl, cfg, sched, trace_in=events)
     assert live.json_str() == replay.json_str()
+
+
+@pytest.mark.parametrize("field,value", [("sm", 4), ("sm", -1), ("cta", 40), ("cta", -1)])
+def test_trace_replay_rejects_event_outside_system_or_grid(field, value):
+    wl = histo_workload()
+    cfg = SystemConfig(sm_count=4)
+    sched = baseline_round_robin(wl.grid, 4)
+    events: list[AccessEvent] = []
+    simulate(wl, cfg, sched, trace_sink=events)
+    events[-1] = dataclasses.replace(events[-1], **{field: value})
+    with pytest.raises(ConfigMismatch, match="outside this system/grid"):
+        simulate(wl, cfg, sched, trace_in=events)
 
 
 def test_trace_replay_with_prefetch_and_pins():

@@ -4,11 +4,27 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldesc_sim import CtaGrid, ctile_of_cta, dtile_byte_runs, dtile_of_ctile
-from ldesc_sim.descriptor import dtile_count
+from ldesc_sim import (
+    CtaGrid,
+    TileTable,
+    ctile_of_cta,
+    dtile_byte_runs,
+    dtile_of_ctile,
+    validate_descriptor_set,
+)
+from ldesc_sim.descriptor import PAGE_SIZE, ctile_count, dtile_count
 from ldesc_sim.errors import OutOfGrid, OutOfRange
-from ldesc_sim.grid import TileIndex, ctas_in_ctile, dtile_of_address, unflatten_xyz
+from ldesc_sim.grid import (
+    TileIndex,
+    cta_flat,
+    ctas_in_ctile,
+    ctas_in_grid,
+    dtile_of_address,
+    unflatten_xyz,
+)
 
 from conftest import make_desc
 
@@ -191,3 +207,51 @@ def test_every_address_in_exactly_one_dtile(histo_desc):
         tile = dtile_of_address(addr, histo_desc)
         runs = dtile_byte_runs(tile, histo_desc)
         assert any(r.start <= addr < r.start + r.length for r in runs)
+
+
+@st.composite
+def descriptor_and_grid(draw):
+    """A valid descriptor over a random grid: C-tiles may clip at the grid's
+    edge, D-tiles at the data's edge, and unranked axes hold one C-tile."""
+    dims = tuple(draw(st.integers(1, hi)) for hi in (6, 4, 3))
+    ctile = tuple(draw(st.integers(1, g)) for g in dims)
+    grid = CtaGrid(dims)
+    counts = tuple(-(-dims[i] // ctile[i]) for i in range(3))
+    ranked = [a for a in range(3) if counts[a] > 1 or draw(st.booleans())] or [0]
+    order = draw(st.permutations(ranked))
+    cdmap = tuple(order.index(a) + 1 if a in order else 0 for a in range(3))
+    n = counts[0] * counts[1] * counts[2]
+    dcounts = draw(st.sampled_from([(n, 1, 1), (1, n, 1), counts, counts[::-1]]))
+    dtile = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    data_dims = tuple(
+        draw(st.integers((m - 1) * d + 1, m * d)) if m > 1 else d
+        for m, d in zip(dcounts, dtile)
+    )
+    desc = make_desc(
+        base=draw(st.integers(0, 3)) * PAGE_SIZE,
+        elem=draw(st.sampled_from([1, 2, 4, 8])),
+        data_dims=data_dims,
+        dtile=dtile,
+        ctile=ctile,
+        cdmap=cdmap,
+    )
+    return validate_descriptor_set([desc], grid)[0], grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(descriptor_and_grid())
+def test_tile_table_matches_per_cta_functions(case):
+    desc, grid = case
+    table = TileTable(desc, grid)
+    counts = ctile_count(desc, grid)
+    assert len(table.ctas) == counts[0] * counts[1] * counts[2]
+    assert len(table.slot) == grid.total_ctas
+    for cta in ctas_in_grid(grid):
+        ctile = ctile_of_cta(cta, desc, grid)
+        members = ctas_in_ctile(ctile.coords, desc, grid)
+        dtile = dtile_of_ctile(ctile, desc, grid)
+        k, rank = table.slot[cta_flat(cta, grid)]
+        assert (k, rank) == (ctile.flat, members.index(cta))
+        assert table.ctas[k] == [cta_flat(c, grid) for c in members]
+        assert table.dtiles[k] == dtile
+        assert table.runs[k] == dtile_byte_runs(dtile, desc)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ldesc_sim import grid as grid_mod
 from ldesc_sim import (
     CtaGrid,
     baseline_first_touch,
@@ -237,14 +238,14 @@ def test_search_matches_brute_force_sample():
 def test_search_builds_byte_runs_once_per_ctile(monkeypatch):
     # Every (b_hi, descriptor, b_lo) candidate reuses the same D-tile runs.
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "matrix.json")
-    runs_of = numa.dtile_byte_runs
+    runs_of = grid_mod.dtile_byte_runs
     calls = []
 
     def counting(dtile, desc):
         calls.append(desc.data.name)
         return runs_of(dtile, desc)
 
-    monkeypatch.setattr(numa, "dtile_byte_runs", counting)
+    monkeypatch.setattr(grid_mod, "dtile_byte_runs", counting)
     place_and_partition(cfg.descs, cfg.grid, cfg.system.zone_count)
     ctiles = 0
     for desc in cfg.descs:

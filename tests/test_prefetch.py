@@ -5,7 +5,7 @@ import pytest
 from ldesc_sim import LocalityType, SharingType, StreamState
 from ldesc_sim.descriptor import AccessPattern
 from ldesc_sim.errors import UnknownStream
-from ldesc_sim.prefetch import PrefetchKind, on_miss, retire_stream
+from ldesc_sim.prefetch import on_miss, retire_stream
 
 from conftest import make_desc
 
@@ -28,20 +28,18 @@ def test_distance_formula_exact():
     # l1 32768, 2 active tiles, width 4096 -> factor 4; stride 128 -> +512.
     desc = stride_desc()
     state = StreamState(dtile_width=4096, active_dtiles={0})
-    reqs = on_miss(desc.data.base_addr + 4096, desc, 32768, state)
-    assert len(reqs) == 1
+    targets = on_miss(desc.data.base_addr + 4096, desc, 32768, state)
     assert state.active_dtiles == {0, 1}
-    assert reqs[0].addr == desc.data.base_addr + 4096 + 512
-    assert reqs[0].kind is PrefetchKind.STRIDE
+    assert targets == [desc.data.base_addr + 4096 + 512]
 
 
 def test_distance_halves_when_active_doubles():
     desc = stride_desc()
     two = StreamState(dtile_width=4096, active_dtiles={7})
-    (req2,) = on_miss(desc.data.base_addr, desc, 32768, two)  # 2 active
+    (target2,) = on_miss(desc.data.base_addr, desc, 32768, two)  # 2 active
     four = StreamState(dtile_width=4096, active_dtiles={5, 6, 7})
-    (req4,) = on_miss(desc.data.base_addr, desc, 32768, four)  # 4 active
-    assert req2.addr - desc.data.base_addr == 2 * (req4.addr - desc.data.base_addr)
+    (target4,) = on_miss(desc.data.base_addr, desc, 32768, four)  # 4 active
+    assert target2 - desc.data.base_addr == 2 * (target4 - desc.data.base_addr)
 
 
 def test_nearby_nextline():
@@ -50,9 +48,8 @@ def test_nearby_nextline():
         sharing=SharingType.NEARBY, cdmap=(1, 0, 0),
     )
     state = StreamState.for_descriptor(desc)
-    (req,) = on_miss(desc.data.base_addr, desc, 32768, state, line_size=128)
-    assert req.addr == desc.data.base_addr + 128
-    assert req.kind is PrefetchKind.NEXTLINE
+    targets = on_miss(desc.data.base_addr, desc, 32768, state, line_size=128)
+    assert targets == [desc.data.base_addr + 128]
 
 
 def test_request_past_end_dropped():
@@ -65,9 +62,8 @@ def test_request_past_end_dropped():
 def test_zero_factor_falls_back_to_nextline():
     desc = stride_desc()
     state = StreamState(dtile_width=4096, active_dtiles={1, 2, 3, 4, 5, 6, 7})
-    (req,) = on_miss(desc.data.base_addr, desc, 1024, state, line_size=128)
-    assert req.addr == desc.data.base_addr + 128
-    assert req.kind is PrefetchKind.NEXTLINE
+    targets = on_miss(desc.data.base_addr, desc, 1024, state, line_size=128)
+    assert targets == [desc.data.base_addr + 128]
 
 
 def test_coaccessed_irregular_no_prefetch():
@@ -93,9 +89,7 @@ def test_retire_doubles_distance():
     (before,) = on_miss(desc.data.base_addr, desc, 32768, state)
     retire_stream(1, state)
     (after,) = on_miss(desc.data.base_addr, desc, 32768, state)
-    assert (after.addr - desc.data.base_addr) == 2 * (
-        before.addr - desc.data.base_addr
-    )
+    assert (after - desc.data.base_addr) == 2 * (before - desc.data.base_addr)
 
 
 def test_retire_last_then_rebuild():
@@ -117,8 +111,8 @@ def test_distance_monotone_in_active_tiles():
     prev = None
     for n in range(1, 9):
         state = StreamState(dtile_width=4096, active_dtiles=set(range(1, n)))
-        (req,) = on_miss(desc.data.base_addr, desc, 64 * KB, state)
-        dist = req.addr - desc.data.base_addr
+        (target,) = on_miss(desc.data.base_addr, desc, 64 * KB, state)
+        dist = target - desc.data.base_addr
         if prev is not None:
             assert dist <= prev
         prev = dist
@@ -129,5 +123,5 @@ def test_request_stays_inside_structure():
     state = StreamState(dtile_width=4096)
     ds = desc.data
     for addr in range(ds.base_addr, ds.end_addr, 512):
-        for req in on_miss(addr, desc, 32768, state):
-            assert ds.contains(req.addr)
+        for target in on_miss(addr, desc, 32768, state):
+            assert ds.contains(target)
