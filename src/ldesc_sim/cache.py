@@ -4,7 +4,8 @@ Lines carry an insertion priority (normal < soft pin < hard pin). The
 victim is the lowest-priority line, LRU among equals. Hard-pinned sets get
 thrash protection: once every way in a set is pinned at the highest
 priority, way 0 becomes the sacrificial way, so ways 1..N-1 stay resident.
-A periodic timer resets all priorities to normal so stale pins fade away.
+Pins fade: an ``access`` or ``fill`` whose cycle has reached the next
+multiple of ``pin_reset_period`` first resets every resident line to normal.
 
 A line exists only once it has been filled: every set starts empty and
 takes lines in way order until it is full. One dict per cache indexes the
@@ -12,11 +13,12 @@ resident lines by line number, so a lookup never scans a set.
 
 Misses allocate MSHR entries; a second miss to an in-flight line reports
 INFLIGHT_HIT instead of re-requesting. The owner calls ``fill`` when the
-miss data returns and ``tick`` once per cycle.
+miss data returns, and passes cycles that never decrease.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -56,6 +58,10 @@ class CacheConfig:
 
     def __post_init__(self) -> None:
         log2_exact(self.line_size)
+        least = {"capacity": 1, "ways": 1, "mshr_entries": 1, "pin_reset_period": 0}
+        for name in least:
+            if getattr(self, name) < least[name]:
+                raise ValueError(f"{name} {getattr(self, name)} is below the minimum {least[name]}")
         if self.capacity % (self.line_size * self.ways) != 0:
             raise ValueError(
                 f"capacity {self.capacity} not divisible by "
@@ -89,6 +95,8 @@ class CacheModel:
         self.lines: dict[int, _Line] = {}
         self.mshr: dict[int, InsertionClass] = {}
         self._use_clock = 0
+        # The first pin-reset boundary not yet applied; a period of 0 never resets.
+        self._next_reset = config.pin_reset_period or math.inf
 
     def line_addr(self, addr: int) -> int:
         return addr - addr % self.line_size
@@ -106,6 +114,8 @@ class CacheModel:
         state or priorities. Raises MshrFull when a primary miss finds no
         free entry; the caller retries the access on a later cycle.
         """
+        if cycle >= self._next_reset:
+            self._reset_pins(cycle)
         line = addr // self.line_size
         way = self.lines.get(line)
         if way is not None:
@@ -127,6 +137,8 @@ class CacheModel:
         A set with a free way takes the line in its next way; a full set
         evicts its victim, which hands over its way.
         """
+        if cycle >= self._next_reset:
+            self._reset_pins(cycle)
         line = addr // self.line_size
         iclass = self.mshr.pop(line)
         if iclass is InsertionClass.BYPASS:
@@ -148,9 +160,9 @@ class CacheModel:
         victim.last_used = self._use_clock
         self.lines[line] = victim
 
-    def tick(self, cycle: int) -> None:
-        """Advance the pin-reset timer; on each period boundary unpin everything."""
+    def _reset_pins(self, cycle: int) -> None:
+        """Unpin every resident line; the next boundary is the first after ``cycle``."""
         period = self.config.pin_reset_period
-        if period > 0 and cycle > 0 and cycle % period == 0:
-            for way in self.lines.values():
-                way.priority = _PRIORITY[InsertionClass.NORMAL]
+        self._next_reset = (cycle // period + 1) * period
+        for way in self.lines.values():
+            way.priority = _PRIORITY[InsertionClass.NORMAL]

@@ -361,14 +361,13 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig
         system = dataclasses.replace(system, sm_count=value)
     elif axis == "zone_count":
         system = dataclasses.replace(system, zone_count=value)
-    elif axis == "l1_capacity":
-        system = dataclasses.replace(
-            system, l1=dataclasses.replace(system.l1, capacity=value)
-        )
-    elif axis == "pin_reset_period":
-        system = dataclasses.replace(
-            system, l1=dataclasses.replace(system.l1, pin_reset_period=value)
-        )
+    elif axis in ("l1_capacity", "pin_reset_period"):
+        field = "capacity" if axis == "l1_capacity" else axis
+        try:
+            l1 = dataclasses.replace(system.l1, **{field: value})
+        except ValueError as exc:
+            raise ConfigError(f"axis {axis}={value}: {exc}") from None
+        system = dataclasses.replace(system, l1=l1)
     else:
         raise ConfigError(f"axis: {axis!r} is not one of {list(SWEEP_AXES)}")
     if system.sm_count % system.zone_count != 0:

@@ -20,7 +20,7 @@ import math
 import random
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, NamedTuple, TextIO
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import prefetch as pf
 from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
@@ -418,7 +418,6 @@ class _Simulation:
             self.sms.append(
                 _Sm(s, config.sm_zone(s), CacheModel(config.l1), deque(per_sm_ctas[s]))
             )
-        self.caches = [sm.l1 for sm in self.sms] + self.l2
 
         # Address resolution: one row per descriptor, in priority order. The
         # first row whose range holds an address is its highest-priority
@@ -477,7 +476,6 @@ class _Simulation:
         self.pf_useful = 0
         self.last_completion = 0
         self.unfinished = 0
-        self._last_tick = 0
 
     def _check_consistency(self) -> None:
         grid = self.workload.grid
@@ -651,48 +649,40 @@ class _Simulation:
         self.last_completion = max(self.last_completion, completion)
         return completion
 
-    # -- main loops ------------------------------------------------------------
+    # -- main loop -------------------------------------------------------------
 
-    def _tick_caches(self, now: int) -> None:
-        # Visited cycles can jump over idle stretches; apply any pin-reset
-        # boundary crossed since the last visit (no accesses happened in
-        # between, so one reset is equivalent to several).
-        for cache in self.caches:
-            period = cache.config.pin_reset_period
-            if period <= 0:
-                continue
-            boundary = (now // period) * period
-            if boundary > self._last_tick:
-                cache.tick(boundary)
-        self._last_tick = now
-
-    def _process_due(self, cycle: int) -> None:
-        for sm_id, line_addr in self.fills.pop(cycle, ()):  # fills before issues
-            self.sms[sm_id].l1.fill(line_addr, cycle)
-            self.inflight_fill.pop((sm_id, line_addr), None)
-        for sm, cta in self.comps.pop(cycle, ()):
-            cta.inflight -= 1
-            if cta.remaining == 0 and cta.inflight == 0:
-                self._complete_cta(sm, cta)
-
-    def _next_cycle(self, cycle: int, active: bool) -> int:
-        if active:
-            return cycle + 1
-        while self.wake:
-            nxt = heapq.heappop(self.wake)
-            if nxt > cycle:
-                return nxt
-        return cycle + 1
+    def _run(self, issue: Callable[[int], None]) -> None:
+        """Visit cycle 0, then only the cycles on the wake heap, until every
+        CTA has finished. A visit lands the fills, then the completions, due
+        in it, and calls ``issue(cycle)``, which pushes any later cycle it
+        needs. A warp stalled on a full MSHR retries at the next visit: the
+        stall changed nothing, and only a fill, always on the heap, frees an
+        entry."""
+        cycle = 0
+        while self.unfinished > 0:
+            for sm_id, line_addr in self.fills.pop(cycle, ()):
+                self.sms[sm_id].l1.fill(line_addr, cycle)
+                self.inflight_fill.pop((sm_id, line_addr), None)
+            for sm, cta in self.comps.pop(cycle, ()):
+                cta.inflight -= 1
+                if cta.remaining == 0 and cta.inflight == 0:
+                    self._complete_cta(sm, cta)
+            issue(cycle)
+            if self.unfinished == 0:
+                return
+            while self.wake[0] <= cycle:
+                heapq.heappop(self.wake)
+            cycle = heapq.heappop(self.wake)
 
     def run_live(self) -> None:
         self.unfinished = self.workload.grid.total_ctas
         for sm in self.sms:
             self._refill(sm)
-        cycle = 0
-        while self.unfinished > 0:
-            self._tick_caches(cycle)
-            self._process_due(cycle)
-            active = False
+
+        def issue(cycle: int) -> None:
+            # Each SM tries its first ready warp from ptr on; an SM that
+            # issued may have another warp ready in the next cycle.
+            issued = False
             for sm in self.sms:
                 n = len(sm.slots)
                 for i in range(n):
@@ -703,17 +693,18 @@ class _Simulation:
                     if not queue:
                         continue
                     completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
-                    active = True
                     if completion is not None:
                         queue.popleft()
                         slot.ready_at = completion
                         sm.ptr = ((sm.ptr + i) % n + 1) % n
+                        issued = True
                     else:
                         sm.ptr = (sm.ptr + i) % n  # stalled: retry this warp first
                     break
-            if self.unfinished == 0:
-                break
-            cycle = self._next_cycle(cycle, active)
+            if issued:
+                heapq.heappush(self.wake, cycle + 1)
+
+        self._run(issue)
 
     def run_replay(self, events: list[AccessEvent]) -> None:
         sm_count, cta_count = self.config.sm_count, self.workload.grid.total_ctas
@@ -725,28 +716,24 @@ class _Simulation:
                     f"trace event (sm={ev.sm}, cta={ev.cta}) outside this "
                     "system/grid"
                 )
+            if ev.issue_cycle < 0:
+                raise ConfigMismatch(f"trace event at cycle {ev.issue_cycle}, before cycle 0")
             by_cycle.setdefault(ev.issue_cycle, []).append(ev)
             totals[ev.cta] = totals.get(ev.cta, 0) + 1
         ctas = {flat: _Cta(flat, None, total) for flat, total in totals.items()}
         self.unfinished = len(ctas)
         for c in by_cycle:
             heapq.heappush(self.wake, c)
-        cycle = 0
-        while self.unfinished > 0:
-            self._tick_caches(cycle)
-            self._process_due(cycle)
+
+        def issue(cycle: int) -> None:
             for ev in by_cycle.pop(cycle, ()):
-                sm = self.sms[ev.sm]
-                cta = ctas[ev.cta]
-                completion = self._issue(sm, cta, ev.warp, ev.addr, cycle)
-                if completion is None:
+                if self._issue(self.sms[ev.sm], ctas[ev.cta], ev.warp, ev.addr, cycle) is None:
                     raise ConfigMismatch(
                         "trace replay stalled on a full MSHR; the trace does not "
                         "match this configuration"
                     )
-            if self.unfinished == 0:
-                break
-            cycle = self._next_cycle(cycle, active=False)
+
+        self._run(issue)
 
     def metrics(self) -> SimMetrics:
         demand = self.demand

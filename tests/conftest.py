@@ -1,6 +1,7 @@
 """Shared builders for descriptor-based tests."""
 
 import pytest
+from hypothesis import settings
 
 from ldesc_sim import (
     AccessPattern,
@@ -11,6 +12,10 @@ from ldesc_sim import (
     SharingType,
     TileSemantics,
 )
+
+# CI runs with --hypothesis-profile=ci, so that a property draws the same
+# examples on every run; local runs stay random.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def make_desc(

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from ldesc_sim import AccessOutcome, CacheConfig, CacheModel, InsertionClass, preset
 from ldesc_sim.errors import MshrFull
 
+from oracles import OracleCache
+
 HARD = InsertionClass.HARD_PIN
 SOFT = InsertionClass.SOFT_PIN
 NORMAL = InsertionClass.NORMAL
@@ -95,12 +97,14 @@ def test_fill_of_bypassed_line_no_residency():
 
 
 def test_pin_reset_at_period():
+    # Time advances with the cycle passed to access/fill; a BYPASS hit
+    # changes no priority itself.
     c = small_cache(pin_reset_period=100)
     touch(c, 0x0, HARD)
     touch(c, 0x80, SOFT)
-    c.tick(99)
+    assert c.access(0x0, BYPASS, 99) is AccessOutcome.HIT
     assert any(w.priority > 0 for s in c.sets for w in s)
-    c.tick(100)
+    assert c.access(0x0, BYPASS, 100) is AccessOutcome.HIT
     assert all(w.priority == 0 for s in c.sets for w in s)
     assert c.contains(0x0) and c.contains(0x80)  # residency survives
 
@@ -108,7 +112,8 @@ def test_pin_reset_at_period():
 def test_repin_after_reset():
     c = small_cache(pin_reset_period=10)
     touch(c, 0x0, HARD)
-    c.tick(10)
+    assert c.access(0x0, BYPASS, 10) is AccessOutcome.HIT
+    assert c.sets[0][0].priority == 0
     assert c.access(0x0, HARD, 11) is AccessOutcome.HIT
     assert c.sets[0][0].priority == 2  # hard-pinned again
 
@@ -186,107 +191,17 @@ def test_config_validation():
         CacheConfig(capacity=2048, ways=4, line_size=100)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("capacity", 0), ("ways", 0), ("mshr_entries", 0), ("pin_reset_period", -1)],
+)
+def test_config_rejects_degenerate_sizes(field, value):
+    # With no MSHR entry a run never returns; with no way it divides by zero.
+    with pytest.raises(ValueError, match=field):
+        CacheConfig(**{"capacity": 2048, "ways": 4, field: value})
+
+
 # -- differential test against the full-array cache ---------------------------
-
-# The reference: the cache as it stood when every way of every set was built
-# up front as an invalid line, kept verbatim (only renamed) as the oracle.
-_PRIORITY = {
-    InsertionClass.NORMAL: 0,
-    InsertionClass.SOFT_PIN: 1,
-    InsertionClass.HARD_PIN: 2,
-}
-_MAX_PRIORITY = _PRIORITY[InsertionClass.HARD_PIN]
-
-
-class _OracleLine:
-    __slots__ = ("tag", "valid", "priority", "last_used")
-
-    def __init__(self) -> None:
-        self.tag = 0
-        self.valid = False
-        self.priority = 0
-        self.last_used = 0
-
-
-class OracleCache:
-    """One cache instance, driven by a single simulation context."""
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self.sets = [
-            [_OracleLine() for _ in range(config.ways)] for _ in range(config.num_sets)
-        ]
-        self.mshr: dict[int, InsertionClass] = {}
-        self._use_clock = 0
-
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_size
-        return line % self.config.num_sets, line // self.config.num_sets
-
-    def line_addr(self, addr: int) -> int:
-        return addr - addr % self.config.line_size
-
-    def contains(self, addr: int) -> bool:
-        set_idx, tag = self._locate(addr)
-        return any(l.valid and l.tag == tag for l in self.sets[set_idx])
-
-    def inflight(self, addr: int) -> bool:
-        return addr // self.config.line_size in self.mshr
-
-    def access(self, addr: int, iclass: InsertionClass, cycle: int) -> AccessOutcome:
-        """Look up one address; on a primary miss, allocate an MSHR entry.
-
-        BYPASS accesses probe the array but never disturb residency, LRU
-        state or priorities. Raises MshrFull when a primary miss finds no
-        free entry; the caller retries the access on a later cycle.
-        """
-        set_idx, tag = self._locate(addr)
-        for way in self.sets[set_idx]:
-            if way.valid and way.tag == tag:
-                if iclass is not InsertionClass.BYPASS:
-                    self._use_clock += 1
-                    way.last_used = self._use_clock
-                    way.priority = max(way.priority, _PRIORITY[iclass])
-                return AccessOutcome.HIT
-        line = addr // self.config.line_size
-        if line in self.mshr:
-            return AccessOutcome.INFLIGHT_HIT
-        if len(self.mshr) >= self.config.mshr_entries:
-            raise MshrFull(f"no MSHR entry for line {line:#x}")
-        self.mshr[line] = iclass
-        return AccessOutcome.MISS
-
-    def fill(self, addr: int, cycle: int) -> None:
-        """Complete an outstanding miss and install the line (unless bypassed)."""
-        line = addr // self.config.line_size
-        iclass = self.mshr.pop(line)
-        if iclass is InsertionClass.BYPASS:
-            return
-        set_idx = line % self.config.num_sets
-        ways = self.sets[set_idx]
-        victim = None
-        for way in ways:
-            if not way.valid:
-                victim = way
-                break
-        if victim is None:
-            if all(w.priority == _MAX_PRIORITY for w in ways):
-                victim = ways[0]
-            else:
-                victim = min(ways, key=lambda w: (w.priority, w.last_used))
-        self._use_clock += 1
-        victim.valid = True
-        victim.tag = line // self.config.num_sets
-        victim.priority = _PRIORITY[iclass]
-        victim.last_used = self._use_clock
-
-    def tick(self, cycle: int) -> None:
-        """Advance the pin-reset timer; on each period boundary unpin everything."""
-        period = self.config.pin_reset_period
-        if period > 0 and cycle > 0 and cycle % period == 0:
-            for ways in self.sets:
-                for way in ways:
-                    way.priority = _PRIORITY[InsertionClass.NORMAL]
 
 
 def _ways(cache, ways):
@@ -327,8 +242,8 @@ _ops = st.one_of(
     _access,
     _fill,
     _fill,
-    # tick: a cycle, or a multiple of the reset period
-    st.tuples(st.just("tick"), st.integers(0, 6), st.booleans()),
+    # advance time by a few cycles, or to the n-th next multiple of the period
+    st.tuples(st.just("advance"), st.integers(1, 6), st.booleans()),
     st.tuples(st.just("contains"), _line),
     st.tuples(st.just("inflight"), _line),
 )
@@ -353,8 +268,16 @@ def test_cache_matches_full_array_oracle(
         set_pick, tag = line
         return (tag * sets + set_pick % sets) * LINE + offset
 
-    for cycle, op in enumerate(ops):
+    cycle = last_tick = 0
+    for op in ops:
         kind = op[0]
+        if kind == "advance":
+            _, n, to_boundary = op
+            if to_boundary and pin_reset_period:
+                cycle = (cycle // pin_reset_period + n) * pin_reset_period
+            else:
+                cycle += n
+            continue
         if kind == "access":
             _, line, offset, pick = op
             args = (addr(line, offset), palette[pick % len(palette)], cycle)
@@ -362,11 +285,15 @@ def test_cache_matches_full_array_oracle(
             if not oracle.mshr:
                 continue
             args = (list(oracle.mshr)[op[1] % len(oracle.mshr)] * LINE, cycle)
-        elif kind == "tick":
-            _, n, on_boundary = op
-            args = (n * pin_reset_period if on_boundary else n,)
         else:
             args = (addr(op[1]),)
+        if kind in ("access", "fill"):
+            # The oracle's pins reset by the rule the engine once applied on
+            # every visited cycle: one tick for any boundary crossed since.
+            boundary = cycle // pin_reset_period * pin_reset_period if pin_reset_period else 0
+            if boundary > last_tick:
+                oracle.tick(boundary)
+            last_tick = cycle
         assert _call(getattr(cache, kind), *args) == _call(getattr(oracle, kind), *args), op
         assert _ways(cache, ways) == _oracle_ways(oracle), op
         assert cache.mshr == oracle.mshr, op

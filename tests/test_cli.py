@@ -308,6 +308,14 @@ def test_sweep_unknown_axis():
     assert main(["sweep", HISTO, "--axis", "bogus", "--values", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "axis,value", [("pin_reset_period", "-1"), ("l1_capacity", "0"), ("l1_capacity", "1000")]
+)
+def test_sweep_rejects_bad_cache_value(capsys, axis, value):
+    assert main(["sweep", HISTO, "--axis", axis, "--values", value]) == 2
+    assert f"axis {axis}={value}: " in capsys.readouterr().err
+
+
 def test_sweep_empty_values():
     assert main(["sweep", HISTO, "--axis", "seed", "--values", ","]) == 2
 

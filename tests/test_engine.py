@@ -1,10 +1,13 @@
 """Policy selection, workload synthesis and the simulation's counting metrics."""
 
 import dataclasses
+import heapq
 import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldesc_sim import (
     AccessEvent,
@@ -29,16 +32,24 @@ from ldesc_sim import (
 )
 from ldesc_sim import engine as engine_mod
 from ldesc_sim import grid as grid_mod
-from ldesc_sim.cache import CacheConfig
-from ldesc_sim.config import compose, load_config, run_experiment
+from ldesc_sim.cache import CacheConfig, CacheModel
+from ldesc_sim.config import (
+    PLACEMENT_NAMES,
+    POLICY_NAMES,
+    ExperimentConfig,
+    compose,
+    load_config,
+    run_experiment,
+)
 from ldesc_sim.descriptor import AccessPattern, ctile_count
-from ldesc_sim.engine import preset
-from ldesc_sim.errors import ConfigMismatch
+from ldesc_sim.engine import Latencies, preset
+from ldesc_sim.errors import ConfigMismatch, MshrFull
 from ldesc_sim.grid import cta_flat
 from ldesc_sim.numa import distributed_schedule, first_touch, xor_hash
 from ldesc_sim.sched import assign_clusters_by_zone
 
 from conftest import make_desc
+from oracles import OracleCache
 
 KB = 1024
 
@@ -553,6 +564,18 @@ def test_trace_replay_rejects_event_outside_system_or_grid(field, value):
         simulate(wl, cfg, sched, trace_in=events)
 
 
+def test_trace_replay_rejects_event_before_cycle_zero():
+    # Such an event would never be issued, so its CTA would never finish.
+    wl = histo_workload()
+    cfg = SystemConfig(sm_count=4)
+    sched = baseline_round_robin(wl.grid, 4)
+    events: list[AccessEvent] = []
+    simulate(wl, cfg, sched, trace_sink=events)
+    events[-1] = dataclasses.replace(events[-1], issue_cycle=-3)
+    with pytest.raises(ConfigMismatch, match="cycle -3, before cycle 0"):
+        simulate(wl, cfg, sched, trace_in=events)
+
+
 def test_trace_replay_with_prefetch_and_pins():
     grid = CtaGrid((8, 1, 1), warps_per_cta=4)
     inter = make_desc(
@@ -571,3 +594,203 @@ def test_trace_replay_with_prefetch_and_pins():
     replay = simulate(wl, cfg, sched, trace_in=events)
     assert live.json_str() == replay.json_str()
     assert live.prefetches_issued > 0
+
+
+def test_stalled_sm_waits_for_a_fill(monkeypatch):
+    # Eight warps stream 256 bypassed lines through two MSHR entries. A
+    # stall changes nothing until a fill frees an entry, so a stalled warp
+    # must not retry on the cycles in between.
+    grid = CtaGrid((1, 1, 1), warps_per_cta=8)
+    desc = make_desc(ltype=LocalityType.NO_REUSE, data_dims=(256 * 32, 1, 1),
+                     dtile=(256 * 32, 1, 1), ctile=(1, 1, 1), cdmap=(1, 0, 0))
+    wl = Workload(grid, validate_descriptor_set([desc], grid))
+    cfg = SystemConfig(sm_count=1, l1=CacheConfig(32 * KB, ways=4, mshr_entries=2))
+    access, stalls = CacheModel.access, []
+
+    def counting(cache, addr, iclass, cycle):
+        try:
+            return access(cache, addr, iclass, cycle)
+        except MshrFull:
+            stalls.append(cycle)
+            raise
+
+    monkeypatch.setattr(CacheModel, "access", counting)
+    m = simulate(wl, cfg, baseline_round_robin(grid, 1))
+    assert m.misses == 256
+    assert len(stalls) <= m.misses
+
+
+# -- the cycle loop against the loops it replaced ------------------------------
+
+
+class OracleSimulation(engine_mod._Simulation):
+    """The live and replay loops as they stood before one wake-driven loop
+    replaced them, kept verbatim as the oracle. They visit the cycle after
+    every issue or stall and tick every cache on each visit, so the caches
+    are OracleCaches, whose pins reset only when ticked."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        for sm in self.sms:
+            sm.l1 = OracleCache(self.config.l1)
+        self.l2 = [OracleCache(self.config.l2) for _ in self.l2]
+        self.caches = [sm.l1 for sm in self.sms] + self.l2
+        self._last_tick = 0
+
+    def _tick_caches(self, now: int) -> None:
+        # Visited cycles can jump over idle stretches; apply any pin-reset
+        # boundary crossed since the last visit (no accesses happened in
+        # between, so one reset is equivalent to several).
+        for cache in self.caches:
+            period = cache.config.pin_reset_period
+            if period <= 0:
+                continue
+            boundary = (now // period) * period
+            if boundary > self._last_tick:
+                cache.tick(boundary)
+        self._last_tick = now
+
+    def _process_due(self, cycle: int) -> None:
+        for sm_id, line_addr in self.fills.pop(cycle, ()):  # fills before issues
+            self.sms[sm_id].l1.fill(line_addr, cycle)
+            self.inflight_fill.pop((sm_id, line_addr), None)
+        for sm, cta in self.comps.pop(cycle, ()):
+            cta.inflight -= 1
+            if cta.remaining == 0 and cta.inflight == 0:
+                self._complete_cta(sm, cta)
+
+    def _next_cycle(self, cycle: int, active: bool) -> int:
+        if active:
+            return cycle + 1
+        while self.wake:
+            nxt = heapq.heappop(self.wake)
+            if nxt > cycle:
+                return nxt
+        return cycle + 1
+
+    def run_live(self) -> None:
+        self.unfinished = self.workload.grid.total_ctas
+        for sm in self.sms:
+            self._refill(sm)
+        cycle = 0
+        while self.unfinished > 0:
+            self._tick_caches(cycle)
+            self._process_due(cycle)
+            active = False
+            for sm in self.sms:
+                n = len(sm.slots)
+                for i in range(n):
+                    slot = sm.slots[(sm.ptr + i) % n]
+                    if slot.ready_at > cycle:
+                        continue
+                    queue = slot.cta.queues[slot.warp]  # type: ignore[index]
+                    if not queue:
+                        continue
+                    completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
+                    active = True
+                    if completion is not None:
+                        queue.popleft()
+                        slot.ready_at = completion
+                        sm.ptr = ((sm.ptr + i) % n + 1) % n
+                    else:
+                        sm.ptr = (sm.ptr + i) % n  # stalled: retry this warp first
+                    break
+            if self.unfinished == 0:
+                break
+            cycle = self._next_cycle(cycle, active)
+
+    def run_replay(self, events: list[AccessEvent]) -> None:
+        sm_count, cta_count = self.config.sm_count, self.workload.grid.total_ctas
+        by_cycle: dict[int, list[AccessEvent]] = {}
+        totals: dict[int, int] = {}
+        for ev in events:
+            if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count):
+                raise ConfigMismatch(
+                    f"trace event (sm={ev.sm}, cta={ev.cta}) outside this "
+                    "system/grid"
+                )
+            by_cycle.setdefault(ev.issue_cycle, []).append(ev)
+            totals[ev.cta] = totals.get(ev.cta, 0) + 1
+        ctas = {flat: _Cta(flat, None, total) for flat, total in totals.items()}
+        self.unfinished = len(ctas)
+        for c in by_cycle:
+            heapq.heappush(self.wake, c)
+        cycle = 0
+        while self.unfinished > 0:
+            self._tick_caches(cycle)
+            self._process_due(cycle)
+            for ev in by_cycle.pop(cycle, ()):
+                sm = self.sms[ev.sm]
+                cta = ctas[ev.cta]
+                completion = self._issue(sm, cta, ev.warp, ev.addr, cycle)
+                if completion is None:
+                    raise ConfigMismatch(
+                        "trace replay stalled on a full MSHR; the trace does not "
+                        "match this configuration"
+                    )
+            if self.unfinished == 0:
+                break
+            cycle = self._next_cycle(cycle, active=False)
+
+
+_DESC_KINDS = [
+    (LocalityType.INTER_THREAD, SharingType.COACCESSED),
+    (LocalityType.INTER_THREAD, SharingType.NEARBY),
+    (LocalityType.INTRA_THREAD, None),
+    (LocalityType.NO_REUSE, None),
+]
+
+
+@st.composite
+def _loop_cases(draw):
+    """A small grid, descriptor set and system whose tiny MSHR tables and
+    short pin-reset periods make warps stall and pins reset. Latencies are
+    short, because the old loop visits every cycle a warp stays stalled."""
+    gx, gy = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    grid = CtaGrid((gx, gy, 1), warps_per_cta=draw(st.sampled_from([1, 2, 4])))
+    descs = []
+    kinds = draw(st.lists(st.sampled_from(_DESC_KINDS), min_size=1, max_size=3))
+    for i, (ltype, sharing) in enumerate(kinds):
+        stride = draw(st.sampled_from([0, 128, 256]))
+        tile = draw(st.sampled_from([64, 128, 256]))
+        descs.append(make_desc(
+            name=f"s{i}", base=i << 20, data_dims=(tile * gx * gy, 1, 1),
+            dtile=(tile, 1, 1), ctile=(1, 1, 1), cdmap=(1, 2, 3), ltype=ltype,
+            sharing=sharing, priority=i,
+            pattern=AccessPattern.regular_stride(stride) if stride else AccessPattern.irregular(),
+        ))
+    periods = st.sampled_from([0, 5, 16, 60])
+    zones = draw(st.sampled_from([1, 2]))
+    system = SystemConfig(
+        sm_count=zones * draw(st.sampled_from([1, 2])),
+        zone_count=zones,
+        l1=CacheConfig(draw(st.sampled_from([1, 2, 4])) * KB, ways=draw(st.sampled_from([1, 2, 4])),
+                       mshr_entries=draw(st.integers(1, 3)), pin_reset_period=draw(periods)),
+        l2=CacheConfig(8 * KB, ways=4, pin_reset_period=draw(periods)),
+        latencies=Latencies(1, draw(st.integers(2, 5)), draw(st.integers(6, 12)),
+                            draw(st.integers(6, 20))),
+        max_resident_ctas_per_sm=draw(st.integers(1, 3)),
+    )
+    return system, grid, validate_descriptor_set(descs, grid), draw(st.integers(0, 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_loop_cases())
+def test_cycle_loop_matches_the_loops_it_replaced(case):
+    # Every policy, and every placement on more than one zone: the same
+    # metrics and live trace as the old loops, and a replay that matches.
+    system, grid, descs, seed = case
+    placements = PLACEMENT_NAMES if system.zone_count > 1 else PLACEMENT_NAMES[:1]
+    for policy, placement in itertools.product(POLICY_NAMES, placements):
+        cfg = ExperimentConfig(system, grid, descs, policy, placement, seed)
+        workload, policies, schedule, plan = compose(cfg)
+        want_trace: list[AccessEvent] = []
+        oracle = OracleSimulation(workload, system, schedule, plan, policies, want_trace)
+        oracle.run_live()
+        trace: list[AccessEvent] = []
+        live = simulate(workload, system, schedule, plan, policies, trace_sink=trace)
+        where = (policy, placement)
+        assert live.json_str() == oracle.metrics().json_str(), where
+        assert trace == want_trace, where
+        replay = simulate(workload, system, schedule, plan, policies, trace_in=trace)
+        assert replay.json_str() == live.json_str(), where
