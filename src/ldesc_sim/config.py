@@ -354,6 +354,8 @@ def run_experiment(
 
 def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig:
     """New config with one sweep axis changed."""
+    if axis in ("sm_count", "zone_count") and value < 1:
+        raise ConfigError(f"axis {axis}={value}: must be at least 1")
     if axis == "seed":
         return dataclasses.replace(cfg, seed=value)
     system = cfg.system

@@ -20,7 +20,8 @@ import math
 import random
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, TextIO
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
 
 from . import prefetch as pf
 from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
@@ -256,8 +257,7 @@ def cta_warp_queues(
 # Metrics
 
 
-@dataclass(frozen=True)
-class AccessEvent:
+class AccessEvent(NamedTuple):
     sm: int
     cta: int
     warp: int
@@ -266,47 +266,56 @@ class AccessEvent:
 
 
 def dump_trace(events: Iterable[AccessEvent], fp: TextIO) -> None:
-    for ev in events:
-        fp.write(
-            json.dumps(
-                {
-                    "sm": ev.sm,
-                    "cta": ev.cta,
-                    "warp": ev.warp,
-                    "addr": f"{ev.addr:#x}",
-                    "cycle": ev.issue_cycle,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+    """Write one JSON object per event, keys sorted, as ``json.dumps(...,
+    sort_keys=True)`` would."""
+    fp.writelines(
+        f'{{"addr": "{addr:#x}", "cta": {cta}, "cycle": {cycle}, "sm": {sm}, '
+        f'"warp": {warp}}}\n'
+        for sm, cta, warp, addr, cycle in events
+    )
 
 
 def load_trace(fp: TextIO) -> list[AccessEvent]:
-    """Parse a JSONL demand trace; a malformed line raises ConfigError naming it."""
+    """Parse a JSONL demand trace; a malformed line, or one with a negative
+    ``sm``, ``cta``, ``warp`` or ``cycle``, raises ConfigError naming it."""
+    name = getattr(fp, "name", "trace")
     events = []
     for n, line in enumerate(fp, 1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{getattr(fp, 'name', 'trace')}:{n}"
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{where}: {exc.msg}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{where}: expected a JSON object")
-        for key in ("sm", "cta", "warp", "addr", "cycle"):
-            if key not in raw:
-                raise ConfigError(f"{where}: missing key {key!r}")
-            if key != "addr" and type(raw[key]) is not int:
-                raise ConfigError(f"{where}: {key} {raw[key]!r} is not an integer")
-        try:
+            sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
             addr = int(raw["addr"], 16)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: addr {raw['addr']!r} is not a hex string") from None
-        events.append(AccessEvent(raw["sm"], raw["cta"], raw["warp"], addr, raw["cycle"]))
+        except (ValueError, TypeError, KeyError):
+            if line.strip():
+                _reject_trace_line(line, f"{name}:{n}")
+            continue
+        # An OR of integers is negative exactly when one of them is.
+        if not (type(sm) is type(cta) is type(warp) is type(cycle) is int
+                and (sm | cta | warp | cycle) >= 0):
+            _reject_trace_line(line, f"{name}:{n}")
+        events.append(AccessEvent._make((sm, cta, warp, addr, cycle)))
     return events
+
+
+def _reject_trace_line(line: str, where: str) -> NoReturn:
+    """Raise the ConfigError that names what is wrong with a trace line."""
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    for key in ("sm", "cta", "warp", "addr", "cycle"):
+        if key not in raw:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        if key == "addr":
+            continue
+        if type(raw[key]) is not int:
+            raise ConfigError(f"{where}: {key} {raw[key]!r} is not an integer")
+        if raw[key] < 0:
+            raise ConfigError(f"{where}: {key} {raw[key]} is negative")
+    # every other check passed, so the addr is what failed to parse
+    raise ConfigError(f"{where}: addr {raw['addr']!r} is not a hex string")
 
 
 @dataclass
@@ -358,11 +367,12 @@ class _Cta:
 
 
 class _WarpSlot:
-    __slots__ = ("cta", "warp", "ready_at")
+    __slots__ = ("cta", "warp", "queue", "ready_at")
 
     def __init__(self, cta: _Cta, warp: int):
         self.cta = cta
         self.warp = warp
+        self.queue: deque[int] = cta.queues[warp]  # type: ignore[index]
         self.ready_at = 0
 
 
@@ -378,6 +388,19 @@ class _Sm:
         self.slots: list[_WarpSlot] = []
         self.ptr = 0
         self.prefetched: set[int] = set()  # lines it prefetched and has not demanded yet
+
+
+class _Due:
+    """What one visited cycle holds, in the order it is handled: L1 fills
+    (SM id, line address), then access completions, then the ids of the SMs
+    that sleep until it."""
+
+    __slots__ = ("fills", "comps", "wakes")
+
+    def __init__(self):
+        self.fills: list[tuple[int, int]] = []
+        self.comps: list[tuple[_Sm, _Cta]] = []
+        self.wakes: list[int] = []
 
 
 class _Row(NamedTuple):
@@ -456,10 +479,11 @@ class _Simulation:
         self.streams: dict[tuple[int, int], StreamState] = {}
         self.dtile_users: dict[tuple[int, int, int], int] = {}
 
-        # Event plumbing
-        self.fills: dict[int, list[tuple[int, int]]] = {}  # cycle -> (sm, line_addr)
-        self.comps: dict[int, list[tuple[_Sm, _Cta]]] = {}
+        # Event plumbing: each cycle with something due has one entry in
+        # ``due`` and one place on the ``wake`` heap.
+        self.due: dict[int, _Due] = {}
         self.wake: list[int] = []
+        self.awake: set[int] = set()  # SMs to scan at the next visited cycle
         self.inflight_fill: dict[tuple[int, int], int] = {}
         self.link_free: dict[tuple[int, int], float] = {}
 
@@ -530,10 +554,17 @@ class _Simulation:
         self.remote_traffic += 1
         return lat.remote_mem + math.ceil(start) - cycle
 
+    def _due_at(self, cycle: int) -> _Due:
+        """The entry of ``cycle``; its first event pushes it onto the heap."""
+        due = self.due.get(cycle)
+        if due is None:
+            due = self.due[cycle] = _Due()
+            heapq.heappush(self.wake, cycle)
+        return due
+
     def _schedule_fill(self, sm: _Sm, line_addr: int, at: int) -> None:
-        self.fills.setdefault(at, []).append((sm.sm, line_addr))
+        self._due_at(at).fills.append((sm.sm, line_addr))
         self.inflight_fill[(sm.sm, line_addr)] = at
-        heapq.heappush(self.wake, at)
 
     # -- prefetching ---------------------------------------------------------
 
@@ -590,6 +621,8 @@ class _Simulation:
             self._refill(sm)
 
     def _refill(self, sm: _Sm) -> None:
+        """Make pending CTAs resident while there is room; an SM that gains
+        one wakes, since its new warps are ready at once."""
         while sm.pending and len(sm.resident) < self.config.max_resident_ctas_per_sm:
             flat = sm.pending.popleft()
             queues = cta_warp_queues(self.workload, self.tables, flat, self.line_size)
@@ -602,6 +635,7 @@ class _Simulation:
             for w in sorted(queues):
                 if queues[w]:
                     sm.slots.append(_WarpSlot(cta, w))
+            self.awake.add(sm.sm)
 
     # -- issue path ----------------------------------------------------------
 
@@ -644,77 +678,96 @@ class _Simulation:
 
         cta.remaining -= 1
         cta.inflight += 1
-        self.comps.setdefault(completion, []).append((sm, cta))
-        heapq.heappush(self.wake, completion)
+        self._due_at(completion).comps.append((sm, cta))
         self.last_completion = max(self.last_completion, completion)
         return completion
 
     # -- main loop -------------------------------------------------------------
 
     def _run(self, issue: Callable[[int], None]) -> None:
-        """Visit cycle 0, then only the cycles on the wake heap, until every
-        CTA has finished. A visit lands the fills, then the completions, due
-        in it, and calls ``issue(cycle)``, which pushes any later cycle it
-        needs. A warp stalled on a full MSHR retries at the next visit: the
-        stall changed nothing, and only a fill, always on the heap, frees an
-        entry."""
-        cycle = 0
+        """Visit cycle 0, then only the cycles on the wake heap, each once,
+        until every CTA has finished. A visit lands the fills, then the
+        completions, due in it, wakes the SMs that sleep until it, and calls
+        ``issue(cycle)``, which records any later cycle it needs. A warp
+        stalled on a full MSHR retries at the next visit: the stall changed
+        nothing, and only a fill, always on the heap, frees an entry."""
+        self._due_at(0)
         while self.unfinished > 0:
-            for sm_id, line_addr in self.fills.pop(cycle, ()):
+            cycle = heapq.heappop(self.wake)
+            due = self.due.pop(cycle)
+            for sm_id, line_addr in due.fills:
                 self.sms[sm_id].l1.fill(line_addr, cycle)
                 self.inflight_fill.pop((sm_id, line_addr), None)
-            for sm, cta in self.comps.pop(cycle, ()):
+            for sm, cta in due.comps:
                 cta.inflight -= 1
                 if cta.remaining == 0 and cta.inflight == 0:
                     self._complete_cta(sm, cta)
+            self.awake.update(due.wakes)
             issue(cycle)
-            if self.unfinished == 0:
-                return
-            while self.wake[0] <= cycle:
-                heapq.heappop(self.wake)
-            cycle = heapq.heappop(self.wake)
 
     def run_live(self) -> None:
+        """Issue the scheduled CTAs' accesses, scanning only awake SMs, in
+        SM-id order, on each visited cycle.
+
+        Each scanned SM tries its first ready warp from ``ptr`` on. One that
+        issued or stalled stays awake for the next visit. One with no ready
+        warp sleeps until the soonest ``ready_at`` of its warps with work
+        left, or, if none has any, until ``_refill`` gives it a CTA. Sleeping
+        is exact: a warp's ``ready_at`` and queue change only when its SM
+        issues, new warps come only from ``_refill``, and every ``ready_at``
+        is a completion cycle, already due, so the SM wakes in time.
+        """
         self.unfinished = self.workload.grid.total_ctas
         for sm in self.sms:
             self._refill(sm)
+        sms, due = self.sms, self.due
 
         def issue(cycle: int) -> None:
-            # Each SM tries its first ready warp from ptr on; an SM that
-            # issued may have another warp ready in the next cycle.
+            awake, self.awake = self.awake, set()
             issued = False
-            for sm in self.sms:
-                n = len(sm.slots)
-                for i in range(n):
-                    slot = sm.slots[(sm.ptr + i) % n]
-                    if slot.ready_at > cycle:
+            for sm_id in sorted(awake):
+                sm = sms[sm_id]
+                slots = sm.slots
+                n = len(slots)
+                soonest = math.inf
+                for j in chain(range(sm.ptr, n), range(sm.ptr)):
+                    slot = slots[j]
+                    ready = slot.ready_at
+                    if ready > cycle:
+                        if ready < soonest and slot.queue:
+                            soonest = ready
                         continue
-                    queue = slot.cta.queues[slot.warp]  # type: ignore[index]
+                    queue = slot.queue
                     if not queue:
                         continue
                     completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
-                    if completion is not None:
+                    if completion is None:
+                        sm.ptr = j  # stalled: retry this warp first
+                    else:
                         queue.popleft()
                         slot.ready_at = completion
-                        sm.ptr = ((sm.ptr + i) % n + 1) % n
+                        sm.ptr = (j + 1) % n
                         issued = True
-                    else:
-                        sm.ptr = (sm.ptr + i) % n  # stalled: retry this warp first
+                    self.awake.add(sm_id)
                     break
+                else:
+                    if soonest != math.inf:
+                        due[soonest].wakes.append(sm_id)
             if issued:
-                heapq.heappush(self.wake, cycle + 1)
+                self._due_at(cycle + 1)
 
         self._run(issue)
 
     def run_replay(self, events: list[AccessEvent]) -> None:
-        sm_count, cta_count = self.config.sm_count, self.workload.grid.total_ctas
+        grid = self.workload.grid
+        sm_count, cta_count, warps = self.config.sm_count, grid.total_ctas, grid.warps_per_cta
         by_cycle: dict[int, list[AccessEvent]] = {}
         totals: dict[int, int] = {}
         for ev in events:
-            if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count):
+            if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count and 0 <= ev.warp < warps):
                 raise ConfigMismatch(
-                    f"trace event (sm={ev.sm}, cta={ev.cta}) outside this "
-                    "system/grid"
+                    f"trace event (sm={ev.sm}, cta={ev.cta}, warp={ev.warp}) outside "
+                    "this system/grid"
                 )
             if ev.issue_cycle < 0:
                 raise ConfigMismatch(f"trace event at cycle {ev.issue_cycle}, before cycle 0")
@@ -723,7 +776,7 @@ class _Simulation:
         ctas = {flat: _Cta(flat, None, total) for flat, total in totals.items()}
         self.unfinished = len(ctas)
         for c in by_cycle:
-            heapq.heappush(self.wake, c)
+            self._due_at(c)
 
         def issue(cycle: int) -> None:
             for ev in by_cycle.pop(cycle, ()):

@@ -151,6 +151,36 @@ def dtile_of_address(addr: int, desc: LocalityDescriptor) -> TileIndex:
     return TileIndex(coords, flatten_xyz(coords, dtile_count(desc)))
 
 
+class DtileGeometry:
+    """One descriptor's structure extent and D-tile shape, worked out once.
+
+    ``flat_of(addr)`` equals ``dtile_of_address(addr, desc).flat`` for an
+    address inside the structure, without building a ``TileIndex`` or
+    recounting the D-tiles; ``row_bytes`` is a D-tile's X extent in bytes.
+    """
+
+    __slots__ = ("base", "end", "elem_size", "lenx", "leny", "dtile_dims", "counts",
+                 "row_bytes")
+
+    def __init__(self, desc: LocalityDescriptor):
+        ds = desc.data
+        self.base = ds.base_addr
+        self.end = ds.end_addr
+        self.elem_size = ds.elem_size
+        self.lenx, self.leny, _ = ds.dims
+        self.dtile_dims = desc.tiles.dtile_dims
+        self.counts = dtile_count(desc)
+        self.row_bytes = self.dtile_dims[0] * ds.elem_size
+
+    def flat_of(self, addr: int) -> int:
+        elem = (addr - self.base) // self.elem_size
+        row, ex = divmod(elem, self.lenx)
+        ez, ey = divmod(row, self.leny)
+        dx, dy, dz = self.dtile_dims
+        nx, ny, _ = self.counts
+        return ex // dx + nx * (ey // dy + ny * (ez // dz))
+
+
 def ctas_in_ctile(
     ctile: Triple, desc: LocalityDescriptor, grid: CtaGrid
 ) -> list[Triple]:

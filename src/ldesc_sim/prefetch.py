@@ -17,7 +17,7 @@ from enum import Enum
 
 from .descriptor import LocalityDescriptor, LocalityType, SharingType
 from .errors import UnknownStream
-from .grid import dtile_of_address
+from .grid import DtileGeometry
 
 
 class PrefetchKind(Enum):
@@ -28,14 +28,15 @@ class PrefetchKind(Enum):
 
 @dataclass
 class StreamState:
-    """Per-context prefetcher state for one descriptor."""
+    """Per-context prefetcher state for one descriptor: its D-tile geometry
+    and the D-tiles streaming now."""
 
-    dtile_width: int
+    tiles: DtileGeometry
     active_dtiles: set[int] = field(default_factory=set)
 
     @classmethod
     def for_descriptor(cls, desc: LocalityDescriptor) -> "StreamState":
-        return cls(dtile_width=desc.tiles.dtile_dims[0] * desc.data.elem_size)
+        return cls(DtileGeometry(desc))
 
 
 def on_miss(
@@ -45,22 +46,23 @@ def on_miss(
     state: StreamState,
     line_size: int = 128,
 ) -> list[int]:
-    """React to a demand miss: track the stream and return the addresses to
-    prefetch, at most one."""
+    """React to a demand miss at ``addr``, inside the descriptor's structure:
+    track the stream and return the addresses to prefetch, at most one."""
     if desc.ltype is not LocalityType.INTER_THREAD:
         return []
-    state.active_dtiles.add(dtile_of_address(addr, desc).flat)
+    tiles = state.tiles
+    state.active_dtiles.add(tiles.flat_of(addr))
     if desc.sharing is SharingType.NEARBY:
         target = addr + line_size
     elif desc.sharing is SharingType.COACCESSED and desc.pattern.regular:
-        factor = l1_size // (len(state.active_dtiles) * state.dtile_width)
+        factor = l1_size // (len(state.active_dtiles) * tiles.row_bytes)
         if factor == 0:
             target = addr + line_size  # nextline fallback
         else:
             target = addr + factor * desc.pattern.stride_bytes
     else:
         return []  # COACCESSED irregular: retention is the cache's job
-    if not desc.data.contains(target):
+    if not tiles.base <= target < tiles.end:
         return []
     return [target]
 

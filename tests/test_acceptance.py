@@ -197,10 +197,12 @@ def test_criterion_7_prefetch_formula_exact():
         cdmap=(1, 0, 0),
     )
     trigger = desc.data.base_addr + 4096
-    two = StreamState(dtile_width=4096, active_dtiles={0})
+    two = StreamState.for_descriptor(desc)
+    two.active_dtiles.add(0)
     (target,) = on_miss(trigger, desc, 32768, two)
     assert target == trigger + 512
-    four = StreamState(dtile_width=4096, active_dtiles={0, 2, 3})
+    four = StreamState.for_descriptor(desc)
+    four.active_dtiles.update({0, 2, 3})
     (target4,) = on_miss(trigger, desc, 32768, four)
     assert target4 - trigger == (target - trigger) // 2
     report(7, "stride distance is bit-exact (trigger+512) and halves when "

@@ -149,9 +149,14 @@ def test_trace_round_trip_all_placements(tmp_path, placement):
         ('{"sm": 0, "cta": 1.5, "warp": 0, "addr": "0x0", "cycle": 9}', "cta 1.5"),
         ('{"sm": 0, "cta": 0, "warp": true, "addr": "0x0", "cycle": 9}', "warp True"),
         ('{"sm": 0, "cta": 0, "warp": 0, "addr": "0x0", "cycle": null}', "cycle None"),
+        ('{"sm": -1, "cta": 0, "warp": 0, "addr": "0x0", "cycle": 9}', "sm -1 is negative"),
+        ('{"sm": 0, "cta": -2, "warp": 0, "addr": "0x0", "cycle": 9}', "cta -2 is negative"),
+        ('{"sm": 0, "cta": 0, "warp": -3, "addr": "0x0", "cycle": 9}', "warp -3 is negative"),
+        ('{"sm": 0, "cta": 0, "warp": 0, "addr": "0x0", "cycle": -5}', "cycle -5 is negative"),
     ],
     ids=["bad-json", "not-object", "missing-key", "non-hex-addr", "int-addr", "str-sm",
-         "float-cta", "bool-warp", "null-cycle"],
+         "float-cta", "bool-warp", "null-cycle", "negative-sm", "negative-cta",
+         "negative-warp", "negative-cycle"],
 )
 def test_run_malformed_trace_line(tmp_path, capsys, line, message):
     trace = tmp_path / "t.jsonl"
@@ -162,6 +167,22 @@ def test_run_malformed_trace_line(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert f"{trace}:3: " in err
     assert message in err
+
+
+@pytest.mark.parametrize("field,value", [("sm", 4), ("cta", 40), ("warp", 8), ("warp", 99)])
+def test_run_replay_rejects_event_outside_system_or_grid(tmp_path, capsys, field, value):
+    # configs/histo.json: 4 SMs, 40 CTAs of 8 warps
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", HISTO, "--trace-out", str(trace), "--out", str(tmp_path / "m")]) == 0
+    lines = trace.read_text().splitlines()
+    event = json.loads(lines[-1])
+    event[field] = value
+    lines[-1] = json.dumps(event)
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["run", HISTO, "--trace-in", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ")
+    assert f"{field}={value}" in err
 
 
 def _set_field(raw, keys, value):
@@ -314,6 +335,15 @@ def test_sweep_unknown_axis():
 def test_sweep_rejects_bad_cache_value(capsys, axis, value):
     assert main(["sweep", HISTO, "--axis", axis, "--values", value]) == 2
     assert f"axis {axis}={value}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis,value", [("sm_count", "0"), ("sm_count", "-4"), ("zone_count", "0"),
+                   ("zone_count", "-1")]
+)
+def test_sweep_rejects_count_below_one(capsys, axis, value):
+    assert main(["sweep", HISTO, "--axis", axis, "--values", value]) == 2
+    assert f"axis {axis}={value}: must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_empty_values():

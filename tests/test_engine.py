@@ -2,7 +2,9 @@
 
 import dataclasses
 import heapq
+import io
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,7 @@ from conftest import make_desc
 from oracles import OracleCache
 
 KB = 1024
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def histo_workload(seed=1):
@@ -552,16 +555,37 @@ def test_trace_replay_reproduces_metrics():
     assert live.json_str() == replay.json_str()
 
 
-@pytest.mark.parametrize("field,value", [("sm", 4), ("sm", -1), ("cta", 40), ("cta", -1)])
+@pytest.mark.parametrize(
+    "field,value", [("sm", 4), ("sm", -1), ("cta", 40), ("cta", -1), ("warp", 8), ("warp", -1)]
+)
 def test_trace_replay_rejects_event_outside_system_or_grid(field, value):
     wl = histo_workload()
     cfg = SystemConfig(sm_count=4)
     sched = baseline_round_robin(wl.grid, 4)
     events: list[AccessEvent] = []
     simulate(wl, cfg, sched, trace_sink=events)
-    events[-1] = dataclasses.replace(events[-1], **{field: value})
+    events[-1] = events[-1]._replace(**{field: value})
     with pytest.raises(ConfigMismatch, match="outside this system/grid"):
         simulate(wl, cfg, sched, trace_in=events)
+
+
+_trace_ints = st.integers(0, 2**40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(AccessEvent, _trace_ints, _trace_ints, _trace_ints,
+                          st.one_of(st.just(0), st.integers(0, 2**200)), _trace_ints)))
+def test_trace_dump_is_sorted_key_json_and_loads_back(events):
+    buf = io.StringIO()
+    engine_mod.dump_trace(events, buf)
+    want = "".join(
+        json.dumps({"sm": ev.sm, "cta": ev.cta, "warp": ev.warp, "addr": f"{ev.addr:#x}",
+                    "cycle": ev.issue_cycle}, sort_keys=True) + "\n"
+        for ev in events
+    )
+    assert buf.getvalue() == want
+    buf.seek(0)
+    assert engine_mod.load_trace(buf) == events
 
 
 def test_trace_replay_rejects_event_before_cycle_zero():
@@ -571,7 +595,7 @@ def test_trace_replay_rejects_event_before_cycle_zero():
     sched = baseline_round_robin(wl.grid, 4)
     events: list[AccessEvent] = []
     simulate(wl, cfg, sched, trace_sink=events)
-    events[-1] = dataclasses.replace(events[-1], issue_cycle=-3)
+    events[-1] = events[-1]._replace(issue_cycle=-3)
     with pytest.raises(ConfigMismatch, match="cycle -3, before cycle 0"):
         simulate(wl, cfg, sched, trace_in=events)
 
@@ -651,10 +675,11 @@ class OracleSimulation(engine_mod._Simulation):
         self._last_tick = now
 
     def _process_due(self, cycle: int) -> None:
-        for sm_id, line_addr in self.fills.pop(cycle, ()):  # fills before issues
+        due = self.due.pop(cycle, engine_mod._Due())
+        for sm_id, line_addr in due.fills:  # fills before issues
             self.sms[sm_id].l1.fill(line_addr, cycle)
             self.inflight_fill.pop((sm_id, line_addr), None)
-        for sm, cta in self.comps.pop(cycle, ()):
+        for sm, cta in due.comps:
             cta.inflight -= 1
             if cta.remaining == 0 and cta.inflight == 0:
                 self._complete_cta(sm, cta)
@@ -744,8 +769,10 @@ _DESC_KINDS = [
 @st.composite
 def _loop_cases(draw):
     """A small grid, descriptor set and system whose tiny MSHR tables and
-    short pin-reset periods make warps stall and pins reset. Latencies are
-    short, because the old loop visits every cycle a warp stays stalled."""
+    short pin-reset periods make warps stall and pins reset. Up to 4 SMs per
+    zone and one resident CTA per SM leave some SMs without a CTA and make
+    others refill late. Latencies are short, because the old loop visits
+    every cycle a warp stays stalled."""
     gx, gy = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     grid = CtaGrid((gx, gy, 1), warps_per_cta=draw(st.sampled_from([1, 2, 4])))
     descs = []
@@ -762,7 +789,7 @@ def _loop_cases(draw):
     periods = st.sampled_from([0, 5, 16, 60])
     zones = draw(st.sampled_from([1, 2]))
     system = SystemConfig(
-        sm_count=zones * draw(st.sampled_from([1, 2])),
+        sm_count=zones * draw(st.sampled_from([1, 2, 4])),
         zone_count=zones,
         l1=CacheConfig(draw(st.sampled_from([1, 2, 4])) * KB, ways=draw(st.sampled_from([1, 2, 4])),
                        mshr_entries=draw(st.integers(1, 3)), pin_reset_period=draw(periods)),
@@ -794,3 +821,29 @@ def test_cycle_loop_matches_the_loops_it_replaced(case):
         assert trace == want_trace, where
         replay = simulate(workload, system, schedule, plan, policies, trace_in=trace)
         assert replay.json_str() == live.json_str(), where
+
+
+@pytest.mark.parametrize("name", ["histo.json", "mixed.json", "numa_stripe.json",
+                                  "matrix.json", "pin_reset.json"])
+@pytest.mark.parametrize("policy", ["ldesc-pref", "rr"])
+def test_each_visited_cycle_is_pushed_once(monkeypatch, name, policy):
+    cfg = dataclasses.replace(load_config(CONFIGS / name), policy=policy)
+    pushed, visited = [], []
+    push, pop = heapq.heappush, heapq.heappop
+
+    def counting_push(heap, cycle):
+        pushed.append(cycle)
+        push(heap, cycle)
+
+    def counting_pop(heap):
+        visited.append(pop(heap))
+        return visited[-1]
+
+    monkeypatch.setattr(engine_mod.heapq, "heappush", counting_push)
+    monkeypatch.setattr(engine_mod.heapq, "heappop", counting_pop)
+    run_experiment(cfg)
+    assert visited[0] == 0 and visited == sorted(set(visited))
+    assert len(pushed) == len(set(pushed))
+    # a cycle pushed but never visited is a fill due after the last completion
+    assert set(visited) <= set(pushed)
+    assert all(c > visited[-1] for c in set(pushed) - set(visited))

@@ -18,6 +18,7 @@ from ldesc_sim import (
 from ldesc_sim.descriptor import PAGE_SIZE, ctile_count, dtile_count
 from ldesc_sim.errors import OutOfGrid, OutOfRange
 from ldesc_sim.grid import (
+    DtileGeometry,
     TileIndex,
     cta_flat,
     ctas_in_ctile,
@@ -255,3 +256,17 @@ def test_tile_table_matches_per_cta_functions(case):
         assert table.ctas[k] == [cta_flat(c, grid) for c in members]
         assert table.dtiles[k] == dtile
         assert table.runs[k] == dtile_byte_runs(dtile, desc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(descriptor_and_grid(), st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+def test_dtile_geometry_matches_dtile_of_address(case, fractions):
+    desc, _ = case
+    ds = desc.data
+    geometry = DtileGeometry(desc)
+    assert (geometry.base, geometry.end) == (ds.base_addr, ds.end_addr)
+    size = ds.end_addr - ds.base_addr
+    # the first and last byte, so that both corner D-tiles, clipped or not, are hit
+    offsets = {0, size - 1} | {int(f * size) for f in fractions}
+    for addr in (ds.base_addr + o for o in offsets):
+        assert geometry.flat_of(addr) == dtile_of_address(addr, desc).flat

@@ -24,10 +24,16 @@ def stride_desc(stride=128, tiles=8, tile_elems=1024, elem=4):
     )
 
 
+def stream(desc, *active):
+    state = StreamState.for_descriptor(desc)
+    state.active_dtiles.update(active)
+    return state
+
+
 def test_distance_formula_exact():
     # l1 32768, 2 active tiles, width 4096 -> factor 4; stride 128 -> +512.
     desc = stride_desc()
-    state = StreamState(dtile_width=4096, active_dtiles={0})
+    state = stream(desc, 0)
     targets = on_miss(desc.data.base_addr + 4096, desc, 32768, state)
     assert state.active_dtiles == {0, 1}
     assert targets == [desc.data.base_addr + 4096 + 512]
@@ -35,9 +41,9 @@ def test_distance_formula_exact():
 
 def test_distance_halves_when_active_doubles():
     desc = stride_desc()
-    two = StreamState(dtile_width=4096, active_dtiles={7})
+    two = stream(desc, 7)
     (target2,) = on_miss(desc.data.base_addr, desc, 32768, two)  # 2 active
-    four = StreamState(dtile_width=4096, active_dtiles={5, 6, 7})
+    four = stream(desc, 5, 6, 7)
     (target4,) = on_miss(desc.data.base_addr, desc, 32768, four)  # 4 active
     assert target2 - desc.data.base_addr == 2 * (target4 - desc.data.base_addr)
 
@@ -54,14 +60,14 @@ def test_nearby_nextline():
 
 def test_request_past_end_dropped():
     desc = stride_desc(tiles=1)
-    state = StreamState(dtile_width=4096)
+    state = StreamState.for_descriptor(desc)
     near_end = desc.data.end_addr - 64
     assert on_miss(near_end, desc, 32768, state) == []
 
 
 def test_zero_factor_falls_back_to_nextline():
     desc = stride_desc()
-    state = StreamState(dtile_width=4096, active_dtiles={1, 2, 3, 4, 5, 6, 7})
+    state = stream(desc, 1, 2, 3, 4, 5, 6, 7)
     targets = on_miss(desc.data.base_addr, desc, 1024, state, line_size=128)
     assert targets == [desc.data.base_addr + 128]
 
@@ -85,7 +91,7 @@ def test_non_inter_thread_no_prefetch():
 
 def test_retire_doubles_distance():
     desc = stride_desc()
-    state = StreamState(dtile_width=4096, active_dtiles={0, 1})
+    state = stream(desc, 0, 1)
     (before,) = on_miss(desc.data.base_addr, desc, 32768, state)
     retire_stream(1, state)
     (after,) = on_miss(desc.data.base_addr, desc, 32768, state)
@@ -94,14 +100,14 @@ def test_retire_doubles_distance():
 
 def test_retire_last_then_rebuild():
     desc = stride_desc()
-    state = StreamState(dtile_width=4096, active_dtiles={3})
+    state = stream(desc, 3)
     retire_stream(3, state)
     on_miss(desc.data.base_addr + 3 * 4096, desc, 32768, state)
     assert state.active_dtiles == {3}
 
 
 def test_retire_unknown_stream():
-    state = StreamState(dtile_width=4096, active_dtiles={1})
+    state = stream(stride_desc(), 1)
     with pytest.raises(UnknownStream):
         retire_stream(2, state)
 
@@ -110,7 +116,7 @@ def test_distance_monotone_in_active_tiles():
     desc = stride_desc(tiles=64)
     prev = None
     for n in range(1, 9):
-        state = StreamState(dtile_width=4096, active_dtiles=set(range(1, n)))
+        state = stream(desc, *range(1, n))
         (target,) = on_miss(desc.data.base_addr, desc, 64 * KB, state)
         dist = target - desc.data.base_addr
         if prev is not None:
@@ -120,7 +126,7 @@ def test_distance_monotone_in_active_tiles():
 
 def test_request_stays_inside_structure():
     desc = stride_desc(tiles=4)
-    state = StreamState(dtile_width=4096)
+    state = StreamState.for_descriptor(desc)
     ds = desc.data
     for addr in range(ds.base_addr, ds.end_addr, 512):
         for target in on_miss(addr, desc, 32768, state):
