@@ -149,10 +149,11 @@ class CacheModel:
             victim = _Line()
             ways.append(victim)
         else:
-            if all(w.priority == _MAX_PRIORITY for w in ways):
+            # The lowest priority is the highest one only when every way is
+            # hard pinned; then way 0 is the sacrificial way.
+            victim = min(ways, key=_victim_key)
+            if victim.priority == _MAX_PRIORITY:
                 victim = ways[0]
-            else:
-                victim = min(ways, key=_victim_key)
             del self.lines[victim.tag * self.num_sets + set_idx]
         self._use_clock += 1
         victim.tag = line // self.num_sets

@@ -138,19 +138,6 @@ class Workload:
     seed: int = 1
 
 
-def _lines_of_runs(runs, line_size: int) -> list[int]:
-    lines: list[int] = []
-    seen = set()
-    for run in runs:
-        first = run.start // line_size
-        last = (run.start + run.length - 1) // line_size
-        for ln in range(first, last + 1):
-            if ln not in seen:
-                seen.add(ln)
-                lines.append(ln * line_size)
-    return lines
-
-
 def _slice(items: list[int], index: int, parts: int) -> list[int]:
     width = -(-len(items) // parts) if items else 0
     return items[index * width : (index + 1) * width]
@@ -182,7 +169,7 @@ def generate_accesses(
     k, rank = table.slot[cta]
     dtile = table.dtiles[k]
     runs = table.runs[k]
-    lines = _lines_of_runs(runs, line_size)
+    lines = table.lines(k, line_size)
     members = len(table.ctas[k])
     warps = table.grid.warps_per_cta
 

@@ -13,6 +13,7 @@ read these facts from it rather than working them out again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .descriptor import (
     LocalityDescriptor,
@@ -43,8 +44,7 @@ class TileIndex:
     flat: int
 
 
-@dataclass(frozen=True)
-class ByteRun:
+class ByteRun(NamedTuple):
     """A contiguous byte range [start, start+length) of one data structure."""
 
     start: int
@@ -196,13 +196,27 @@ def ctas_in_ctile(
     return out
 
 
+def _lines_of_runs(runs: list[ByteRun], line_size: int) -> list[int]:
+    lines: list[int] = []
+    seen = set()
+    for run in runs:
+        first = run.start // line_size
+        last = (run.start + run.length - 1) // line_size
+        for ln in range(first, last + 1):
+            if ln not in seen:
+                seen.add(ln)
+                lines.append(ln * line_size)
+    return lines
+
+
 class TileTable:
     """One descriptor's C-tiles over one grid, enumerated once.
 
     C-tile k (X->Y->Z flat) keeps ``ctas[k]``, its CTA flat ids in X->Y->Z
     order; ``dtiles[k]``, the D-tile it accesses; and ``runs[k]``, that
     D-tile's byte runs. ``slot[flat]`` is a CTA's (k, rank): its C-tile and
-    its index in ``ctas[k]``.
+    its index in ``ctas[k]``. ``lines(k, line_size)`` is worked out on
+    first use and then shared by every CTA of the C-tile.
     """
 
     def __init__(self, desc: LocalityDescriptor, grid: CtaGrid):
@@ -212,6 +226,7 @@ class TileTable:
         self.dtiles: list[TileIndex] = []
         self.runs: list[list[ByteRun]] = []
         self.slot: dict[int, tuple[int, int]] = {}
+        self._lines: dict[tuple[int, int], list[int]] = {}
         counts = ctile_count(desc, grid)
         for k in range(counts[0] * counts[1] * counts[2]):
             ctile = TileIndex(unflatten_xyz(k, counts), k)
@@ -222,3 +237,13 @@ class TileTable:
             self.ctas.append(flats)
             self.dtiles.append(dtile)
             self.runs.append(dtile_byte_runs(dtile, desc))
+
+    def lines(self, k: int, line_size: int) -> list[int]:
+        """Line addresses of C-tile k's D-tile, in run order, each once.
+
+        The list is shared by every caller; it must not be changed.
+        """
+        key = (k, line_size)
+        if key not in self._lines:
+            self._lines[key] = _lines_of_runs(self.runs[k], line_size)
+        return self._lines[key]

@@ -112,22 +112,42 @@ class _CtileTable:
     """One descriptor's C-tiles for one placement search.
 
     The C-tiles' CTAs and byte runs come from a ``TileTable``; the bytes
-    each D-tile places in each zone are worked out once per low_bit.
+    each D-tile places in each zone are worked out once per low_bit, and
+    within one low_bit once per key: the D-tile's clipped extents and its
+    first byte modulo the stripe period ``zone_count << low_bit``.
+
+    The key is exact. Two D-tiles of one descriptor with equal clipped
+    extents have byte runs that are translates of each other: each run
+    lies at the same offset from the tile's first byte, with the same
+    length. Stripe k lives in zone k % zone_count, so the layout repeats
+    every period, and a translation by a multiple of the period leaves
+    every zone's byte count unchanged. C-tiles with equal keys share one
+    (read-only) list.
     """
 
     def __init__(self, desc: LocalityDescriptor, grid: CtaGrid, zone_count: int):
         self.tiles = TileTable(desc, grid)
         self.total = desc.data.total_bytes
         self.zone_count = zone_count
+        dims, d = desc.data.dims, desc.tiles.dtile_dims
+        self._extents = [
+            tuple(min(d[i], dims[i] - dtile.coords[i] * d[i]) for i in range(3))
+            for dtile in self.tiles.dtiles
+        ]
         self._zone_bytes: dict[int, list[list[int]]] = {}
 
     def zone_bytes(self, low_bit: int) -> list[list[int]]:
         """Per C-tile, the bytes of its D-tile in each zone."""
         if low_bit not in self._zone_bytes:
-            self._zone_bytes[low_bit] = [
-                _zone_bytes_of_runs(runs, low_bit, self.zone_count)
-                for runs in self.tiles.runs
-            ]
+            period = self.zone_count << low_bit
+            by_key: dict[tuple, list[int]] = {}
+            out = []
+            for extents, runs in zip(self._extents, self.tiles.runs):
+                key = (extents, runs[0].start % period)
+                if key not in by_key:
+                    by_key[key] = _zone_bytes_of_runs(runs, low_bit, self.zone_count)
+                out.append(by_key[key])
+            self._zone_bytes[low_bit] = out
         return self._zone_bytes[low_bit]
 
     def partition(self, low_bit: int) -> dict[int, int]:

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from ldesc_sim import config as config_mod
 from ldesc_sim.config import (
     ConfigError,
     apply_axis,
@@ -143,3 +145,36 @@ def test_invalid_descriptor_reported_as_config_error():
     raw["descriptors"][0]["dtile_dims"] = [999, 1, 1]  # breaks 1:1 tiling
     with pytest.raises(ConfigError, match="descriptors"):
         parse_config(raw)
+
+def test_object_field_lists_match_schema(monkeypatch):
+    # Every object the parser reads takes exactly the fields the schema declares.
+    schema = json.loads((CONFIGS.parent / "docs" / "config_schema.json").read_text())
+    props = schema["properties"]
+    system = next(s for s in props["system"]["oneOf"] if s["type"] == "object")
+    descriptor = props["descriptors"]["items"]
+    expect = {
+        "top level": schema,
+        "system": system,
+        "system.l1": schema["$defs"]["cache"],
+        "system.l2": schema["$defs"]["cache"],
+        "system.latencies": system["properties"]["latencies"],
+        "grid": props["grid"],
+        "data_structures[]": props["data_structures"]["items"],
+        "descriptors[]": descriptor,
+        "descriptors[].pattern": descriptor["properties"]["pattern"],
+    }
+    seen: dict[str, set] = {}
+    check_object = config_mod._object
+
+    def recording(value, path, fields):
+        key = re.sub(r"\[\d+\]", "[]", path)
+        seen.setdefault(key, set()).add(tuple(sorted(fields)))
+        return check_object(value, path, fields)
+
+    monkeypatch.setattr(config_mod, "_object", recording)
+    raw = _histo_raw()
+    raw["system"] = {"preset": "desk", "l1": {}, "l2": {}, "latencies": {}}
+    parse_config(raw)
+    assert set(seen) == set(expect)
+    for key, node in expect.items():
+        assert seen[key] == {tuple(sorted(node["properties"]))}, key

@@ -229,6 +229,26 @@ def test_simulate_builds_byte_runs_once_per_ctile(monkeypatch):
     assert 0 < len(calls) <= ctiles
 
 
+def test_simulate_builds_line_lists_once_per_ctile(monkeypatch):
+    # All CTAs of a C-tile share its D-tile's line list, kept on the tile table.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "histo.json")
+    workload, policies, schedule, placement = compose(cfg)
+    lines_of = grid_mod._lines_of_runs
+    calls = []
+
+    def counting(runs, line_size):
+        calls.append(line_size)
+        return lines_of(runs, line_size)
+
+    monkeypatch.setattr(grid_mod, "_lines_of_runs", counting)
+    simulate(workload, cfg.system, schedule, placement, policies)
+    ctiles = 0
+    for desc in cfg.descs:
+        c = ctile_count(desc, cfg.grid)
+        ctiles += c[0] * c[1] * c[2]
+    assert 0 < len(calls) <= ctiles
+
+
 # -- simulate ----------------------------------------------------------------
 
 

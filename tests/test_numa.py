@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldesc_sim import grid as grid_mod
@@ -18,7 +18,7 @@ from ldesc_sim import (
     zone_of_address,
 )
 from ldesc_sim.config import load_config
-from ldesc_sim.descriptor import ctile_count
+from ldesc_sim.descriptor import PAGE_SIZE, ctile_count, validate_descriptor_set
 from ldesc_sim.errors import UnplacedPage
 from ldesc_sim.grid import ByteRun
 from ldesc_sim.numa import (
@@ -252,6 +252,65 @@ def test_search_builds_byte_runs_once_per_ctile(monkeypatch):
         c = ctile_count(desc, cfg.grid)
         ctiles += c[0] * c[1] * c[2]
     assert 0 < len(calls) <= ctiles
+
+
+def test_search_works_out_zone_bytes_once_per_key(monkeypatch):
+    # C-tiles whose D-tiles have equal clipped extents and equal first bytes
+    # modulo the stripe period share one zone-byte count per low bit.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "matrix.json")
+    zone_bytes_of = numa._zone_bytes_of_runs
+    calls = []
+
+    def counting(runs, low_bit, zone_count):
+        calls.append(low_bit)
+        return zone_bytes_of(runs, low_bit, zone_count)
+
+    monkeypatch.setattr(numa, "_zone_bytes_of_runs", counting)
+    place_and_partition(cfg.descs, cfg.grid, cfg.system.zone_count)
+    ctiles = ctile_count(cfg.descs[0], cfg.grid)
+    bound = ctiles[0] * ctiles[1] * ctiles[2] * (LOW_BIT_MAX - LOW_BIT_MIN + 1) * len(cfg.descs)
+    assert 0 < len(calls) < bound
+
+
+@st.composite
+def clipped_structure(draw):
+    """A valid 1-D, 2-D or 3-D descriptor whose used axes are not multiples
+    of the D-tile's, so that the last D-tile along each is clipped; one
+    C-tile per D-tile, one CTA per C-tile."""
+    ndim = draw(st.integers(1, 3))
+    # power-of-two rows often start on stripe boundaries, so keys repeat
+    aligned_x = draw(st.sampled_from([None, 32, 128, 1024]))
+    dtile = [
+        aligned_x or draw(st.integers(2, 600)),
+        draw(st.integers(2, 12)) if ndim > 1 else 1,
+        draw(st.integers(2, 4)) if ndim > 2 else 1,
+    ]
+    counts = [draw(st.integers(2, 3)) if axis < ndim else 1 for axis in range(3)]
+    dims = [
+        (m - 1) * d + draw(st.integers(1, d - 1)) if axis < ndim else 1
+        for axis, (m, d) in enumerate(zip(counts, dtile))
+    ]
+    desc = make_desc(
+        base=draw(st.integers(0, 3)) * PAGE_SIZE,
+        elem=draw(st.sampled_from([1, 2, 4, 8])),
+        data_dims=tuple(dims),
+        dtile=tuple(dtile),
+        ctile=(1, 1, 1),
+        cdmap=(1, 2, 3),
+    )
+    grid = CtaGrid(tuple(counts))
+    return validate_descriptor_set([desc], grid)[0], grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(clipped_structure(), st.sampled_from([1, 2, 4, 8]))
+def test_zone_bytes_per_key_match_per_ctile_count(case, zone_count):
+    desc, grid = case
+    table = numa._CtileTable(desc, grid, zone_count)
+    for low_bit in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
+        got = table.zone_bytes(low_bit)
+        for k, runs in enumerate(table.tiles.runs):
+            assert got[k] == numa._zone_bytes_of_runs(runs, low_bit, zone_count)
 
 
 @given(
