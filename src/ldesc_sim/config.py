@@ -153,6 +153,10 @@ def _system(raw, preset_override: str | None) -> SystemConfig:
     for group in ("l1", "l2", "latencies"):  # every field of these is an integer
         if group in raw:
             fields = tuple(f.name for f in dataclasses.fields(getattr(base, group)))
+            if group == "l2":
+                # Every L2 access is NORMAL and is filled at once, so an L2 line
+                # is never pinned and the L2 MSHR never holds two entries.
+                fields = ("capacity", "ways", "line_size")
             sub = {
                 k: _int(v, f"system.{group}.{k}", 0 if k == "pin_reset_period" else 1)
                 for k, v in _object(raw[group], f"system.{group}", fields).items()
@@ -162,6 +166,7 @@ def _system(raw, preset_override: str | None) -> SystemConfig:
             except ValueError as exc:
                 raise ConfigError(f"system.{group}: {exc}") from None
     cfg = dataclasses.replace(base, **updates)
+    _check_zone_count(cfg.zone_count, "system.zone_count")
     if cfg.sm_count % cfg.zone_count != 0:
         raise ConfigError(
             f"system: {cfg.sm_count} SMs do not divide into {cfg.zone_count} zones"
@@ -169,11 +174,18 @@ def _system(raw, preset_override: str | None) -> SystemConfig:
     return cfg
 
 
+def _check_zone_count(zone_count: int, path: str) -> None:
+    # Zones are picked by address bits (bit-range and XOR hashing).
+    if zone_count & (zone_count - 1):
+        raise ConfigError(f"{path}: {zone_count} zones is not a power of two")
+
+
 def _pattern(raw, path: str) -> AccessPattern:
     raw = _object(raw, path, ("kind", "stride_bytes"))
     kind = _get(raw, "kind", path, required=True)
-    if kind == "REGULAR":
+    if kind == "REGULAR" or "stride_bytes" in raw:
         stride = _int(_get(raw, "stride_bytes", path, required=True), f"{path}.stride_bytes", 1)
+    if kind == "REGULAR":
         return AccessPattern.regular_stride(stride)
     if kind == "IRREGULAR":
         return AccessPattern.irregular()
@@ -231,8 +243,7 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
         if ref not in structures:
             raise ConfigError(f"{path}.data: unknown data structure {ref!r}")
         ltype = _enum(LocalityType, _get(draw, "locality_type", path, required=True), f"{path}.locality_type")
-        sharing_raw = _get(draw, "sharing", path)
-        sharing = _enum(SharingType, sharing_raw, f"{path}.sharing") if sharing_raw else None
+        sharing = _enum(SharingType, draw["sharing"], f"{path}.sharing") if "sharing" in draw else None
         descs.append(
             LocalityDescriptor(
                 data=structures[ref],
@@ -362,6 +373,7 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig
     if axis == "sm_count":
         system = dataclasses.replace(system, sm_count=value)
     elif axis == "zone_count":
+        _check_zone_count(value, f"axis zone_count={value}: system.zone_count")
         system = dataclasses.replace(system, zone_count=value)
     elif axis in ("l1_capacity", "pin_reset_period"):
         field = "capacity" if axis == "l1_capacity" else axis

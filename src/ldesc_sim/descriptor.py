@@ -18,7 +18,8 @@ from .errors import InvalidTileSemantics, MisalignedBase, OverlapConflict
 if TYPE_CHECKING:
     from .grid import CtaGrid
 
-PAGE_SIZE = 64 * 1024
+PAGE_BITS = 16  # 64 KiB pages: base alignment and first-touch placement
+PAGE_SIZE = 1 << PAGE_BITS
 
 Triple = tuple[int, int, int]
 
@@ -110,24 +111,20 @@ class LocalityDescriptor:
     priority: int = 0
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def tile_counts(extent: Triple, tile: Triple) -> Triple:
+    """Boxes of shape ``tile`` along each axis of ``extent`` (ceiling
+    division: an edge box may be clipped)."""
+    return (-(-extent[0] // tile[0]), -(-extent[1] // tile[1]), -(-extent[2] // tile[2]))
 
 
 def dtile_count(desc: LocalityDescriptor) -> Triple:
-    """Number of D-tiles along each axis (ceiling division, edge tiles allowed)."""
-    d, dims = desc.tiles.dtile_dims, desc.data.dims
-    return (_ceil_div(dims[0], d[0]), _ceil_div(dims[1], d[1]), _ceil_div(dims[2], d[2]))
+    """Number of D-tiles along each axis of the data structure."""
+    return tile_counts(desc.data.dims, desc.tiles.dtile_dims)
 
 
 def ctile_count(desc: LocalityDescriptor, grid: "CtaGrid") -> Triple:
     """Number of C-tiles along each axis of the grid."""
-    c, dims = desc.tiles.ctile_dims, grid.dims
-    return (_ceil_div(dims[0], c[0]), _ceil_div(dims[1], c[1]), _ceil_div(dims[2], c[2]))
-
-
-def _prod(t: Triple) -> int:
-    return t[0] * t[1] * t[2]
+    return tile_counts(grid.dims, desc.tiles.ctile_dims)
 
 
 def _validate_map(desc: LocalityDescriptor, grid: "CtaGrid") -> None:
@@ -183,8 +180,8 @@ def validate_descriptor(desc: LocalityDescriptor, grid: "CtaGrid") -> None:
     if desc.priority < 0:
         raise InvalidTileSemantics(f"{ds.name}: priority must be >= 0")
     _validate_map(desc, grid)
-    n_dtiles = _prod(dtile_count(desc))
-    n_ctiles = _prod(ctile_count(desc, grid))
+    n_dtiles = math.prod(dtile_count(desc))
+    n_ctiles = math.prod(ctile_count(desc, grid))
     if n_dtiles != n_ctiles:
         raise InvalidTileSemantics(
             f"{ds.name}: {n_dtiles} D-tiles vs {n_ctiles} C-tiles "

@@ -25,10 +25,10 @@ from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
 
 from . import prefetch as pf
 from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
-from .descriptor import LocalityDescriptor, LocalityType, SharingType
+from .descriptor import PAGE_BITS, LocalityDescriptor, LocalityType, SharingType
 from .errors import ConfigError, ConfigMismatch, MshrFull
 from .grid import CtaGrid, TileTable
-from .numa import PAGE_BITS, MappingScheme, NumaPlan, ZoneMapping, zone_of_address
+from .numa import MappingScheme, NumaPlan, ZoneMapping, zone_of_address
 from .prefetch import PrefetchKind, StreamState
 
 
@@ -189,12 +189,12 @@ def generate_accesses(
                 addrs = list(lines)
                 _rng(seed, dtile.flat, cta).shuffle(addrs)
             return deal(addrs)
-        window = _slice(lines, rank, members)
-        if not window:
+        # this CTA's share of the lines, widened by one line on each side
+        width = -(-len(lines) // members)
+        start = rank * width
+        if start >= len(lines):
             return []
-        lo = max(0, lines.index(window[0]) - 1)
-        hi = min(len(lines), lines.index(window[-1]) + 2)
-        return deal(lines[lo:hi])
+        return deal(lines[max(0, start - 1) : start + width + 1])
 
     share = _slice(lines, rank, members)
     if desc.ltype is LocalityType.INTRA_THREAD:

@@ -67,13 +67,18 @@ def cta_flat(cta: Triple, grid: CtaGrid) -> int:
     return flatten_xyz(cta, grid.dims)
 
 
-def ctas_in_grid(grid: CtaGrid):
-    """All CTA coordinates in flat (X fastest) order."""
+def box_ctas(box: Triple, dims: Triple, grid: CtaGrid) -> list[int]:
+    """CTA flat ids of box ``box`` in the grid's tiling by ``dims``-shaped
+    boxes (a C-tile or a cluster), clipped to the grid, in X->Y->Z order."""
     gx, gy, gz = grid.dims
-    for z in range(gz):
-        for y in range(gy):
-            for x in range(gx):
-                yield (x, y, z)
+    x0, y0, z0 = box[0] * dims[0], box[1] * dims[1], box[2] * dims[2]
+    xs = range(x0, min(x0 + dims[0], gx))
+    return [
+        x + gx * (y + gy * z)
+        for z in range(z0, min(z0 + dims[2], gz))
+        for y in range(y0, min(y0 + dims[1], gy))
+        for x in xs
+    ]
 
 
 def ctile_of_cta(cta: Triple, desc: LocalityDescriptor, grid: CtaGrid) -> TileIndex:
@@ -181,21 +186,6 @@ class DtileGeometry:
         return ex // dx + nx * (ey // dy + ny * (ez // dz))
 
 
-def ctas_in_ctile(
-    ctile: Triple, desc: LocalityDescriptor, grid: CtaGrid
-) -> list[Triple]:
-    """CTA coordinates inside a C-tile, clipped to the grid, X->Y->Z order."""
-    c = desc.tiles.ctile_dims
-    base = tuple(ctile[i] * c[i] for i in range(3))
-    ext = tuple(min(c[i], grid.dims[i] - base[i]) for i in range(3))
-    out = []
-    for z in range(ext[2]):
-        for y in range(ext[1]):
-            for x in range(ext[0]):
-                out.append((base[0] + x, base[1] + y, base[2] + z))
-    return out
-
-
 def _lines_of_runs(runs: list[ByteRun], line_size: int) -> list[int]:
     lines: list[int] = []
     seen = set()
@@ -230,7 +220,7 @@ class TileTable:
         counts = ctile_count(desc, grid)
         for k in range(counts[0] * counts[1] * counts[2]):
             ctile = TileIndex(unflatten_xyz(k, counts), k)
-            flats = [cta_flat(cta, grid) for cta in ctas_in_ctile(ctile.coords, desc, grid)]
+            flats = box_ctas(ctile.coords, desc.tiles.ctile_dims, grid)
             for rank, flat in enumerate(flats):
                 self.slot[flat] = (k, rank)
             dtile = dtile_of_ctile(ctile, desc, grid)

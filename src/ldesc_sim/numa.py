@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .descriptor import LocalityDescriptor, log2_exact
+from .descriptor import PAGE_BITS, LocalityDescriptor, log2_exact
 from .errors import UnplacedPage
 from .grid import CtaGrid, TileTable
-from .sched import Schedule, majority_zone
+from .sched import ClusterDims, Schedule, assign_clusters_by_zone, majority_zone
 
-PAGE_BITS = 16  # 64 KiB first-touch pages
 LOW_BIT_MIN = 7  # never split a 128 B burst across zones
 LOW_BIT_MAX = 16
 
@@ -266,15 +265,8 @@ def distributed_schedule(grid: CtaGrid, zone_count: int, sm_count: int) -> Sched
     """Split the flat CTA order into zone_count equal contiguous ranges and
     round-robin each range over its zone's SMs."""
     span = -(-grid.total_ctas // zone_count)
-    sm_per_zone = sm_count // zone_count
-    next_slot = [0] * zone_count
-    zones: dict[int, int] = {}
-    assignment: dict[int, int] = {}
-    for flat in range(grid.total_ctas):
-        zone = zones[flat] = min(flat // span, zone_count - 1)
-        assignment[flat] = zone * sm_per_zone + next_slot[zone] % sm_per_zone
-        next_slot[zone] += 1
-    return Schedule(assignment, sm_count, zones)
+    zones = [min(flat // span, zone_count - 1) for flat in range(grid.total_ctas)]
+    return assign_clusters_by_zone(ClusterDims((1, 1, 1)), grid, zones, sm_count, zone_count)
 
 
 def baseline_first_touch(
@@ -286,11 +278,13 @@ def baseline_first_touch(
     """First-touch paging baseline with distributed contiguous scheduling.
 
     ``trace`` is (cta_flat, addr) pairs in execution order; each 64 KiB page
-    lands in the zone of the CTA that touches it first. CTAs are split into
-    contiguous zone ranges and round-robined over each zone's SMs.
+    lands in the zone of the CTA that touches it first, which is the zone of
+    its SM. CTAs are split into contiguous zone ranges and round-robined over
+    each zone's SMs.
     """
     schedule = distributed_schedule(grid, zone_count, sm_count)
     mapping = first_touch(zone_count)
+    sm_per_zone = sm_count // zone_count
     for flat, addr in trace:
-        mapping.page_table.setdefault(addr >> PAGE_BITS, schedule.cta_zones[flat])
+        mapping.page_table.setdefault(addr >> PAGE_BITS, schedule.assignment[flat] // sm_per_zone)
     return mapping, schedule

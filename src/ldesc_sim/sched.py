@@ -9,10 +9,11 @@ to occupy all SMs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
 
-from .descriptor import LocalityDescriptor, Triple
-from .grid import CtaGrid, cta_flat, ctas_in_grid, unflatten_xyz
+from .descriptor import LocalityDescriptor, Triple, tile_counts
+from .grid import CtaGrid, box_ctas, unflatten_xyz
 
 
 @dataclass(frozen=True)
@@ -21,13 +22,8 @@ class ClusterDims:
 
     dims: Triple
 
-    def count_in(self, grid: CtaGrid) -> Triple:
-        g, d = grid.dims, self.dims
-        return (-(-g[0] // d[0]), -(-g[1] // d[1]), -(-g[2] // d[2]))
-
     def total_in(self, grid: CtaGrid) -> int:
-        c = self.count_in(grid)
-        return c[0] * c[1] * c[2]
+        return _ct_num(grid, self.dims)
 
 
 @dataclass
@@ -36,17 +32,13 @@ class Schedule:
 
     assignment: dict[int, int]
     sm_count: int
-    cta_zones: dict[int, int] = field(default_factory=dict)
 
     def ctas_of_sm(self, sm: int) -> list[int]:
         return sorted(c for c, s in self.assignment.items() if s == sm)
 
 
-def _ct_num(grid: CtaGrid, dims: list[int]) -> int:
-    n = 1
-    for i in range(3):
-        n *= -(-grid.dims[i] // dims[i])
-    return n
+def _ct_num(grid: CtaGrid, dims: Triple | list[int]) -> int:
+    return prod(tile_counts(grid.dims, dims))
 
 
 def _split_largest(dims: list[int]) -> None:
@@ -75,7 +67,9 @@ def form_clusters(
     return ClusterDims((cls[0], cls[1], cls[2]))
 
 
-def majority_zone(ctas: list[int], cta_zones: dict[int, int], zone_count: int) -> int:
+def majority_zone(
+    ctas: list[int], cta_zones: dict[int, int] | list[int], zone_count: int
+) -> int:
     """The zone most of ``ctas`` sit in under ``cta_zones``; ties go to the
     lowest zone id."""
     votes = [0] * zone_count
@@ -84,72 +78,45 @@ def majority_zone(ctas: list[int], cta_zones: dict[int, int], zone_count: int) -
     return votes.index(max(votes))
 
 
-def _cluster_members(
-    cluster: Triple, cls: ClusterDims, grid: CtaGrid
-) -> list[int]:
-    base = tuple(cluster[i] * cls.dims[i] for i in range(3))
-    ext = tuple(min(cls.dims[i], grid.dims[i] - base[i]) for i in range(3))
-    members = []
-    for z in range(ext[2]):
-        for y in range(ext[1]):
-            for x in range(ext[0]):
-                members.append(
-                    cta_flat((base[0] + x, base[1] + y, base[2] + z), grid)
-                )
-    return members
-
-
 def assign_clusters(cls: ClusterDims, grid: CtaGrid, sm_num: int) -> Schedule:
     """Round-robin whole clusters (X->Y->Z order) over the SMs."""
-    counts = cls.count_in(grid)
-    assignment: dict[int, int] = {}
-    for k in range(counts[0] * counts[1] * counts[2]):
-        cluster = unflatten_xyz(k, counts)
-        sm = k % sm_num
-        for cta in _cluster_members(cluster, cls, grid):
-            assignment[cta] = sm
-    return Schedule(assignment, sm_num)
+    return assign_clusters_by_zone(cls, grid, [0] * grid.total_ctas, sm_num, 1)
 
 
 def assign_clusters_by_zone(
     cls: ClusterDims,
     grid: CtaGrid,
-    cta_zones: dict[int, int],
+    cta_zones: dict[int, int] | list[int],
     sm_count: int,
     zone_count: int,
 ) -> Schedule:
-    """NUMA variant: keep each cluster inside its zone's SMs.
+    """Keep each cluster inside its zone's SMs.
 
-    A cluster's zone is the majority zone of its CTAs (ties to the lowest
-    zone id); clusters are then round-robined over that zone's SM range.
+    ``cta_zones[flat]`` is a CTA's zone. A cluster's zone is the majority
+    zone of its CTAs (ties to the lowest zone id); clusters, in X->Y->Z
+    order, are then round-robined over that zone's SM range.
     """
     sm_per_zone = sm_count // zone_count
-    counts = cls.count_in(grid)
+    counts = tile_counts(grid.dims, cls.dims)
     next_slot = [0] * zone_count
     assignment: dict[int, int] = {}
-    for k in range(counts[0] * counts[1] * counts[2]):
-        members = _cluster_members(unflatten_xyz(k, counts), cls, grid)
+    for k in range(prod(counts)):
+        members = box_ctas(unflatten_xyz(k, counts), cls.dims, grid)
         zone = majority_zone(members, cta_zones, zone_count)
         sm = zone * sm_per_zone + next_slot[zone] % sm_per_zone
         next_slot[zone] += 1
         for cta in members:
             assignment[cta] = sm
-    return Schedule(assignment, sm_count, dict(cta_zones))
+    return Schedule(assignment, sm_count)
 
 
 def baseline_round_robin(grid: CtaGrid, sm_num: int) -> Schedule:
     """Default scheduler: CTA k (X->Y->Z flat) lands on SM k mod sm_num."""
-    assignment = {
-        cta_flat(cta, grid): cta_flat(cta, grid) % sm_num
-        for cta in ctas_in_grid(grid)
-    }
-    return Schedule(assignment, sm_num)
+    return Schedule({flat: flat % sm_num for flat in range(grid.total_ctas)}, sm_num)
 
 
 def baseline_bcs(grid: CtaGrid, sm_num: int) -> Schedule:
     """Pairwise scheduler: consecutive CTAs (2k, 2k+1) share SM k mod sm_num."""
-    assignment = {}
-    for cta in ctas_in_grid(grid):
-        flat = cta_flat(cta, grid)
-        assignment[flat] = (flat // 2) % sm_num
-    return Schedule(assignment, sm_num)
+    return Schedule(
+        {flat: (flat // 2) % sm_num for flat in range(grid.total_ctas)}, sm_num
+    )

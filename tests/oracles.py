@@ -2,6 +2,8 @@
 
 from ldesc_sim import AccessOutcome, CacheConfig, InsertionClass
 from ldesc_sim.errors import MshrFull
+from ldesc_sim.grid import cta_flat, unflatten_xyz
+from ldesc_sim.sched import majority_zone
 
 # The reference: the cache as it stood when every way of every set was built
 # up front as an invalid line, kept verbatim (only renamed) as the oracle.
@@ -102,3 +104,96 @@ class OracleCache:
             for ways in self.sets:
                 for way in ways:
                     way.priority = _PRIORITY[InsertionClass.NORMAL]
+
+
+# The box and schedule code as it stood before one box enumerator and one
+# zone round-robin loop replaced it, kept verbatim except that each schedule
+# returns its assignment dict and ``ClusterDims.count_in`` is ``_count_in``.
+
+
+def ctas_in_ctile(ctile, desc, grid):
+    """CTA coordinates inside a C-tile, clipped to the grid, X->Y->Z order."""
+    c = desc.tiles.ctile_dims
+    base = tuple(ctile[i] * c[i] for i in range(3))
+    ext = tuple(min(c[i], grid.dims[i] - base[i]) for i in range(3))
+    out = []
+    for z in range(ext[2]):
+        for y in range(ext[1]):
+            for x in range(ext[0]):
+                out.append((base[0] + x, base[1] + y, base[2] + z))
+    return out
+
+
+def _count_in(cls, grid):
+    g, d = grid.dims, cls.dims
+    return (-(-g[0] // d[0]), -(-g[1] // d[1]), -(-g[2] // d[2]))
+
+
+def _cluster_members(cluster, cls, grid):
+    base = tuple(cluster[i] * cls.dims[i] for i in range(3))
+    ext = tuple(min(cls.dims[i], grid.dims[i] - base[i]) for i in range(3))
+    members = []
+    for z in range(ext[2]):
+        for y in range(ext[1]):
+            for x in range(ext[0]):
+                members.append(
+                    cta_flat((base[0] + x, base[1] + y, base[2] + z), grid)
+                )
+    return members
+
+
+def assign_clusters(cls, grid, sm_num):
+    """Round-robin whole clusters (X->Y->Z order) over the SMs."""
+    counts = _count_in(cls, grid)
+    assignment: dict[int, int] = {}
+    for k in range(counts[0] * counts[1] * counts[2]):
+        cluster = unflatten_xyz(k, counts)
+        sm = k % sm_num
+        for cta in _cluster_members(cluster, cls, grid):
+            assignment[cta] = sm
+    return assignment
+
+
+def assign_clusters_by_zone(cls, grid, cta_zones, sm_count, zone_count):
+    sm_per_zone = sm_count // zone_count
+    counts = _count_in(cls, grid)
+    next_slot = [0] * zone_count
+    assignment: dict[int, int] = {}
+    for k in range(counts[0] * counts[1] * counts[2]):
+        members = _cluster_members(unflatten_xyz(k, counts), cls, grid)
+        zone = majority_zone(members, cta_zones, zone_count)
+        sm = zone * sm_per_zone + next_slot[zone] % sm_per_zone
+        next_slot[zone] += 1
+        for cta in members:
+            assignment[cta] = sm
+    return assignment
+
+
+def distributed_schedule(grid, zone_count, sm_count):
+    """Split the flat CTA order into zone_count equal contiguous ranges and
+    round-robin each range over its zone's SMs."""
+    span = -(-grid.total_ctas // zone_count)
+    sm_per_zone = sm_count // zone_count
+    next_slot = [0] * zone_count
+    zones: dict[int, int] = {}
+    assignment: dict[int, int] = {}
+    for flat in range(grid.total_ctas):
+        zone = zones[flat] = min(flat // span, zone_count - 1)
+        assignment[flat] = zone * sm_per_zone + next_slot[zone] % sm_per_zone
+        next_slot[zone] += 1
+    return assignment
+
+
+def _slice(items, index, parts):
+    width = -(-len(items) // parts) if items else 0
+    return items[index * width : (index + 1) * width]
+
+
+def nearby_window(lines, rank, members):
+    """The lines a NEARBY CTA of C-tile rank ``rank`` walks, before dealing."""
+    window = _slice(lines, rank, members)
+    if not window:
+        return []
+    lo = max(0, lines.index(window[0]) - 1)
+    hi = min(len(lines), lines.index(window[-1]) + 2)
+    return lines[lo:hi]

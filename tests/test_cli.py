@@ -197,7 +197,7 @@ BAD_INTEGER_FIELDS = [
     (["grid", "dims"], [5, 8, 1.0], "grid.dims[2]"),
     (["system", "sm_count"], 0, "system.sm_count"),
     (["system", "l1"], {"ways": "4"}, "system.l1.ways"),
-    (["system", "l2"], {"pin_reset_period": -1}, "system.l2.pin_reset_period"),
+    (["system", "l2"], {"ways": 0}, "system.l2.ways"),
     (["system", "latencies"], {"l2_hit": 0}, "system.latencies.l2_hit"),
     (["descriptors", 0, "pattern", "stride_bytes"], 0, "pattern.stride_bytes"),
     (["descriptors", 0, "priority"], -1, "descriptors[0].priority"),
@@ -210,6 +210,11 @@ BAD_FIELDS = [pytest.param(k, v, f, id=f) for k, v, f in BAD_INTEGER_FIELDS] + [
                  id="remote_link_capacity-bool"),
     pytest.param(["system", "remote_link_capacity"], 0, "system.remote_link_capacity",
                  id="remote_link_capacity-zero"),
+    pytest.param(["system", "l2"], {"mshr_entries": 4}, "system.l2", id="unknown-l2-mshr"),
+    pytest.param(["system"], {"sm_count": 6, "zone_count": 3}, "system.zone_count",
+                 id="zone_count-3"),
+    pytest.param(["system"], {"sm_count": 12, "zone_count": 6}, "system.zone_count",
+                 id="zone_count-6"),
     pytest.param(["system", "preset"], [], "system.preset", id="preset-list"),
     pytest.param(["system"], [1], "system", id="system-list"),
     pytest.param(["grid"], 5, "grid", id="grid-int"),
@@ -344,6 +349,14 @@ def test_sweep_rejects_bad_cache_value(capsys, axis, value):
 def test_sweep_rejects_count_below_one(capsys, axis, value):
     assert main(["sweep", HISTO, "--axis", axis, "--values", value]) == 2
     assert f"axis {axis}={value}: must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_rejects_zone_count_not_power_of_two(capsys):
+    # paper-single has 15 SMs, so 3 zones divide them evenly
+    matrix = str(CONFIGS / "matrix.json")
+    argv = ["sweep", matrix, "--preset", "paper-single", "--axis", "zone_count", "--values", "3"]
+    assert main(argv) == 2
+    assert "axis zone_count=3: system.zone_count: " in capsys.readouterr().err
 
 
 def test_sweep_empty_values():

@@ -156,7 +156,7 @@ def test_object_field_lists_match_schema(monkeypatch):
         "top level": schema,
         "system": system,
         "system.l1": schema["$defs"]["cache"],
-        "system.l2": schema["$defs"]["cache"],
+        "system.l2": system["properties"]["l2"],
         "system.latencies": system["properties"]["latencies"],
         "grid": props["grid"],
         "data_structures[]": props["data_structures"]["items"],

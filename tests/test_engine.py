@@ -5,6 +5,7 @@ import heapq
 import io
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ from ldesc_sim.grid import cta_flat
 from ldesc_sim.numa import distributed_schedule, first_touch, xor_hash
 from ldesc_sim.sched import assign_clusters_by_zone
 
+import oracles
 from conftest import make_desc
 from oracles import OracleCache
 
@@ -160,6 +162,33 @@ def test_generate_nearby_windows_overlap_one_line():
     for y in range(3):
         shared = windows[y] & windows[y + 1]
         assert len(shared) == 2  # one line each side of the boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.integers(1, 400),
+    st.integers(1, 4),
+)
+def test_nearby_window_matches_the_code_it_replaced(grid_xy, ctile_xy, dtile_elems, warps):
+    grid = CtaGrid((*grid_xy, 1), warps_per_cta=warps)
+    ctile = (min(ctile_xy[0], grid_xy[0]), min(ctile_xy[1], grid_xy[1]), 1)
+    n = math.prod(ctile_count(make_desc(ctile=ctile), grid))
+    # n D-tiles of 1..400 four-byte elements: 1..14 lines for 1..36 CTAs each
+    desc = make_desc(
+        data_dims=(n * dtile_elems, 1, 1),
+        dtile=(dtile_elems, 1, 1),
+        ctile=ctile,
+        sharing=SharingType.NEARBY,
+        cdmap=(1, 2, 3),
+    )
+    table = TileTable(validate_descriptor_set([desc], grid)[0], grid)
+    for k, ctas in enumerate(table.ctas):
+        for rank, cta in enumerate(ctas):
+            window = oracles.nearby_window(table.lines(k, 128), rank, len(ctas))
+            expect = [(i % warps, a) for i, a in enumerate(window)]
+            assert generate_accesses(table, cta, 1) == expect
 
 
 def test_generate_intra_thread_two_passes():

@@ -20,9 +20,8 @@ from ldesc_sim.errors import OutOfGrid, OutOfRange
 from ldesc_sim.grid import (
     DtileGeometry,
     TileIndex,
+    box_ctas,
     cta_flat,
-    ctas_in_ctile,
-    ctas_in_grid,
     dtile_of_address,
     unflatten_xyz,
 )
@@ -191,13 +190,12 @@ def test_ctiles_partition_the_grid():
         )
         seen = []
         for k in range(n_ct):
-            members = ctas_in_ctile(unflatten_xyz(k, counts), desc, grid)
+            members = box_ctas(unflatten_xyz(k, counts), ctile, grid)
             assert members, "every C-tile holds at least one CTA"
+            for flat in members:
+                assert ctile_of_cta(unflatten_xyz(flat, dims), desc, grid).flat == k
             seen.extend(members)
-        assert len(seen) == len(set(seen)) == dims[0] * dims[1] * dims[2]
-        for cta in seen:
-            tile = ctile_of_cta(cta, desc, grid)
-            assert cta in ctas_in_ctile(tile.coords, desc, grid)
+        assert sorted(seen) == list(range(grid.total_ctas))
 
 
 def test_every_address_in_exactly_one_dtile(histo_desc):
@@ -247,13 +245,18 @@ def test_tile_table_matches_per_cta_functions(case):
     counts = ctile_count(desc, grid)
     assert len(table.ctas) == counts[0] * counts[1] * counts[2]
     assert len(table.slot) == grid.total_ctas
-    for cta in ctas_in_grid(grid):
+    # Each C-tile's members, from ctile_of_cta over every CTA in X->Y->Z order.
+    gx, gy, gz = grid.dims
+    ctas = [(x, y, z) for z, y, x in itertools.product(range(gz), range(gy), range(gx))]
+    members: dict[int, list[int]] = {}
+    for cta in ctas:
+        members.setdefault(ctile_of_cta(cta, desc, grid).flat, []).append(cta_flat(cta, grid))
+    for cta in ctas:
         ctile = ctile_of_cta(cta, desc, grid)
-        members = ctas_in_ctile(ctile.coords, desc, grid)
         dtile = dtile_of_ctile(ctile, desc, grid)
         k, rank = table.slot[cta_flat(cta, grid)]
-        assert (k, rank) == (ctile.flat, members.index(cta))
-        assert table.ctas[k] == [cta_flat(c, grid) for c in members]
+        assert (k, rank) == (ctile.flat, members[k].index(cta_flat(cta, grid)))
+        assert table.ctas[k] == members[k]
         assert table.dtiles[k] == dtile
         assert table.runs[k] == dtile_byte_runs(dtile, desc)
 

@@ -342,7 +342,7 @@ def test_first_touch_page_placement():
     trace = [(5, 3 << 16), (0, 3 << 16)]
     mapping, sched = baseline_first_touch(grid, 4, trace, 8)
     assert zone_of_address(3 << 16, mapping, 4) == 2
-    assert sched.cta_zones[5] == 2
+    assert sched.assignment[5] // 2 == 2  # CTA 5's SM is in zone 2
 
 
 def test_first_touch_run_ahead_skew():

@@ -4,13 +4,21 @@ import itertools
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from ldesc_sim import (
     CtaGrid,
     assign_clusters,
+    assign_clusters_by_zone,
     baseline_bcs,
     baseline_round_robin,
     form_clusters,
 )
+from ldesc_sim.descriptor import tile_counts
+from ldesc_sim.grid import box_ctas, cta_flat, unflatten_xyz
+from ldesc_sim.numa import distributed_schedule
 from ldesc_sim.sched import ClusterDims
 
 from conftest import make_desc
@@ -178,3 +186,38 @@ def test_bcs_two_ctas_together():
 def test_bcs_odd_count():
     sched = baseline_bcs(CtaGrid((5, 1, 1)), 2)
     assert sched.assignment[4] == 0  # pair index 2 mod 2
+
+
+@st.composite
+def box_schedule_case(draw):
+    """A grid up to 6x6x2, a cluster shape, a zone map and an SM count."""
+    dims = tuple(draw(st.integers(1, hi)) for hi in (6, 6, 2))
+    cls = ClusterDims(tuple(draw(st.integers(1, g)) for g in dims))
+    zone_count = draw(st.sampled_from([1, 2, 4]))
+    sm_count = zone_count * draw(st.integers(1, 4))
+    n = dims[0] * dims[1] * dims[2]
+    zones = draw(st.lists(st.integers(0, zone_count - 1), min_size=n, max_size=n))
+    return CtaGrid(dims), cls, dict(enumerate(zones)), sm_count, zone_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_schedule_case())
+def test_box_schedules_match_the_code_they_replaced(case):
+    grid, cls, zones, sm_count, zone_count = case
+    counts = tile_counts(grid.dims, cls.dims)
+    ctile = make_desc(ctile=cls.dims)  # ctas_in_ctile reads only the C-tile dims
+    for k in range(math.prod(counts)):
+        box = unflatten_xyz(k, counts)
+        members = box_ctas(box, cls.dims, grid)
+        assert members == oracles._cluster_members(box, cls, grid)
+        assert members == [cta_flat(c, grid) for c in oracles.ctas_in_ctile(box, ctile, grid)]
+    assert assign_clusters(cls, grid, sm_count).assignment == oracles.assign_clusters(
+        cls, grid, sm_count
+    )
+    got = assign_clusters_by_zone(cls, grid, zones, sm_count, zone_count)
+    assert got.assignment == oracles.assign_clusters_by_zone(
+        cls, grid, zones, sm_count, zone_count
+    )
+    assert distributed_schedule(grid, zone_count, sm_count).assignment == (
+        oracles.distributed_schedule(grid, zone_count, sm_count)
+    )
