@@ -182,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable input, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LdescError as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from .engine import (
     select_policies,
     simulate,
 )
-from .errors import ConfigError, LdescError
+from .errors import ConfigError, LdescError, too_long_int, undecodable
 from .grid import CtaGrid
 from .numa import (
     NumaPlan,
@@ -287,12 +289,29 @@ def parse_config(raw: dict, preset_override: str | None = None) -> ExperimentCon
 
 
 def load_config(path: str | Path, preset_override: str | None = None) -> ExperimentConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise undecodable(path, exc) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError:
+        raise ConfigError(f"{path}:{_long_int_line(text)}: {too_long_int()}") from None
     return parse_config(raw, preset_override)
+
+
+def _long_int_line(text: str) -> int:
+    """Line of the first integer in JSON ``text`` that is too long for int():
+    strings are skipped whole, and a number token with a fraction or an
+    exponent is a float, which has no digit limit."""
+    limit = sys.get_int_max_str_digits()
+    for m in re.finditer(r'"(?:[^"\\]|\\.)*"|-?[0-9][0-9.eE+-]*', text):
+        digits = m[0].lstrip("-")
+        if digits.isdigit() and len(digits) > limit:
+            return text.count("\n", 0, m.start()) + 1
+    return 1
 
 
 def build_policies(name: str, descs: list[LocalityDescriptor]) -> PolicySet:

@@ -18,6 +18,7 @@ import heapq
 import json
 import math
 import random
+import re
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
 from . import prefetch as pf
 from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
 from .descriptor import PAGE_BITS, LocalityDescriptor, LocalityType, SharingType
-from .errors import ConfigError, ConfigMismatch, MshrFull
+from .errors import ConfigError, ConfigMismatch, MshrFull, too_long_int, undecodable
 from .grid import CtaGrid, TileTable
 from .numa import MappingScheme, NumaPlan, ZoneMapping, zone_of_address
 from .prefetch import PrefetchKind, StreamState
@@ -262,25 +263,50 @@ def dump_trace(events: Iterable[AccessEvent], fp: TextIO) -> None:
     )
 
 
+# The one line form dump_trace writes: keys sorted, a lowercase hex address
+# and non-negative decimal integers, none with a leading zero. [0-9], not \d,
+# so that no Unicode digit that json.loads would refuse matches.
+_TRACE_LINE = (
+    r'\{"addr": "0x(0|[1-9a-f][0-9a-f]*)", "cta": (0|[1-9][0-9]*), '
+    r'"cycle": (0|[1-9][0-9]*), "sm": (0|[1-9][0-9]*), "warp": (0|[1-9][0-9]*)\}\n?'
+)
+
+
 def load_trace(fp: TextIO) -> list[AccessEvent]:
     """Parse a JSONL demand trace; a malformed line, or one with a negative
-    ``sm``, ``cta``, ``warp`` or ``cycle``, raises ConfigError naming it."""
+    ``sm``, ``cta``, ``warp`` or ``cycle``, raises ConfigError naming it.
+
+    Lines in ``dump_trace``'s own form are parsed without ``json``; any other
+    JSON object with the five keys loads to the same event."""
     name = getattr(fp, "name", "trace")
+    fast = re.compile(_TRACE_LINE).fullmatch
     events = []
-    for n, line in enumerate(fp, 1):
-        try:
-            raw = json.loads(line)
-            sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
-            addr = int(raw["addr"], 16)
-        except (ValueError, TypeError, KeyError):
-            if line.strip():
+    try:
+        for n, line in enumerate(fp, 1):
+            m = fast(line)
+            if m is not None:
+                addr, cta, cycle, sm, warp = m.groups()
+                try:
+                    events.append(AccessEvent._make(
+                        (int(sm), int(cta), int(warp), int(addr, 16), int(cycle))))
+                    continue
+                except ValueError:
+                    pass  # too many digits for int(); the JSON path names it
+            try:
+                raw = json.loads(line)
+                sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
+                addr = int(raw["addr"], 16)
+            except (ValueError, TypeError, KeyError):
+                if line.strip():
+                    _reject_trace_line(line, f"{name}:{n}")
+                continue
+            # An OR of integers is negative exactly when one of them is.
+            if not (type(sm) is type(cta) is type(warp) is type(cycle) is int
+                    and (sm | cta | warp | cycle) >= 0):
                 _reject_trace_line(line, f"{name}:{n}")
-            continue
-        # An OR of integers is negative exactly when one of them is.
-        if not (type(sm) is type(cta) is type(warp) is type(cycle) is int
-                and (sm | cta | warp | cycle) >= 0):
-            _reject_trace_line(line, f"{name}:{n}")
-        events.append(AccessEvent._make((sm, cta, warp, addr, cycle)))
+            events.append(AccessEvent._make((sm, cta, warp, addr, cycle)))
+    except UnicodeDecodeError as exc:  # only reading fp raises it, so one try covers it
+        raise undecodable(name, exc) from None
     return events
 
 
@@ -290,6 +316,8 @@ def _reject_trace_line(line: str, where: str) -> NoReturn:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where}: {exc.msg}") from None
+    except ValueError:
+        raise ConfigError(f"{where}: {too_long_int()}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     for key in ("sm", "cta", "warp", "addr", "cycle"):

@@ -1,4 +1,8 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the messages of two
+input errors that config and trace parsing share."""
+
+import sys
+from pathlib import Path
 
 
 class LdescError(Exception):
@@ -43,3 +47,21 @@ class ConfigMismatch(LdescError):
 
 class ConfigError(Exception):
     """Malformed experiment configuration or trace input (CLI exit 2)."""
+
+
+def undecodable(path, exc: UnicodeDecodeError) -> ConfigError:
+    """The ConfigError for a file that ``exc``'s codec cannot decode, naming
+    the line of its first bad byte (``exc`` may hold only part of the file)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+    line = data.count(b"\n", 0, exc.start) + 1
+    return ConfigError(f"{path}:{line}: byte {data[exc.start]:#04x} is not valid {exc.encoding}")
+
+
+def too_long_int() -> str:
+    """What a ValueError from ``json.loads`` other than a JSONDecodeError
+    means: an integer with more digits than ``int()`` converts."""
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"

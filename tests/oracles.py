@@ -1,7 +1,11 @@
 """Reference implementations that tests compare the simulator against."""
 
+import json
+from typing import NoReturn, TextIO
+
 from ldesc_sim import AccessOutcome, CacheConfig, InsertionClass
-from ldesc_sim.errors import MshrFull
+from ldesc_sim.engine import AccessEvent
+from ldesc_sim.errors import ConfigError, MshrFull
 from ldesc_sim.grid import cta_flat, unflatten_xyz
 from ldesc_sim.sched import majority_zone
 
@@ -197,3 +201,48 @@ def nearby_window(lines, rank, members):
     lo = max(0, lines.index(window[0]) - 1)
     hi = min(len(lines), lines.index(window[-1]) + 2)
     return lines[lo:hi]
+
+
+# The trace loader as it stood when every line went through json.loads,
+# kept verbatim as the oracle for the loader's fast path.
+def load_trace(fp: TextIO) -> list[AccessEvent]:
+    """Parse a JSONL demand trace; a malformed line, or one with a negative
+    ``sm``, ``cta``, ``warp`` or ``cycle``, raises ConfigError naming it."""
+    name = getattr(fp, "name", "trace")
+    events = []
+    for n, line in enumerate(fp, 1):
+        try:
+            raw = json.loads(line)
+            sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
+            addr = int(raw["addr"], 16)
+        except (ValueError, TypeError, KeyError):
+            if line.strip():
+                _reject_trace_line(line, f"{name}:{n}")
+            continue
+        # An OR of integers is negative exactly when one of them is.
+        if not (type(sm) is type(cta) is type(warp) is type(cycle) is int
+                and (sm | cta | warp | cycle) >= 0):
+            _reject_trace_line(line, f"{name}:{n}")
+        events.append(AccessEvent._make((sm, cta, warp, addr, cycle)))
+    return events
+
+
+def _reject_trace_line(line: str, where: str) -> NoReturn:
+    """Raise the ConfigError that names what is wrong with a trace line."""
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    for key in ("sm", "cta", "warp", "addr", "cycle"):
+        if key not in raw:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        if key == "addr":
+            continue
+        if type(raw[key]) is not int:
+            raise ConfigError(f"{where}: {key} {raw[key]!r} is not an integer")
+        if raw[key] < 0:
+            raise ConfigError(f"{where}: {key} {raw[key]} is negative")
+    # every other check passed, so the addr is what failed to parse
+    raise ConfigError(f"{where}: addr {raw['addr']!r} is not a hex string")

@@ -229,24 +229,27 @@ def _call(method, *args):
 
 
 LINE = 128
-# A line is drawn as (set, tag) from two sets and more tags than ways, so
-# that sets fill up and evict. An access draws its insertion class from a
-# per-example palette, so that some examples pin nothing but HARD_PIN and
-# saturate their sets.
-_line = st.tuples(st.integers(0, 1), st.integers(0, 9))
-_access = st.tuples(st.just("access"), _line, st.integers(0, LINE - 1), st.integers(0, 3))
-# fill: picks one of the outstanding lines, if any
-_fill = st.tuples(st.just("fill"), st.integers(0, 3))
-_ops = st.one_of(
-    _access,
-    _access,
-    _fill,
-    _fill,
-    # advance time by a few cycles, or to the n-th next multiple of the period
-    st.tuples(st.just("advance"), st.integers(1, 6), st.booleans()),
-    st.tuples(st.just("contains"), _line),
-    st.tuples(st.just("inflight"), _line),
-)
+# Each op is drawn as one integer and decoded into a tuple, which Hypothesis
+# draws far faster than a list of tuples. A line is (set, tag) from two sets
+# and more tags than ways, so that sets fill up and evict. An access draws
+# its insertion class from a per-example palette, so that some examples pin
+# nothing but HARD_PIN and saturate their sets.
+_KINDS = ("access", "access", "fill", "fill", "advance", "contains", "inflight")
+_OP_CODES = len(_KINDS) * 2 * 10 * LINE * 4
+
+
+def _decode_op(code):
+    kind, code = _KINDS[code % len(_KINDS)], code // len(_KINDS)
+    line = (code % 2, code // 2 % 10)
+    if kind == "access":
+        return kind, line, code // 20 % LINE, code // (20 * LINE) % 4
+    if kind == "fill":
+        # picks one of the outstanding lines, if any
+        return kind, code % 4
+    if kind == "advance":
+        # advance time by a few cycles, or to the n-th next multiple of the period
+        return kind, 1 + code % 6, bool(code // 6 % 2)
+    return kind, line
 
 
 @given(
@@ -255,10 +258,10 @@ _ops = st.one_of(
     mshr_entries=st.integers(1, 4),
     pin_reset_period=st.sampled_from([0, 3, 8, 50]),
     palette=st.lists(st.sampled_from(list(InsertionClass)), min_size=1, max_size=3),
-    ops=st.lists(_ops, min_size=60, max_size=240),
+    codes=st.lists(st.integers(0, _OP_CODES - 1), min_size=60, max_size=240),
 )
 def test_cache_matches_full_array_oracle(
-    sets, ways, mshr_entries, pin_reset_period, palette, ops
+    sets, ways, mshr_entries, pin_reset_period, palette, codes
 ):
     config = CacheConfig(capacity=sets * ways * LINE, ways=ways, line_size=LINE,
                          mshr_entries=mshr_entries, pin_reset_period=pin_reset_period)
@@ -269,7 +272,7 @@ def test_cache_matches_full_array_oracle(
         return (tag * sets + set_pick % sets) * LINE + offset
 
     cycle = last_tick = 0
-    for op in ops:
+    for op in map(_decode_op, codes):
         kind = op[0]
         if kind == "advance":
             _, n, to_boundary = op

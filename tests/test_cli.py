@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output shapes, trace round trip, byte stability."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,47 @@ def test_run_replay_rejects_event_outside_system_or_grid(tmp_path, capsys, field
     err = capsys.readouterr().err
     assert err.startswith("simulation error: ")
     assert f"{field}={value}" in err
+
+
+def _edited_inputs(tmp_path, which, edit):
+    """`run` arguments for histo.json and its recorded trace, with line 3 of
+    the config or of the trace (``which``) replaced by ``edit(line)``."""
+    cfg, trace = tmp_path / "cfg.json", tmp_path / "t.jsonl"
+    cfg.write_bytes(Path(HISTO).read_bytes())
+    assert main(["run", str(cfg), "--trace-out", str(trace), "--out", str(tmp_path / "m")]) == 0
+    target = cfg if which == "config" else trace
+    lines = target.read_bytes().split(b"\n")
+    lines[2] = edit(lines[2])
+    target.write_bytes(b"\n".join(lines))
+    return ["run", str(cfg), "--trace-in", str(trace)], target
+
+
+@pytest.mark.parametrize("which", ["config", "trace"])
+def test_run_rejects_integer_too_long_for_int(tmp_path, capsys, which):
+    # int() refuses decimal strings over 4,300 digits by default.
+    big = b"1" + b"0" * 5000
+    argv, target = _edited_inputs(
+        tmp_path, which, lambda line: re.sub(rb'(": )[0-9]+', rb"\g<1>" + big, line, count=1))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{target}:3: an integer has more than" in err
+
+
+@pytest.mark.parametrize("which", ["config", "trace"])
+def test_run_rejects_undecodable_bytes(tmp_path, capsys, which):
+    argv, target = _edited_inputs(tmp_path, which, lambda line: b"\xff" + line)
+    assert main(argv) == 2
+    assert f"{target}:3: byte 0xff is not valid utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["config", "trace"])
+def test_run_rejects_directory_path(tmp_path, capsys, which):
+    argv, target = _edited_inputs(tmp_path, which, lambda line: line)
+    target.unlink()
+    target.mkdir()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and str(target) in err
 
 
 def _set_field(raw, keys, value):

@@ -46,7 +46,7 @@ from ldesc_sim.config import (
 )
 from ldesc_sim.descriptor import AccessPattern, ctile_count
 from ldesc_sim.engine import Latencies, preset
-from ldesc_sim.errors import ConfigMismatch, MshrFull
+from ldesc_sim.errors import ConfigError, ConfigMismatch, MshrFull
 from ldesc_sim.grid import cta_flat
 from ldesc_sim.numa import distributed_schedule, first_touch, xor_hash
 from ldesc_sim.sched import assign_clusters_by_zone
@@ -619,11 +619,12 @@ def test_trace_replay_rejects_event_outside_system_or_grid(field, value):
 
 
 _trace_ints = st.integers(0, 2**40)
+_trace_event = st.builds(AccessEvent, _trace_ints, _trace_ints, _trace_ints,
+                         st.one_of(st.just(0), st.integers(0, 2**200)), _trace_ints)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.builds(AccessEvent, _trace_ints, _trace_ints, _trace_ints,
-                          st.one_of(st.just(0), st.integers(0, 2**200)), _trace_ints)))
+@given(st.lists(_trace_event))
 def test_trace_dump_is_sorted_key_json_and_loads_back(events):
     buf = io.StringIO()
     engine_mod.dump_trace(events, buf)
@@ -635,6 +636,100 @@ def test_trace_dump_is_sorted_key_json_and_loads_back(events):
     assert buf.getvalue() == want
     buf.seek(0)
     assert engine_mod.load_trace(buf) == events
+
+
+def _loaded(loader, text):
+    """A trace loader's events for ``text``, or the message of its ConfigError."""
+    try:
+        return loader(io.StringIO(text))
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _dumped(events):
+    buf = io.StringIO()
+    engine_mod.dump_trace(events, buf)
+    return buf.getvalue()
+
+
+_UNICODE_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _trace_fields(ev):
+    """An event's JSON value texts, keyed as ``dump_trace`` writes them."""
+    return {"addr": f'"{ev.addr:#x}"', "cta": str(ev.cta), "cycle": str(ev.issue_cycle),
+            "sm": str(ev.sm), "warp": str(ev.warp)}
+
+
+def _trace_object(items, sep=", ", colon=": "):
+    return "{" + sep.join(f'"{k}"{colon}{v}' for k, v in items) + "}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_trace_event, max_size=8))
+def test_trace_fast_path_matches_json_loader_on_dumped_lines(events):
+    text = _dumped(events)
+    assert _loaded(engine_mod.load_trace, text) == _loaded(oracles.load_trace, text) == events
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_trace_event, max_size=6), st.data())
+def test_trace_fast_path_matches_json_loader_on_reserialised_lines(events, data):
+    # Every variant here is a valid trace of the same events; most of them
+    # miss the fast path's one line form and take the json.loads path.
+    lines = []
+    for ev in events:
+        fields = _trace_fields(ev)
+        for key in ("cta", "cycle", "sm", "warp"):
+            if fields[key] == "0" and data.draw(st.booleans()):
+                fields[key] = "-0"
+        digits = "0" * data.draw(st.integers(0, 2)) + f"{ev.addr:x}"
+        if data.draw(st.booleans()):
+            digits = digits.upper()
+        if data.draw(st.booleans()):
+            digits = digits.translate(_UNICODE_DIGITS)
+        fields["addr"] = f'"{data.draw(st.sampled_from(["0x", "0X", ""]))}{digits}"'
+        items = list(fields.items())
+        if data.draw(st.booleans()):
+            items.append(("note", data.draw(st.sampled_from(['"x"', "[1, 2]", '{"sm": -1}']))))
+        items = data.draw(st.permutations(items))
+        pad = data.draw(st.sampled_from(["", " ", "\t"]))
+        lines += [""] * data.draw(st.integers(0, 1))
+        lines.append(pad + _trace_object(items, data.draw(st.sampled_from([", ", ",", " ,  "])),
+                                         data.draw(st.sampled_from([": ", ":", " : "]))) + pad)
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+    assert _loaded(engine_mod.load_trace, text) == _loaded(oracles.load_trace, text) == events
+
+
+def _malformed_lines(ev):
+    """Lines that each get one thing wrong about ``ev``'s dumped line."""
+    fields = _trace_fields(ev)
+    for key in ("cta", "cycle", "sm", "warp"):
+        value = fields[key]
+        for bad in ("0" + value, value.translate(_UNICODE_DIGITS),
+                    value[:-1] + value[-1].translate(_UNICODE_DIGITS), str(-int(value) - 1),
+                    "+" + value, value + ".0", f'"{value}"', "true", "null"):
+            yield _trace_object({**fields, key: bad}.items())
+    for bad in ('"0x"', '"0x-1"', '"0xg1"', '"0x1 2"', '"0x_"', str(ev.addr), "null"):
+        yield _trace_object({**fields, "addr": bad}.items())
+    for key in fields:
+        yield _trace_object((k, v) for k, v in fields.items() if k != key)
+    line = _trace_object(fields.items())
+    yield "[" + line + "]"
+    yield from (line[:end] for end in range(1, len(line)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_trace_event, min_size=1, max_size=3), st.data())
+def test_trace_fast_path_matches_json_loader_on_malformed_lines(events, data):
+    lines = _dumped(events).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    for bad in _malformed_lines(events[i]):
+        text = "\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n"
+        want = _loaded(oracles.load_trace, text)
+        assert isinstance(want, str) and want.startswith(f"trace:{i + 1}: "), bad
+        assert _loaded(engine_mod.load_trace, text) == want, bad
 
 
 def test_trace_replay_rejects_event_before_cycle_zero():
