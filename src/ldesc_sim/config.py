@@ -36,7 +36,7 @@ from .engine import (
     select_policies,
     simulate,
 )
-from .errors import ConfigError, LdescError, too_long_int, undecodable
+from .errors import TOO_DEEP, ConfigError, LdescError, too_long_int, undecodable
 from .grid import CtaGrid
 from .numa import (
     NumaPlan,
@@ -299,6 +299,8 @@ def load_config(path: str | Path, preset_override: str | None = None) -> Experim
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except ValueError:
         raise ConfigError(f"{path}:{_long_int_line(text)}: {too_long_int()}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: {TOO_DEEP}") from None
     return parse_config(raw, preset_override)
 
 

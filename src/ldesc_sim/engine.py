@@ -19,15 +19,15 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
 from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
 
 from . import prefetch as pf
 from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
 from .descriptor import PAGE_BITS, LocalityDescriptor, LocalityType, SharingType
-from .errors import ConfigError, ConfigMismatch, MshrFull, too_long_int, undecodable
+from .errors import TOO_DEEP, ConfigError, ConfigMismatch, MshrFull, too_long_int, undecodable
 from .grid import CtaGrid, TileTable
 from .numa import MappingScheme, NumaPlan, ZoneMapping, zone_of_address
 from .prefetch import PrefetchKind, StreamState
@@ -296,7 +296,7 @@ def load_trace(fp: TextIO) -> list[AccessEvent]:
                 raw = json.loads(line)
                 sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
                 addr = int(raw["addr"], 16)
-            except (ValueError, TypeError, KeyError):
+            except (ValueError, TypeError, KeyError, RecursionError):
                 if line.strip():
                     _reject_trace_line(line, f"{name}:{n}")
                 continue
@@ -318,6 +318,8 @@ def _reject_trace_line(line: str, where: str) -> NoReturn:
         raise ConfigError(f"{where}: {exc.msg}") from None
     except ValueError:
         raise ConfigError(f"{where}: {too_long_int()}") from None
+    except RecursionError:
+        raise ConfigError(f"{where}: {TOO_DEEP}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     for key in ("sm", "cta", "warp", "addr", "cycle"):
@@ -382,17 +384,21 @@ class _Cta:
 
 
 class _WarpSlot:
-    __slots__ = ("cta", "warp", "queue", "ready_at")
+    __slots__ = ("sm", "cta", "warp", "queue", "pos", "ready_at")
 
-    def __init__(self, cta: _Cta, warp: int):
+    def __init__(self, sm: _Sm, cta: _Cta, warp: int, pos: int):
+        self.sm = sm
         self.cta = cta
         self.warp = warp
         self.queue: deque[int] = cta.queues[warp]  # type: ignore[index]
+        self.pos = pos  # its index in its SM's ``slots``
+        # Read and written only by the test suite's verbatim copy of the old
+        # loop, which walks the slots and compares ``ready_at`` with the cycle.
         self.ready_at = 0
 
 
 class _Sm:
-    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ptr", "prefetched")
+    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ready", "ptr", "prefetched")
 
     def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int]):
         self.sm = sm
@@ -401,21 +407,24 @@ class _Sm:
         self.pending = pending
         self.resident: list[_Cta] = []
         self.slots: list[_WarpSlot] = []
+        self.ready: list[int] = []  # sorted positions of ready slots with work left
         self.ptr = 0
         self.prefetched: set[int] = set()  # lines it prefetched and has not demanded yet
 
 
 class _Due:
     """What one visited cycle holds, in the order it is handled: L1 fills
-    (SM id, line address), then access completions, then the ids of the SMs
-    that sleep until it."""
+    (SM id, line address), then access completions (SM, CTA), then the warp
+    slots whose live access completes in it. Each slot goes back on its SM's
+    ready list if its queue still holds work. A replay has no warp slots, so
+    it has no wakes."""
 
     __slots__ = ("fills", "comps", "wakes")
 
     def __init__(self):
         self.fills: list[tuple[int, int]] = []
         self.comps: list[tuple[_Sm, _Cta]] = []
-        self.wakes: list[int] = []
+        self.wakes: list[_WarpSlot] = []
 
 
 class _Row(NamedTuple):
@@ -498,7 +507,7 @@ class _Simulation:
         # ``due`` and one place on the ``wake`` heap.
         self.due: dict[int, _Due] = {}
         self.wake: list[int] = []
-        self.awake: set[int] = set()  # SMs to scan at the next visited cycle
+        self.awake: set[int] = set()  # SMs whose ready list is not empty
         self.inflight_fill: dict[tuple[int, int], int] = {}
         self.link_free: dict[tuple[int, int], float] = {}
 
@@ -628,7 +637,12 @@ class _Simulation:
                         pf.retire_stream(dt, state)
         if cta in sm.resident:
             sm.resident.remove(cta)
+            # Renumber the slots left, keeping their order and which are ready.
+            ready = set(sm.ready)
             sm.slots = [s for s in sm.slots if s.cta is not cta]
+            sm.ready = [pos for pos, s in enumerate(sm.slots) if s.pos in ready]
+            for pos, slot in enumerate(sm.slots):
+                slot.pos = pos
             if sm.slots:
                 sm.ptr %= len(sm.slots)
             else:
@@ -637,7 +651,8 @@ class _Simulation:
 
     def _refill(self, sm: _Sm) -> None:
         """Make pending CTAs resident while there is room; an SM that gains
-        one wakes, since its new warps are ready at once."""
+        one wakes, since its new warps are ready at once. New slots go at the
+        end of ``slots``, so appending their positions keeps ``ready`` sorted."""
         while sm.pending and len(sm.resident) < self.config.max_resident_ctas_per_sm:
             flat = sm.pending.popleft()
             queues = cta_warp_queues(self.workload, self.tables, flat, self.line_size)
@@ -649,7 +664,9 @@ class _Simulation:
             sm.resident.append(cta)
             for w in sorted(queues):
                 if queues[w]:
-                    sm.slots.append(_WarpSlot(cta, w))
+                    pos = len(sm.slots)
+                    sm.slots.append(_WarpSlot(sm, cta, w, pos))
+                    sm.ready.append(pos)
             self.awake.add(sm.sm)
 
     # -- issue path ----------------------------------------------------------
@@ -702,11 +719,13 @@ class _Simulation:
     def _run(self, issue: Callable[[int], None]) -> None:
         """Visit cycle 0, then only the cycles on the wake heap, each once,
         until every CTA has finished. A visit lands the fills, then the
-        completions, due in it, wakes the SMs that sleep until it, and calls
-        ``issue(cycle)``, which records any later cycle it needs. A warp
-        stalled on a full MSHR retries at the next visit: the stall changed
-        nothing, and only a fill, always on the heap, frees an entry."""
+        completions, due in it, puts the warp slots that wake in it back on
+        their SMs' ready lists, and calls ``issue(cycle)``, which records any
+        later cycle it needs. A warp stalled on a full MSHR retries at the
+        next visit: the stall changed nothing, and only a fill, always on the
+        heap, frees an entry."""
         self._due_at(0)
+        awake = self.awake
         while self.unfinished > 0:
             cycle = heapq.heappop(self.wake)
             due = self.due.pop(cycle)
@@ -717,57 +736,54 @@ class _Simulation:
                 cta.inflight -= 1
                 if cta.remaining == 0 and cta.inflight == 0:
                     self._complete_cta(sm, cta)
-            self.awake.update(due.wakes)
+            for slot in due.wakes:
+                if slot.queue:
+                    sm = slot.sm
+                    insort(sm.ready, slot.pos)
+                    awake.add(sm.sm)
             issue(cycle)
 
     def run_live(self) -> None:
         """Issue the scheduled CTAs' accesses, scanning only awake SMs, in
         SM-id order, on each visited cycle.
 
-        Each scanned SM tries its first ready warp from ``ptr`` on. One that
-        issued or stalled stays awake for the next visit. One with no ready
-        warp sleeps until the soonest ``ready_at`` of its warps with work
-        left, or, if none has any, until ``_refill`` gives it a CTA. Sleeping
-        is exact: a warp's ``ready_at`` and queue change only when its SM
-        issues, new warps come only from ``_refill``, and every ``ready_at``
-        is a completion cycle, already due, so the SM wakes in time.
+        Each SM keeps ``ready``, the sorted positions in ``slots`` of its
+        warps that can issue: ready and with work left. An SM is awake
+        exactly when that list is not empty. A scan takes the first position
+        at or after ``ptr``, else the first one, which is the warp a walk of
+        the slots from ``ptr`` would find. The warp issues or stalls; one
+        that issued leaves the list until its access completes, and the
+        completion cycle's ``_Due.wakes`` puts it back if its queue is not
+        empty. This is exact: a warp is ready from its completion cycle on,
+        and its queue changes only when it issues.
         """
         self.unfinished = self.workload.grid.total_ctas
         for sm in self.sms:
             self._refill(sm)
-        sms, due = self.sms, self.due
+        sms, due, awake = self.sms, self.due, self.awake
 
         def issue(cycle: int) -> None:
-            awake, self.awake = self.awake, set()
             issued = False
             for sm_id in sorted(awake):
                 sm = sms[sm_id]
-                slots = sm.slots
-                n = len(slots)
-                soonest = math.inf
-                for j in chain(range(sm.ptr, n), range(sm.ptr)):
-                    slot = slots[j]
-                    ready = slot.ready_at
-                    if ready > cycle:
-                        if ready < soonest and slot.queue:
-                            soonest = ready
-                        continue
-                    queue = slot.queue
-                    if not queue:
-                        continue
-                    completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
-                    if completion is None:
-                        sm.ptr = j  # stalled: retry this warp first
-                    else:
-                        queue.popleft()
-                        slot.ready_at = completion
-                        sm.ptr = (j + 1) % n
-                        issued = True
-                    self.awake.add(sm_id)
-                    break
+                ready = sm.ready
+                i = bisect_left(ready, sm.ptr)
+                if i == len(ready):
+                    i = 0
+                j = ready[i]
+                slot = sm.slots[j]
+                queue = slot.queue
+                completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
+                if completion is None:
+                    sm.ptr = j  # stalled: retry this warp first
                 else:
-                    if soonest != math.inf:
-                        due[soonest].wakes.append(sm_id)
+                    queue.popleft()
+                    del ready[i]
+                    due[completion].wakes.append(slot)
+                    sm.ptr = (j + 1) % len(sm.slots)
+                    issued = True
+                    if not ready:
+                        awake.discard(sm_id)
             if issued:
                 self._due_at(cycle + 1)
 

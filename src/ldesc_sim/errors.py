@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator, and the messages of two
+"""Exception types shared across the simulator, and the messages of three
 input errors that config and trace parsing share."""
 
 import sys
@@ -59,6 +59,10 @@ def undecodable(path, exc: UnicodeDecodeError) -> ConfigError:
         exc = whole
     line = data.count(b"\n", 0, exc.start) + 1
     return ConfigError(f"{path}:{line}: byte {data[exc.start]:#04x} is not valid {exc.encoding}")
+
+
+# What a RecursionError from ``json.loads`` means.
+TOO_DEEP = "a JSON value is nested too deeply"
 
 
 def too_long_int() -> str:

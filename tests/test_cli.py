@@ -211,6 +211,18 @@ def test_run_rejects_integer_too_long_for_int(tmp_path, capsys, which):
 
 
 @pytest.mark.parametrize("which", ["config", "trace"])
+def test_run_rejects_deeply_nested_json(tmp_path, capsys, which):
+    # json.loads raises RecursionError, not ValueError, on deep nesting.
+    # Line 3 of the config is inside its top-level object, so it needs a key.
+    key = b'"a": ' if which == "config" else b""
+    argv, target = _edited_inputs(tmp_path, which, lambda line: key + b"[" * 100_000)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    where = f"{target}:3" if which == "trace" else f"{target}"
+    assert f"{where}: a JSON value is nested too deeply" in err
+
+
+@pytest.mark.parametrize("which", ["config", "trace"])
 def test_run_rejects_undecodable_bytes(tmp_path, capsys, which):
     argv, target = _edited_inputs(tmp_path, which, lambda line: b"\xff" + line)
     assert main(argv) == 2

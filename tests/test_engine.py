@@ -914,9 +914,9 @@ _DESC_KINDS = [
 def _loop_cases(draw):
     """A small grid, descriptor set and system whose tiny MSHR tables and
     short pin-reset periods make warps stall and pins reset. Up to 4 SMs per
-    zone and one resident CTA per SM leave some SMs without a CTA and make
-    others refill late. Latencies are short, because the old loop visits
-    every cycle a warp stays stalled."""
+    zone and one to three resident CTAs per SM leave some SMs without a CTA
+    and make others refill late. Latencies are short, because the old loop
+    visits every cycle a warp stays stalled."""
     gx, gy = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     grid = CtaGrid((gx, gy, 1), warps_per_cta=draw(st.sampled_from([1, 2, 4])))
     descs = []
@@ -991,3 +991,29 @@ def test_each_visited_cycle_is_pushed_once(monkeypatch, name, policy):
     # a cycle pushed but never visited is a fill due after the last completion
     assert set(visited) <= set(pushed)
     assert all(c > visited[-1] for c in set(pushed) - set(visited))
+
+
+@pytest.mark.parametrize("policy", ["rr", "ldesc"])
+def test_every_scanned_sm_issues_or_stalls(monkeypatch, policy):
+    # An SM is scanned only when one of its warps can issue, so each scan makes
+    # one _issue call. The loop that walked each awake SM's slots instead also
+    # scanned SMs whose warps all waited on memory, and fails this: on
+    # perfbench's reuse-single (seed 1) it made 5,086 scans for 3,696 accesses.
+    cfg = dataclasses.replace(load_config(CONFIGS / "mixed.json"), policy=policy)
+    run, issue = engine_mod._Simulation._run, engine_mod._Simulation._issue
+    scans, calls = [], []
+
+    def counting_run(sim, step):
+        def counted(cycle):
+            scans.append(len(sim.awake))
+            step(cycle)
+        run(sim, counted)
+
+    def counting_issue(sim, *args):
+        calls.append(args)
+        return issue(sim, *args)
+
+    monkeypatch.setattr(engine_mod._Simulation, "_run", counting_run)
+    monkeypatch.setattr(engine_mod._Simulation, "_issue", counting_issue)
+    metrics = run_experiment(cfg)
+    assert sum(scans) == len(calls) >= metrics.demand_accesses > 0
