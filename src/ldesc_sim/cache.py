@@ -7,9 +7,10 @@ priority, way 0 becomes the sacrificial way, so ways 1..N-1 stay resident.
 Pins fade: an ``access`` or ``fill`` whose cycle has reached the next
 multiple of ``pin_reset_period`` first resets every resident line to normal.
 
-A line exists only once it has been filled: every set starts empty and
-takes lines in way order until it is full. One dict per cache indexes the
-resident lines by line number, so a lookup never scans a set.
+Each set is a dict, line number (addr // line_size) -> priority, least
+recently used first, so the victim is its first line of the lowest
+priority. A set gets its dict at its first fill, which records the line in
+way 0; a line taking a victim's place takes its way.
 
 Misses allocate MSHR entries; a second miss to an in-flight line reports
 INFLIGHT_HIT instead of re-requesting. The owner calls ``fill`` when the
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 from .descriptor import log2_exact
 from .errors import MshrFull
@@ -33,13 +33,18 @@ class InsertionClass(Enum):
     SOFT_PIN = "SOFT_PIN"
     HARD_PIN = "HARD_PIN"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hashes the name in Python
 
-_PRIORITY = {
+
+_PRIORITY = {  # BYPASS: installs no line, touches none
+    InsertionClass.BYPASS: -1,
     InsertionClass.NORMAL: 0,
     InsertionClass.SOFT_PIN: 1,
     InsertionClass.HARD_PIN: 2,
 }
 _MAX_PRIORITY = _PRIORITY[InsertionClass.HARD_PIN]
+
+_NO_LINES: dict[int, int] = {}  # every unfilled set's dict; never written
 
 
 class AccessOutcome(Enum):
@@ -73,15 +78,6 @@ class CacheConfig:
         return self.capacity // (self.line_size * self.ways)
 
 
-class _Line:
-    """One filled way. Its fields are set by the fill that creates it."""
-
-    __slots__ = ("tag", "priority", "last_used")
-
-
-_victim_key = attrgetter("priority", "last_used")
-
-
 class CacheModel:
     """One cache instance, driven by a single simulation context."""
 
@@ -89,12 +85,11 @@ class CacheModel:
         self.config = config
         self.line_size = config.line_size
         self.num_sets = config.num_sets
-        # sets[i]: the filled lines of set i in way order; lines[n]: the
-        # resident line with line number n (addr // line_size).
-        self.sets: list[list[_Line]] = [[] for _ in range(self.num_sets)]
-        self.lines: dict[int, _Line] = {}
+        # sets[i]: set i's lines, least recently used first, with their
+        # priorities; way0[i]: the line in way 0 of set i, once it is filled.
+        self.sets: list[dict[int, int]] = [_NO_LINES] * self.num_sets
+        self.way0: dict[int, int] = {}
         self.mshr: dict[int, InsertionClass] = {}
-        self._use_clock = 0
         # The first pin-reset boundary not yet applied; a period of 0 never resets.
         self._next_reset = config.pin_reset_period or math.inf
 
@@ -102,7 +97,8 @@ class CacheModel:
         return addr - addr % self.line_size
 
     def contains(self, addr: int) -> bool:
-        return addr // self.line_size in self.lines
+        line = addr // self.line_size
+        return line in self.sets[line % self.num_sets]
 
     def inflight(self, addr: int) -> bool:
         return addr // self.line_size in self.mshr
@@ -117,12 +113,13 @@ class CacheModel:
         if cycle >= self._next_reset:
             self._reset_pins(cycle)
         line = addr // self.line_size
-        way = self.lines.get(line)
-        if way is not None:
-            if iclass is not InsertionClass.BYPASS:
-                self._use_clock += 1
-                way.last_used = self._use_clock
-                way.priority = max(way.priority, _PRIORITY[iclass])
+        ways = self.sets[line % self.num_sets]
+        held = ways.get(line)
+        if held is not None:
+            priority = _PRIORITY[iclass]
+            if priority >= 0:
+                del ways[line]  # re-inserted as the most recently used
+                ways[line] = held if held > priority else priority
             return AccessOutcome.HIT
         if line in self.mshr:
             return AccessOutcome.INFLIGHT_HIT
@@ -140,30 +137,31 @@ class CacheModel:
         if cycle >= self._next_reset:
             self._reset_pins(cycle)
         line = addr // self.line_size
-        iclass = self.mshr.pop(line)
-        if iclass is InsertionClass.BYPASS:
+        priority = _PRIORITY[self.mshr.pop(line)]
+        if priority < 0:
             return
         set_idx = line % self.num_sets
         ways = self.sets[set_idx]
-        if len(ways) < self.config.ways:
-            victim = _Line()
-            ways.append(victim)
-        else:
-            # The lowest priority is the highest one only when every way is
-            # hard pinned; then way 0 is the sacrificial way.
-            victim = min(ways, key=_victim_key)
-            if victim.priority == _MAX_PRIORITY:
-                victim = ways[0]
-            del self.lines[victim.tag * self.num_sets + set_idx]
-        self._use_clock += 1
-        victim.tag = line // self.num_sets
-        victim.priority = _PRIORITY[iclass]
-        victim.last_used = self._use_clock
-        self.lines[line] = victim
+        if not ways:
+            ways = self.sets[set_idx] = {}
+            self.way0[set_idx] = line
+        elif len(ways) == self.config.ways:
+            low = _MAX_PRIORITY + 1
+            for held, p in ways.items():
+                if p < low:
+                    victim, low = held, p
+                    if not p:
+                        break
+            if low == _MAX_PRIORITY:  # every way hard pinned
+                victim = self.way0[set_idx]
+            del ways[victim]
+            if victim == self.way0[set_idx]:
+                self.way0[set_idx] = line
+        ways[line] = priority
 
     def _reset_pins(self, cycle: int) -> None:
         """Unpin every resident line; the next boundary is the first after ``cycle``."""
         period = self.config.pin_reset_period
         self._next_reset = (cycle // period + 1) * period
-        for way in self.lines.values():
-            way.priority = _PRIORITY[InsertionClass.NORMAL]
+        for set_idx in self.way0:
+            self.sets[set_idx] = dict.fromkeys(self.sets[set_idx], 0)

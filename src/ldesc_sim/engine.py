@@ -170,7 +170,6 @@ def generate_accesses(
     k, rank = table.slot[cta]
     dtile = table.dtiles[k]
     runs = table.runs[k]
-    lines = table.lines(k, line_size)
     members = len(table.ctas[k])
     warps = table.grid.warps_per_cta
 
@@ -187,17 +186,18 @@ def generate_accesses(
                     for a in range(run.start, run.start + run.length, stride)
                 ]
             else:
-                addrs = list(lines)
+                addrs = list(table.lines(k, line_size))
                 _rng(seed, dtile.flat, cta).shuffle(addrs)
             return deal(addrs)
         # this CTA's share of the lines, widened by one line on each side
+        lines = table.lines(k, line_size)
         width = -(-len(lines) // members)
         start = rank * width
         if start >= len(lines):
             return []
         return deal(lines[max(0, start - 1) : start + width + 1])
 
-    share = _slice(lines, rank, members)
+    share = _slice(table.lines(k, line_size), rank, members)
     if desc.ltype is LocalityType.INTRA_THREAD:
         per_warp = []
         for w in range(warps):
@@ -507,7 +507,7 @@ class _Simulation:
         # ``due`` and one place on the ``wake`` heap.
         self.due: dict[int, _Due] = {}
         self.wake: list[int] = []
-        self.awake: set[int] = set()  # SMs whose ready list is not empty
+        self.awake: set[int] = set()  # SMs with ready warps, not stalled
         self.inflight_fill: dict[tuple[int, int], int] = {}
         self.link_free: dict[tuple[int, int], float] = {}
 
@@ -721,17 +721,19 @@ class _Simulation:
         until every CTA has finished. A visit lands the fills, then the
         completions, due in it, puts the warp slots that wake in it back on
         their SMs' ready lists, and calls ``issue(cycle)``, which records any
-        later cycle it needs. A warp stalled on a full MSHR retries at the
-        next visit: the stall changed nothing, and only a fill, always on the
-        heap, frees an entry."""
+        later cycle it needs. A fill wakes the SM whose L1 it lands in, if
+        that SM has ready warps: they may wait on a full MSHR."""
         self._due_at(0)
         awake = self.awake
         while self.unfinished > 0:
             cycle = heapq.heappop(self.wake)
             due = self.due.pop(cycle)
             for sm_id, line_addr in due.fills:
-                self.sms[sm_id].l1.fill(line_addr, cycle)
+                sm = self.sms[sm_id]
+                sm.l1.fill(line_addr, cycle)
                 self.inflight_fill.pop((sm_id, line_addr), None)
+                if sm.ready:
+                    awake.add(sm_id)
             for sm, cta in due.comps:
                 cta.inflight -= 1
                 if cta.remaining == 0 and cta.inflight == 0:
@@ -749,13 +751,19 @@ class _Simulation:
 
         Each SM keeps ``ready``, the sorted positions in ``slots`` of its
         warps that can issue: ready and with work left. An SM is awake
-        exactly when that list is not empty. A scan takes the first position
-        at or after ``ptr``, else the first one, which is the warp a walk of
-        the slots from ``ptr`` would find. The warp issues or stalls; one
-        that issued leaves the list until its access completes, and the
-        completion cycle's ``_Due.wakes`` puts it back if its queue is not
-        empty. This is exact: a warp is ready from its completion cycle on,
-        and its queue changes only when it issues.
+        exactly when that list is not empty and it is not stalled. A scan
+        takes the first position at or after ``ptr``, else the first one,
+        which is the warp a walk of the slots from ``ptr`` would find. The
+        warp issues or stalls; one that issued leaves the list until its
+        access completes, and the completion cycle's ``_Due.wakes`` puts it
+        back if its queue is not empty. This is exact: a warp is ready from
+        its completion cycle on, and its queue changes only when it issues.
+
+        An SM whose warp stalls on a full MSHR sleeps until a fill lands in
+        its L1, a warp of its wakes or a CTA becomes resident. This is exact
+        too: only its own fills free an entry and only its own issues take
+        one, and a pin reset that a skipped retry would have applied is
+        applied, with the same result, by the next access or fill of its L1.
         """
         self.unfinished = self.workload.grid.total_ctas
         for sm in self.sms:
@@ -775,7 +783,8 @@ class _Simulation:
                 queue = slot.queue
                 completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
                 if completion is None:
-                    sm.ptr = j  # stalled: retry this warp first
+                    sm.ptr = j  # stalled: retry this warp first, once it can issue
+                    awake.discard(sm_id)
                 else:
                     queue.popleft()
                     del ready[i]

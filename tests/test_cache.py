@@ -1,6 +1,8 @@
 """Insertion classes, the way-0 hard-pin rule, pin reset and MSHR accounting."""
 
 import random
+import sys
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -61,12 +63,10 @@ def test_hard_pin_saturated_set_evicts_way0():
     lines = [i * step for i in range(5)]
     for a in lines[:4]:
         touch(c, a, HARD)
-    sets = c.sets[0]
-    tags_before = [w.tag for w in sets]
+    assert c.way0[0] == 0  # the first line filled into set 0
     touch(c, lines[4], HARD)
-    tags_after = [w.tag for w in sets]
-    assert tags_after[0] != tags_before[0]  # way 0 replaced
-    assert tags_after[1:] == tags_before[1:]  # ways 1..3 untouched
+    assert c.way0[0] == lines[4] // 128  # way 0 replaced
+    assert list(c.sets[0]) == [4, 8, 12, 16]  # ways 1..3 untouched
     for a in lines[1:4]:
         assert c.access(a, HARD, 10) is AccessOutcome.HIT
 
@@ -103,9 +103,9 @@ def test_pin_reset_at_period():
     touch(c, 0x0, HARD)
     touch(c, 0x80, SOFT)
     assert c.access(0x0, BYPASS, 99) is AccessOutcome.HIT
-    assert any(w.priority > 0 for s in c.sets for w in s)
+    assert any(p > 0 for s in c.sets for p in s.values())
     assert c.access(0x0, BYPASS, 100) is AccessOutcome.HIT
-    assert all(w.priority == 0 for s in c.sets for w in s)
+    assert all(p == 0 for s in c.sets for p in s.values())
     assert c.contains(0x0) and c.contains(0x80)  # residency survives
 
 
@@ -113,9 +113,26 @@ def test_repin_after_reset():
     c = small_cache(pin_reset_period=10)
     touch(c, 0x0, HARD)
     assert c.access(0x0, BYPASS, 10) is AccessOutcome.HIT
-    assert c.sets[0][0].priority == 0
+    assert c.sets[0][0] == 0  # set 0, line 0
     assert c.access(0x0, HARD, 11) is AccessOutcome.HIT
-    assert c.sets[0][0].priority == 2  # hard-pinned again
+    assert c.sets[0][0] == 2  # hard-pinned again
+
+
+def test_pin_reset_keeps_recency_order():
+    # Before the reset the victims would be the unpinned lines 12 and 4; after
+    # it every line is normal, and they go least recently used first, pinned
+    # or not.
+    c = small_cache(pin_reset_period=100)
+    step = 4 * 128
+    lines = [0, step, 2 * step, 3 * step]  # lines 0, 4, 8 and 12 of set 0
+    for i, iclass in enumerate([HARD, NORMAL, SOFT, NORMAL]):
+        touch(c, lines[i], iclass, cycle=i)
+    touch(c, step, NORMAL, cycle=5)  # line 4 becomes the most recently used
+    evicted = []
+    for i in range(4, 8):
+        touch(c, i * step, NORMAL, cycle=100 + i)
+        evicted += [a for a in lines if not c.contains(a) and a not in evicted]
+    assert evicted == [0, 2 * step, 3 * step, step]
 
 
 def test_thrash_protection_hit_rates():
@@ -204,19 +221,22 @@ def test_config_rejects_degenerate_sizes(field, value):
 # -- differential test against the full-array cache ---------------------------
 
 
-def _ways(cache, ways):
-    """Each set's (tag, priority, last_used) in way order, None for a way
-    that holds no line; a CacheModel set stores its filled lines only."""
+def _ways(cache):
+    """Each set's (tag, priority) pairs, least recently used first, and the
+    tag in its way 0, None for a set that holds no line."""
+    n = cache.num_sets
     return [
-        [(w.tag, w.priority, w.last_used) for w in s] + [None] * (ways - len(s))
-        for s in cache.sets
+        ([(line // n, p) for line, p in s.items()],
+         cache.way0[i] // n if i in cache.way0 else None)
+        for i, s in enumerate(cache.sets)
     ]
 
 
 def _oracle_ways(oracle):
     """The same view of an OracleCache, whose every way exists."""
     return [
-        [(w.tag, w.priority, w.last_used) if w.valid else None for w in s]
+        ([(w.tag, w.priority) for w in sorted(s, key=lambda w: w.last_used) if w.valid],
+         s[0].tag if s[0].valid else None)
         for s in oracle.sets
     ]
 
@@ -298,16 +318,38 @@ def test_cache_matches_full_array_oracle(
                 oracle.tick(boundary)
             last_tick = cycle
         assert _call(getattr(cache, kind), *args) == _call(getattr(oracle, kind), *args), op
-        assert _ways(cache, ways) == _oracle_ways(oracle), op
+        assert _ways(cache) == _oracle_ways(oracle), op
         assert cache.mshr == oracle.mshr, op
 
 
 def test_lines_exist_only_once_filled():
     config = preset("paper-numa").l2
     cache = CacheModel(config)
-    assert all(s == [] for s in cache.sets)
+    assert not any(cache.sets) and not cache.way0
     stride = cache.num_sets * config.line_size  # same set, new tag each time
     for k in range(1, config.ways + 3):
         touch(cache, 3 * config.line_size + k * stride)
         assert len(cache.sets[3]) == min(k, config.ways)
     assert sum(len(s) for s in cache.sets) == config.ways
+
+
+def test_insertion_classes_hash_without_python_code():
+    # Enum.__hash__ is a Python function that hashes the member's name; the
+    # cache looks an insertion class up on every hit and every fill.
+    enum_hash = Enum.__hash__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is enum_hash:
+            calls.append(frame.f_code)
+
+    c = small_cache(mshr_entries=64)
+    sys.setprofile(profile)
+    try:
+        for iclass in (NORMAL, SOFT, HARD, BYPASS):  # misses, evictions, hits
+            for a in range(0, 8 * 512, 512):
+                touch(c, a, iclass)
+                touch(c, a, iclass)
+    finally:
+        sys.setprofile(None)
+    assert c.sets[0] and not calls

@@ -259,8 +259,9 @@ def test_simulate_builds_byte_runs_once_per_ctile(monkeypatch):
 
 
 def test_simulate_builds_line_lists_once_per_ctile(monkeypatch):
-    # All CTAs of a C-tile share its D-tile's line list, kept on the tile table.
-    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "histo.json")
+    # All CTAs of a C-tile share its D-tile's line list, kept on the tile
+    # table. Every descriptor of mixed.json reads line lists.
+    cfg = load_config(CONFIGS / "mixed.json")
     workload, policies, schedule, placement = compose(cfg)
     lines_of = grid_mod._lines_of_runs
     calls = []
@@ -276,6 +277,18 @@ def test_simulate_builds_line_lists_once_per_ctile(monkeypatch):
         c = ctile_count(desc, cfg.grid)
         ctiles += c[0] * c[1] * c[2]
     assert 0 < len(calls) <= ctiles
+
+
+@pytest.mark.parametrize("name", ["histo.json", "matrix.json"])
+def test_regular_coaccessed_descriptors_build_no_line_list(monkeypatch, name):
+    # A regular co-accessed C-tile is walked run by run at its stride, so
+    # nothing reads its line list; these configs have no other descriptor.
+    cfg = load_config(CONFIGS / name)
+    workload, policies, schedule, placement = compose(cfg)
+    calls = []
+    monkeypatch.setattr(grid_mod, "_lines_of_runs", lambda *args: calls.append(args))
+    m = simulate(workload, cfg.system, schedule, placement, policies)
+    assert m.demand_accesses > 0 and calls == []
 
 
 # -- simulate ----------------------------------------------------------------
@@ -786,6 +799,36 @@ def test_stalled_sm_waits_for_a_fill(monkeypatch):
     m = simulate(wl, cfg, baseline_round_robin(grid, 1))
     assert m.misses == 256
     assert len(stalls) <= m.misses
+
+
+@pytest.mark.parametrize("name", ["matrix.json", "mixed.json"])
+def test_stalled_sm_retries_only_once_its_own_state_changes(monkeypatch, name):
+    # One MSHR entry per L1 makes warps stall. Only the SM's own fills free
+    # an entry and only its own issues take one, so an SM that stalls again
+    # before it issues must have had a fill land or a warp wake in between.
+    # The loop that retried stalled SMs on every visited cycle also retried
+    # them on other SMs' fills and completions, with nothing changed.
+    cfg = load_config(CONFIGS / name)
+    l1 = dataclasses.replace(cfg.system.l1, mshr_entries=1)
+    cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, l1=l1))
+    issue = engine_mod._Simulation._issue
+    at_last_stall, stalls, repeats = {}, [], []
+
+    def counting_issue(sim, sm, *args):
+        completion = issue(sim, sm, *args)
+        if completion is None:
+            state = (tuple(sm.ready), tuple(sm.l1.mshr))
+            stalls.append(sm.sm)
+            if at_last_stall.get(sm.sm) == state:
+                repeats.append(sm.sm)
+            at_last_stall[sm.sm] = state
+        else:
+            at_last_stall.pop(sm.sm, None)
+        return completion
+
+    monkeypatch.setattr(engine_mod._Simulation, "_issue", counting_issue)
+    run_experiment(cfg)
+    assert stalls and not repeats, f"{len(repeats)} of {len(stalls)} stalls changed nothing"
 
 
 # -- the cycle loop against the loops it replaced ------------------------------
