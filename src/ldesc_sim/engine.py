@@ -647,6 +647,9 @@ class _Simulation:
                 sm.ptr %= len(sm.slots)
             else:
                 sm.ptr = 0
+            # ``ptr`` may now name another warp, so a stalled SM tries again.
+            if sm.ready:
+                self.awake.add(sm.sm)
             self._refill(sm)
 
     def _refill(self, sm: _Sm) -> None:
@@ -760,10 +763,12 @@ class _Simulation:
         its completion cycle on, and its queue changes only when it issues.
 
         An SM whose warp stalls on a full MSHR sleeps until a fill lands in
-        its L1, a warp of its wakes or a CTA becomes resident. This is exact
-        too: only its own fills free an entry and only its own issues take
-        one, and a pin reset that a skipped retry would have applied is
-        applied, with the same result, by the next access or fill of its L1.
+        its L1, a warp of its wakes, or one of its CTAs completes or becomes
+        resident. A completion renumbers the slots but keeps ``ptr``, which
+        may then name another warp, one that can hit. This is exact too:
+        only its own fills free an entry and only its own issues take one,
+        and a pin reset that a skipped retry would have applied is applied,
+        with the same result, by the next access or fill of its L1.
         """
         self.unfinished = self.workload.grid.total_ctas
         for sm in self.sms:

@@ -9,7 +9,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldesc_sim import (
@@ -1008,6 +1008,58 @@ def test_cycle_loop_matches_the_loops_it_replaced(case):
         assert trace == want_trace, where
         replay = simulate(workload, system, schedule, plan, policies, trace_in=trace)
         assert replay.json_str() == live.json_str(), where
+
+
+@st.composite
+def _slow_hit_cases(draw):
+    """A loop case whose L1 hits take 2-4 cycles, with 1-2 MSHR entries and
+    2-3 resident CTAs. A CTA can then finish while a warp of another CTA on
+    its SM waits on a full MSHR, and the renumbered slots change which warp
+    the SM tries next."""
+    system, grid, descs, seed = draw(_loop_cases())
+    system = dataclasses.replace(
+        system,
+        l1=dataclasses.replace(system.l1, mshr_entries=draw(st.integers(1, 2))),
+        latencies=dataclasses.replace(system.latencies, l1_hit=draw(st.integers(2, 4))),
+        max_resident_ctas_per_sm=draw(st.integers(2, 3)),
+    )
+    return system, grid, descs, seed
+
+
+_SLOW_HIT_GRID = CtaGrid((1, 3, 1), warps_per_cta=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_slow_hit_cases())
+@example(case=(
+    SystemConfig(
+        sm_count=1,
+        l1=CacheConfig(1 * KB, ways=1, mshr_entries=2),
+        l2=CacheConfig(8 * KB, ways=4),
+        latencies=Latencies(2, 2, 6, 6),
+        max_resident_ctas_per_sm=3,
+    ),
+    _SLOW_HIT_GRID,
+    validate_descriptor_set([make_desc(
+        name="s0", data_dims=(384, 1, 1), dtile=(128, 1, 1), ctile=(1, 1, 1),
+        cdmap=(1, 2, 3), sharing=SharingType.NEARBY, pattern=AccessPattern.irregular(),
+    )], _SLOW_HIT_GRID),
+    0,
+))
+def test_cycle_loop_matches_the_old_loop_with_slow_l1_hits(case):
+    # The live loop against the old one when a CTA completes on an SM whose
+    # warp is stalled: the SM must retry at once, as the old loop did.
+    system, grid, descs, seed = case
+    for policy in POLICY_NAMES:
+        cfg = ExperimentConfig(system, grid, descs, policy, PLACEMENT_NAMES[0], seed)
+        workload, policies, schedule, plan = compose(cfg)
+        want_trace: list[AccessEvent] = []
+        oracle = OracleSimulation(workload, system, schedule, plan, policies, want_trace)
+        oracle.run_live()
+        trace: list[AccessEvent] = []
+        live = simulate(workload, system, schedule, plan, policies, trace_sink=trace)
+        assert live.json_str() == oracle.metrics().json_str(), policy
+        assert trace == want_trace, policy
 
 
 @pytest.mark.parametrize("name", ["histo.json", "mixed.json", "numa_stripe.json",
