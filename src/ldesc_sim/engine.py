@@ -377,6 +377,8 @@ class _Cta:
 
     def __init__(self, flat: int, queues: dict[int, deque[int]] | None, remaining: int):
         self.flat = flat
+        # Its warps' address queues, which its live slots share; read only by
+        # the test suite's verbatim copy of the old loop. None in a replay.
         self.queues = queues
         self.remaining = remaining
         self.inflight = 0
@@ -384,21 +386,25 @@ class _Cta:
 
 
 class _WarpSlot:
+    """One warp of a CTA on its SM. A live slot's ``queue`` is the warp's
+    address queue; a replay slot's is empty, so it never wakes."""
+
     __slots__ = ("sm", "cta", "warp", "queue", "pos", "ready_at")
 
-    def __init__(self, sm: _Sm, cta: _Cta, warp: int, pos: int):
+    def __init__(self, sm: _Sm, cta: _Cta, warp: int, queue: deque[int], pos: int):
         self.sm = sm
         self.cta = cta
         self.warp = warp
-        self.queue: deque[int] = cta.queues[warp]  # type: ignore[index]
-        self.pos = pos  # its index in its SM's ``slots``
+        self.queue = queue
+        self.pos = pos  # its index in its SM's ``slots``; unused in a replay
         # Read and written only by the test suite's verbatim copy of the old
         # loop, which walks the slots and compares ``ready_at`` with the cycle.
         self.ready_at = 0
 
 
 class _Sm:
-    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ready", "ptr", "prefetched")
+    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ready", "ptr",
+                 "prefetched", "fill_at", "streams", "lines")
 
     def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int]):
         self.sm = sm
@@ -410,21 +416,26 @@ class _Sm:
         self.ready: list[int] = []  # sorted positions of ready slots with work left
         self.ptr = 0
         self.prefetched: set[int] = set()  # lines it prefetched and has not demanded yet
+        self.fill_at: dict[int, int] = {}  # line address -> cycle its in-flight fill lands
+        self.streams: dict[int, StreamState] = {}  # row index -> its prefetch stream
+        self.lines: set[int] = set()  # line numbers it demanded: its working set
 
 
 class _Due:
     """What one visited cycle holds, in the order it is handled: L1 fills
-    (SM id, line address), then access completions (SM, CTA), then the warp
-    slots whose live access completes in it. Each slot goes back on its SM's
-    ready list if its queue still holds work. A replay has no warp slots, so
-    it has no wakes."""
+    (SM, line address), then one completion record per access that completes
+    in it, the warp slot that issued the access.
 
-    __slots__ = ("fills", "comps", "wakes")
+    A record is the access's only one: landing it both finishes the access
+    for its CTA and wakes its warp. The slot goes back on its SM's ready list
+    if its queue still holds work; otherwise its CTA completes if it has no
+    access left to issue or in flight. ``_run`` says why this is exact."""
+
+    __slots__ = ("fills", "comps")
 
     def __init__(self):
-        self.fills: list[tuple[int, int]] = []
-        self.comps: list[tuple[_Sm, _Cta]] = []
-        self.wakes: list[_WarpSlot] = []
+        self.fills: list[tuple[_Sm, int]] = []
+        self.comps: list[_WarpSlot] = []
 
 
 class _Row(NamedTuple):
@@ -499,8 +510,8 @@ class _Simulation:
             r for r in self.rows if r.policy.prefetch is not PrefetchKind.NONE
         ]
 
-        # Prefetcher state, keyed by (sm, descriptor index)
-        self.streams: dict[tuple[int, int], StreamState] = {}
+        # Resident CTAs per (sm, descriptor index, D-tile); each SM keeps its
+        # own prefetch streams in ``_Sm.streams``.
         self.dtile_users: dict[tuple[int, int, int], int] = {}
 
         # Event plumbing: each cycle with something due has one entry in
@@ -508,7 +519,6 @@ class _Simulation:
         self.due: dict[int, _Due] = {}
         self.wake: list[int] = []
         self.awake: set[int] = set()  # SMs with ready warps, not stalled
-        self.inflight_fill: dict[tuple[int, int], int] = {}
         self.link_free: dict[tuple[int, int], float] = {}
 
         # Metrics
@@ -518,7 +528,6 @@ class _Simulation:
         self.misses = 0
         self.local_accesses = 0
         self.zone_counts = [0] * config.zone_count
-        self.ws: list[set[int]] = [set() for _ in range(config.sm_count)]
         self.remote_traffic = 0
         self.pf_issued = 0
         self.pf_useful = 0
@@ -587,19 +596,18 @@ class _Simulation:
         return due
 
     def _schedule_fill(self, sm: _Sm, line_addr: int, at: int) -> None:
-        self._due_at(at).fills.append((sm.sm, line_addr))
-        self.inflight_fill[(sm.sm, line_addr)] = at
+        self._due_at(at).fills.append((sm, line_addr))
+        sm.fill_at[line_addr] = at
 
     # -- prefetching ---------------------------------------------------------
 
     def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
-        if row.policy.prefetch is PrefetchKind.NONE:
-            return
+        """Issue the prefetches a demand miss of ``row``, a row whose policy
+        prefetches, asks for."""
         desc = row.table.desc
-        state = self.streams.get((sm.sm, row.index))
+        state = sm.streams.get(row.index)
         if state is None:
-            state = StreamState.for_descriptor(desc)
-            self.streams[(sm.sm, row.index)] = state
+            state = sm.streams[row.index] = StreamState.for_descriptor(desc)
         for target in pf.on_miss(addr, desc, self.config.l1.capacity, state, self.line_size):
             line_addr = sm.l1.line_addr(target)
             if sm.l1.contains(line_addr) or sm.l1.inflight(line_addr):
@@ -632,7 +640,7 @@ class _Simulation:
                 key = (sm.sm, row.index, dt)
                 self.dtile_users[key] -= 1
                 if self.dtile_users[key] == 0:
-                    state = self.streams.get((sm.sm, row.index))
+                    state = sm.streams.get(row.index)
                     if state is not None and dt in state.active_dtiles:
                         pf.retire_stream(dt, state)
         if cta in sm.resident:
@@ -668,14 +676,17 @@ class _Simulation:
             for w in sorted(queues):
                 if queues[w]:
                     pos = len(sm.slots)
-                    sm.slots.append(_WarpSlot(sm, cta, w, pos))
+                    sm.slots.append(_WarpSlot(sm, cta, w, queues[w], pos))
                     sm.ready.append(pos)
             self.awake.add(sm.sm)
 
     # -- issue path ----------------------------------------------------------
 
-    def _issue(self, sm: _Sm, cta: _Cta, warp: int, addr: int, cycle: int) -> int | None:
-        """Run one demand access; returns its completion cycle, or None on stall."""
+    def _issue(self, slot: _WarpSlot, addr: int, cycle: int) -> int | None:
+        """Run one demand access of ``slot``'s warp; returns its completion
+        cycle, or None on stall. An access that issues appends the slot to
+        its completion cycle's records."""
+        sm, cta = slot.sm, slot.cta
         row = self._row_of(addr)
         try:
             outcome = sm.l1.access(addr, row.policy.insertion, cycle)
@@ -688,11 +699,11 @@ class _Simulation:
         if home == sm.zone:
             self.local_accesses += 1
         line_addr = sm.l1.line_addr(addr)
-        self.ws[sm.sm].add(line_addr // self.line_size)
+        sm.lines.add(line_addr // self.line_size)
         if not cta.started:
             self._mark_started(sm, cta)
         if self.trace_sink is not None:
-            self.trace_sink.append(AccessEvent(sm.sm, cta.flat, warp, addr, cycle))
+            self.trace_sink.append(AccessEvent(sm.sm, cta.flat, slot.warp, addr, cycle))
 
         if line_addr in sm.prefetched:
             sm.prefetched.remove(line_addr)
@@ -703,49 +714,63 @@ class _Simulation:
             completion = cycle + self.config.latencies.l1_hit
         elif outcome is AccessOutcome.INFLIGHT_HIT:
             self.inflight_hits += 1
-            completion = self.inflight_fill[(sm.sm, line_addr)]
+            completion = sm.fill_at[line_addr]
         else:
             self.misses += 1
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             completion = cycle + latency
             self._schedule_fill(sm, line_addr, completion)
-            self._maybe_prefetch(sm, addr, row, cycle)
+            if row.policy.prefetch is not PrefetchKind.NONE:
+                self._maybe_prefetch(sm, addr, row, cycle)
 
         cta.remaining -= 1
         cta.inflight += 1
-        self._due_at(completion).comps.append((sm, cta))
-        self.last_completion = max(self.last_completion, completion)
+        due = self.due.get(completion)
+        if due is None:
+            due = self._due_at(completion)
+        due.comps.append(slot)
+        if completion > self.last_completion:
+            self.last_completion = completion
         return completion
 
     # -- main loop -------------------------------------------------------------
 
     def _run(self, issue: Callable[[int], None]) -> None:
         """Visit cycle 0, then only the cycles on the wake heap, each once,
-        until every CTA has finished. A visit lands the fills, then the
-        completions, due in it, puts the warp slots that wake in it back on
-        their SMs' ready lists, and calls ``issue(cycle)``, which records any
+        until every CTA has finished. A visit lands the fills due in it, then
+        its completion records, and calls ``issue(cycle)``, which records any
         later cycle it needs. A fill wakes the SM whose L1 it lands in, if
-        that SM has ready warps: they may wait on a full MSHR."""
+        that SM has ready warps: they may wait on a full MSHR.
+
+        Each record lands once. It takes the access off its CTA's in-flight
+        count, then puts the slot back on its SM's ready list if the slot's
+        queue still holds work, or else completes the CTA if nothing of it is
+        left to issue or in flight. Both cannot apply: a slot with work left
+        belongs to a CTA with accesses left. A replay slot's queue is empty,
+        so it never wakes. Handling a cycle's wakes among its completions,
+        not after them, leaves the same ready lists, ``awake`` set and
+        ``ptr``s: a completion rebuilds ``ready`` from the set of ready
+        positions, renumbering any slot woken before it, and a slot woken
+        after it goes in at its new position."""
         self._due_at(0)
         awake = self.awake
         while self.unfinished > 0:
             cycle = heapq.heappop(self.wake)
             due = self.due.pop(cycle)
-            for sm_id, line_addr in due.fills:
-                sm = self.sms[sm_id]
+            for sm, line_addr in due.fills:
                 sm.l1.fill(line_addr, cycle)
-                self.inflight_fill.pop((sm_id, line_addr), None)
+                del sm.fill_at[line_addr]
                 if sm.ready:
-                    awake.add(sm_id)
-            for sm, cta in due.comps:
+                    awake.add(sm.sm)
+            for slot in due.comps:
+                cta = slot.cta
                 cta.inflight -= 1
-                if cta.remaining == 0 and cta.inflight == 0:
-                    self._complete_cta(sm, cta)
-            for slot in due.wakes:
                 if slot.queue:
                     sm = slot.sm
                     insort(sm.ready, slot.pos)
                     awake.add(sm.sm)
+                elif cta.remaining == 0 and cta.inflight == 0:
+                    self._complete_cta(slot.sm, cta)
             issue(cycle)
 
     def run_live(self) -> None:
@@ -758,9 +783,10 @@ class _Simulation:
         takes the first position at or after ``ptr``, else the first one,
         which is the warp a walk of the slots from ``ptr`` would find. The
         warp issues or stalls; one that issued leaves the list until its
-        access completes, and the completion cycle's ``_Due.wakes`` puts it
-        back if its queue is not empty. This is exact: a warp is ready from
-        its completion cycle on, and its queue changes only when it issues.
+        access completes. The access's one completion record, landed by
+        ``_run``, puts it back if its queue is not empty. This is exact: a
+        warp is ready from its completion cycle on, and its queue changes
+        only when it issues.
 
         An SM whose warp stalls on a full MSHR sleeps until a fill lands in
         its L1, a warp of its wakes, or one of its CTAs completes or becomes
@@ -773,7 +799,7 @@ class _Simulation:
         self.unfinished = self.workload.grid.total_ctas
         for sm in self.sms:
             self._refill(sm)
-        sms, due, awake = self.sms, self.due, self.awake
+        sms, awake, issue_one = self.sms, self.awake, self._issue
 
         def issue(cycle: int) -> None:
             issued = False
@@ -786,14 +812,12 @@ class _Simulation:
                 j = ready[i]
                 slot = sm.slots[j]
                 queue = slot.queue
-                completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
-                if completion is None:
+                if issue_one(slot, queue[0], cycle) is None:
                     sm.ptr = j  # stalled: retry this warp first, once it can issue
                     awake.discard(sm_id)
                 else:
                     queue.popleft()
                     del ready[i]
-                    due[completion].wakes.append(slot)
                     sm.ptr = (j + 1) % len(sm.slots)
                     issued = True
                     if not ready:
@@ -804,10 +828,13 @@ class _Simulation:
         self._run(issue)
 
     def run_replay(self, events: list[AccessEvent]) -> None:
+        """Issue each trace event at its cycle, through one slot per (CTA,
+        warp) with an empty queue. A CTA's events must all name one SM."""
         grid = self.workload.grid
         sm_count, cta_count, warps = self.config.sm_count, grid.total_ctas, grid.warps_per_cta
-        by_cycle: dict[int, list[AccessEvent]] = {}
-        totals: dict[int, int] = {}
+        by_cycle: dict[int, list[tuple[_WarpSlot, int]]] = {}
+        ctas: dict[int, tuple[_Cta, _Sm]] = {}  # each CTA and the SM of its first event
+        slots: dict[int, _WarpSlot] = {}  # keyed by cta * warps + warp
         for ev in events:
             if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count and 0 <= ev.warp < warps):
                 raise ConfigMismatch(
@@ -816,16 +843,27 @@ class _Simulation:
                 )
             if ev.issue_cycle < 0:
                 raise ConfigMismatch(f"trace event at cycle {ev.issue_cycle}, before cycle 0")
-            by_cycle.setdefault(ev.issue_cycle, []).append(ev)
-            totals[ev.cta] = totals.get(ev.cta, 0) + 1
-        ctas = {flat: _Cta(flat, None, total) for flat, total in totals.items()}
+            key = ev.cta * warps + ev.warp
+            slot = slots.get(key)
+            if slot is None:
+                entry = ctas.get(ev.cta)
+                if entry is None:
+                    entry = ctas[ev.cta] = (_Cta(ev.cta, None, 0), self.sms[ev.sm])
+                slot = slots[key] = _WarpSlot(entry[1], entry[0], ev.warp, deque(), 0)
+            if slot.sm.sm != ev.sm:
+                raise ConfigMismatch(
+                    f"trace puts CTA {ev.cta} on SM {slot.sm.sm} and on SM {ev.sm}; a CTA "
+                    "runs on one SM"
+                )
+            slot.cta.remaining += 1
+            by_cycle.setdefault(ev.issue_cycle, []).append((slot, ev.addr))
         self.unfinished = len(ctas)
         for c in by_cycle:
             self._due_at(c)
 
         def issue(cycle: int) -> None:
-            for ev in by_cycle.pop(cycle, ()):
-                if self._issue(self.sms[ev.sm], ctas[ev.cta], ev.warp, ev.addr, cycle) is None:
+            for slot, addr in by_cycle.pop(cycle, ()):
+                if self._issue(slot, addr, cycle) is None:
                     raise ConfigMismatch(
                         "trace replay stalled on a full MSHR; the trace does not "
                         "match this configuration"
@@ -835,7 +873,7 @@ class _Simulation:
 
     def metrics(self) -> SimMetrics:
         demand = self.demand
-        counts = [len(s) for s in self.ws]
+        counts = [len(sm.lines) for sm in self.sms]
         dist = [
             (z / demand) if demand else 0.0 for z in self.zone_counts
         ]

@@ -186,6 +186,24 @@ def test_run_replay_rejects_event_outside_system_or_grid(tmp_path, capsys, field
     assert f"{field}={value}" in err
 
 
+@pytest.mark.parametrize("moved", ["all-but-first", "last"])
+def test_run_replay_rejects_a_cta_on_two_sms(tmp_path, capsys, moved):
+    # Every event of CTA 0 after its first, or only its last, moves to
+    # another SM: a trace no live run can write.
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", HISTO, "--trace-out", str(trace), "--out", str(tmp_path / "m")]) == 0
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    cta0 = [ev for ev in events if ev["cta"] == 0]
+    home, other = cta0[0]["sm"], (cta0[0]["sm"] + 1) % 4
+    for ev in cta0[1:] if moved == "all-but-first" else cta0[-1:]:
+        ev["sm"] = other
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert main(["run", HISTO, "--trace-in", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ") and "Traceback" not in err
+    assert f"CTA 0 on SM {home} and on SM {other}" in err
+
+
 def _edited_inputs(tmp_path, which, edit):
     """`run` arguments for histo.json and its recorded trace, with line 3 of
     the config or of the trace (``which``) replaced by ``edit(line)``."""

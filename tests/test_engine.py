@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -304,8 +305,9 @@ def test_finished_ctas_retire_their_dtile_streams():
     sim = engine_mod._Simulation(wl, SystemConfig(sm_count=4), baseline_round_robin(grid, 4),
                                  None, select_policies(wl.descs), None)
     sim.run_live()
-    assert len(sim.streams) == 4
-    assert all(not state.active_dtiles for state in sim.streams.values())
+    streams = [state for sm in sim.sms for state in sm.streams.values()]
+    assert len(streams) == 4
+    assert all(not state.active_dtiles for state in streams)
 
 
 def test_histo_working_set_reduction():
@@ -631,6 +633,46 @@ def test_trace_replay_rejects_event_outside_system_or_grid(field, value):
         simulate(wl, cfg, sched, trace_in=events)
 
 
+@pytest.mark.parametrize("moved", ["all-but-first", "last"])
+def test_trace_replay_rejects_a_cta_on_two_sms(moved):
+    wl = histo_workload()
+    cfg = SystemConfig(sm_count=4)
+    sched = baseline_round_robin(wl.grid, 4)
+    events: list[AccessEvent] = []
+    simulate(wl, cfg, sched, trace_sink=events)
+    at = [i for i, ev in enumerate(events) if ev.cta == 0]
+    home = events[at[0]].sm
+    other = (home + 1) % 4
+    for i in at[1:] if moved == "all-but-first" else at[-1:]:
+        events[i] = events[i]._replace(sm=other)
+    with pytest.raises(ConfigMismatch, match=f"CTA 0 on SM {home} and on SM {other}"):
+        simulate(wl, cfg, sched, trace_in=events)
+
+
+def test_one_completion_record_per_access(monkeypatch):
+    # Each demand access lands exactly one record in its completion cycle,
+    # live and replayed; fills are not completion records.
+    made = []
+
+    class CountingDue(engine_mod._Due):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    records = [name for name in engine_mod._Due.__slots__ if name != "fills"]
+    monkeypatch.setattr(engine_mod, "_Due", CountingDue)
+    cfg = load_config(CONFIGS / "mixed.json")
+    workload, policies, schedule, plan = compose(cfg)
+    trace: list[AccessEvent] = []
+    for run in ({"trace_sink": trace}, {"trace_in": trace}):
+        made.clear()
+        metrics = simulate(workload, cfg.system, schedule, plan, policies, **run)
+        landed = sum(len(getattr(due, name)) for due in made for name in records)
+        assert landed == metrics.demand_accesses > 0, run.keys()
+
+
 _trace_ints = st.integers(0, 2**40)
 _trace_event = st.builds(AccessEvent, _trace_ints, _trace_ints, _trace_ints,
                          st.one_of(st.just(0), st.integers(0, 2**200)), _trace_ints)
@@ -814,8 +856,9 @@ def test_stalled_sm_retries_only_once_its_own_state_changes(monkeypatch, name):
     issue = engine_mod._Simulation._issue
     at_last_stall, stalls, repeats = {}, [], []
 
-    def counting_issue(sim, sm, *args):
-        completion = issue(sim, sm, *args)
+    def counting_issue(sim, slot, *args):
+        sm = slot.sm
+        completion = issue(sim, slot, *args)
         if completion is None:
             state = (tuple(sm.ready), tuple(sm.l1.mshr))
             stalls.append(sm.sm)
@@ -863,13 +906,14 @@ class OracleSimulation(engine_mod._Simulation):
 
     def _process_due(self, cycle: int) -> None:
         due = self.due.pop(cycle, engine_mod._Due())
-        for sm_id, line_addr in due.fills:  # fills before issues
-            self.sms[sm_id].l1.fill(line_addr, cycle)
-            self.inflight_fill.pop((sm_id, line_addr), None)
-        for sm, cta in due.comps:
+        for sm, line_addr in due.fills:  # fills before issues
+            sm.l1.fill(line_addr, cycle)
+            sm.fill_at.pop(line_addr, None)
+        for slot in due.comps:
+            cta = slot.cta
             cta.inflight -= 1
             if cta.remaining == 0 and cta.inflight == 0:
-                self._complete_cta(sm, cta)
+                self._complete_cta(slot.sm, cta)
 
     def _next_cycle(self, cycle: int, active: bool) -> int:
         if active:
@@ -898,7 +942,7 @@ class OracleSimulation(engine_mod._Simulation):
                     queue = slot.cta.queues[slot.warp]  # type: ignore[index]
                     if not queue:
                         continue
-                    completion = self._issue(sm, slot.cta, slot.warp, queue[0], cycle)
+                    completion = self._issue(slot, queue[0], cycle)
                     active = True
                     if completion is not None:
                         queue.popleft()
@@ -923,7 +967,8 @@ class OracleSimulation(engine_mod._Simulation):
                 )
             by_cycle.setdefault(ev.issue_cycle, []).append(ev)
             totals[ev.cta] = totals.get(ev.cta, 0) + 1
-        ctas = {flat: _Cta(flat, None, total) for flat, total in totals.items()}
+        ctas = {flat: engine_mod._Cta(flat, None, total) for flat, total in totals.items()}
+        slots = {}  # one per (CTA, warp), with an empty queue, so it never wakes
         self.unfinished = len(ctas)
         for c in by_cycle:
             heapq.heappush(self.wake, c)
@@ -932,9 +977,11 @@ class OracleSimulation(engine_mod._Simulation):
             self._tick_caches(cycle)
             self._process_due(cycle)
             for ev in by_cycle.pop(cycle, ()):
-                sm = self.sms[ev.sm]
-                cta = ctas[ev.cta]
-                completion = self._issue(sm, cta, ev.warp, ev.addr, cycle)
+                slot = slots.get((ev.cta, ev.warp))
+                if slot is None:
+                    slot = slots[ev.cta, ev.warp] = engine_mod._WarpSlot(
+                        self.sms[ev.sm], ctas[ev.cta], ev.warp, deque(), 0)
+                completion = self._issue(slot, ev.addr, cycle)
                 if completion is None:
                     raise ConfigMismatch(
                         "trace replay stalled on a full MSHR; the trace does not "
@@ -1008,6 +1055,9 @@ def test_cycle_loop_matches_the_loops_it_replaced(case):
         assert trace == want_trace, where
         replay = simulate(workload, system, schedule, plan, policies, trace_in=trace)
         assert replay.json_str() == live.json_str(), where
+        oracle = OracleSimulation(workload, system, schedule, plan, policies, None)
+        oracle.run_replay(trace)
+        assert oracle.metrics().json_str() == live.json_str(), where
 
 
 @st.composite
