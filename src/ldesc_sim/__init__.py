@@ -29,15 +29,12 @@ from .engine import (
     preset,
     select_policies,
     simulate,
-    working_set,
 )
 from .grid import (
     CtaGrid,
     TileIndex,
     TileTable,
-    ctile_of_cta,
     dtile_byte_runs,
-    dtile_of_ctile,
 )
 from .numa import (
     NumaPlan,
@@ -94,10 +91,8 @@ __all__ = [
     "baseline_round_robin",
     "comp_util",
     "ctile_count",
-    "ctile_of_cta",
     "dtile_byte_runs",
     "dtile_count",
-    "dtile_of_ctile",
     "form_clusters",
     "generate_accesses",
     "normal_policies",
@@ -107,6 +102,5 @@ __all__ = [
     "select_policies",
     "simulate",
     "validate_descriptor_set",
-    "working_set",
     "zone_of_address",
 ]

@@ -76,9 +76,6 @@ class DataStructureRef:
     def end_addr(self) -> int:
         return self.base_addr + self.total_bytes
 
-    def contains(self, addr: int) -> bool:
-        return self.base_addr <= addr < self.end_addr
-
 
 @dataclass(frozen=True)
 class TileSemantics:

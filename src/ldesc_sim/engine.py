@@ -360,26 +360,15 @@ class SimMetrics:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def working_set(events: Iterable[AccessEvent], line_size: int = 128) -> dict[int, int]:
-    """Distinct-line count per SM over a demand trace."""
-    per_sm: dict[int, set[int]] = {}
-    for ev in events:
-        per_sm.setdefault(ev.sm, set()).add(ev.addr // line_size)
-    return {sm: len(lines) for sm, lines in per_sm.items()}
-
-
 # ---------------------------------------------------------------------------
 # Simulation core
 
 
 class _Cta:
-    __slots__ = ("flat", "queues", "remaining", "inflight", "started")
+    __slots__ = ("flat", "remaining", "inflight", "started")
 
-    def __init__(self, flat: int, queues: dict[int, deque[int]] | None, remaining: int):
+    def __init__(self, flat: int, remaining: int):
         self.flat = flat
-        # Its warps' address queues, which its live slots share; read only by
-        # the test suite's verbatim copy of the old loop. None in a replay.
-        self.queues = queues
         self.remaining = remaining
         self.inflight = 0
         self.started = False
@@ -387,7 +376,9 @@ class _Cta:
 
 class _WarpSlot:
     """One warp of a CTA on its SM. A live slot's ``queue`` is the warp's
-    address queue; a replay slot's is empty, so it never wakes."""
+    address queue; a replay slot's is empty, so it never wakes, and its
+    ``ready_at`` is the cycle its last access completes, before which the
+    trace may not issue it again."""
 
     __slots__ = ("sm", "cta", "warp", "queue", "pos", "ready_at")
 
@@ -397,8 +388,6 @@ class _WarpSlot:
         self.warp = warp
         self.queue = queue
         self.pos = pos  # its index in its SM's ``slots``; unused in a replay
-        # Read and written only by the test suite's verbatim copy of the old
-        # loop, which walks the slots and compares ``ready_at`` with the cycle.
         self.ready_at = 0
 
 
@@ -633,16 +622,16 @@ class _Simulation:
 
     def _complete_cta(self, sm: _Sm, cta: _Cta) -> None:
         self.unfinished -= 1
-        if cta.started:
-            for row in self.prefetch_rows:
-                table = row.table
-                dt = table.dtiles[table.slot[cta.flat][0]].flat
-                key = (sm.sm, row.index, dt)
-                self.dtile_users[key] -= 1
-                if self.dtile_users[key] == 0:
-                    state = sm.streams.get(row.index)
-                    if state is not None and dt in state.active_dtiles:
-                        pf.retire_stream(dt, state)
+        for row in self.prefetch_rows:
+            table = row.table
+            dt = table.dtiles[table.slot[cta.flat][0]].flat
+            key = (sm.sm, row.index, dt)
+            self.dtile_users[key] -= 1
+            if self.dtile_users[key] == 0:
+                state = sm.streams.get(row.index)
+                if state is not None:
+                    # Its stream ends, widening the distances of the rest.
+                    state.active_dtiles.discard(dt)
         if cta in sm.resident:
             sm.resident.remove(cta)
             # Renumber the slots left, keeping their order and which are ready.
@@ -668,7 +657,7 @@ class _Simulation:
             flat = sm.pending.popleft()
             queues = cta_warp_queues(self.workload, self.tables, flat, self.line_size)
             remaining = sum(len(q) for q in queues.values())
-            cta = _Cta(flat, queues, remaining)
+            cta = _Cta(flat, remaining)
             if remaining == 0:
                 self.unfinished -= 1
                 continue
@@ -829,7 +818,8 @@ class _Simulation:
 
     def run_replay(self, events: list[AccessEvent]) -> None:
         """Issue each trace event at its cycle, through one slot per (CTA,
-        warp) with an empty queue. A CTA's events must all name one SM."""
+        warp) with an empty queue. A CTA's events must all name one SM, and a
+        warp's event may not come before its previous access completes."""
         grid = self.workload.grid
         sm_count, cta_count, warps = self.config.sm_count, grid.total_ctas, grid.warps_per_cta
         by_cycle: dict[int, list[tuple[_WarpSlot, int]]] = {}
@@ -848,7 +838,7 @@ class _Simulation:
             if slot is None:
                 entry = ctas.get(ev.cta)
                 if entry is None:
-                    entry = ctas[ev.cta] = (_Cta(ev.cta, None, 0), self.sms[ev.sm])
+                    entry = ctas[ev.cta] = (_Cta(ev.cta, 0), self.sms[ev.sm])
                 slot = slots[key] = _WarpSlot(entry[1], entry[0], ev.warp, deque(), 0)
             if slot.sm.sm != ev.sm:
                 raise ConfigMismatch(
@@ -863,11 +853,19 @@ class _Simulation:
 
         def issue(cycle: int) -> None:
             for slot, addr in by_cycle.pop(cycle, ()):
-                if self._issue(slot, addr, cycle) is None:
+                if slot.ready_at > cycle:
+                    raise ConfigMismatch(
+                        f"trace issues CTA {slot.cta.flat} warp {slot.warp} at cycle {cycle}, "
+                        f"before its access in flight completes at cycle {slot.ready_at}; a "
+                        "warp has one access in flight"
+                    )
+                completion = self._issue(slot, addr, cycle)
+                if completion is None:
                     raise ConfigMismatch(
                         "trace replay stalled on a full MSHR; the trace does not "
                         "match this configuration"
                     )
+                slot.ready_at = completion
 
         self._run(issue)
 

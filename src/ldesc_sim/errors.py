@@ -21,24 +21,12 @@ class OverlapConflict(LdescError):
     """Two descriptors over overlapping address ranges share a priority."""
 
 
-class OutOfGrid(LdescError):
-    """CTA coordinates lie outside the compute grid."""
-
-
-class OutOfRange(LdescError):
-    """Tile index lies outside its tile space."""
-
-
 class UnplacedPage(LdescError):
     """First-touch lookup for a page no CTA has accessed yet."""
 
 
 class MshrFull(LdescError):
     """No MSHR entry available; the access must stall and retry."""
-
-
-class UnknownStream(LdescError):
-    """Attempt to retire a data tile that has no active prefetch stream."""
 
 
 class ConfigMismatch(LdescError):

@@ -21,7 +21,6 @@ from .descriptor import (
     ctile_count,
     dtile_count,
 )
-from .errors import OutOfGrid, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -51,20 +50,10 @@ class ByteRun(NamedTuple):
     length: int
 
 
-def flatten_xyz(coords: Triple, counts: Triple) -> int:
-    x, y, z = coords
-    return x + counts[0] * (y + counts[1] * z)
-
-
 def unflatten_xyz(flat: int, counts: Triple) -> Triple:
     x = flat % counts[0]
     rest = flat // counts[0]
     return (x, rest % counts[1], rest // counts[1])
-
-
-def cta_flat(cta: Triple, grid: CtaGrid) -> int:
-    """X->Y->Z flat index of a CTA in the grid."""
-    return flatten_xyz(cta, grid.dims)
 
 
 def box_ctas(box: Triple, dims: Triple, grid: CtaGrid) -> list[int]:
@@ -81,27 +70,6 @@ def box_ctas(box: Triple, dims: Triple, grid: CtaGrid) -> list[int]:
     ]
 
 
-def ctile_of_cta(cta: Triple, desc: LocalityDescriptor, grid: CtaGrid) -> TileIndex:
-    """C-tile containing a CTA: componentwise floor division by the C-tile dims."""
-    if any(not 0 <= cta[i] < grid.dims[i] for i in range(3)):
-        raise OutOfGrid(f"CTA {cta} outside grid {grid.dims}")
-    c = desc.tiles.ctile_dims
-    coords = (cta[0] // c[0], cta[1] // c[1], cta[2] // c[2])
-    return TileIndex(coords, flatten_xyz(coords, ctile_count(desc, grid)))
-
-
-def _enumeration_index(ctile: Triple, counts: Triple, ranks: Triple) -> int:
-    # Axes are consumed fastest-first: rank 1, then 2, then 3. Rank-0 axes
-    # always hold index 0 (validation pins their count to 1).
-    axes = sorted((a for a in range(3) if ranks[a] != 0), key=lambda a: ranks[a])
-    index = 0
-    scale = 1
-    for axis in axes:
-        index += ctile[axis] * scale
-        scale *= counts[axis]
-    return index
-
-
 def dtile_of_ctile(
     ctile: TileIndex, desc: LocalityDescriptor, grid: CtaGrid
 ) -> TileIndex:
@@ -111,12 +79,15 @@ def dtile_of_ctile(
     in X->Y->Z order; validation guarantees the counts match, so this is a
     bijection.
     """
-    c_counts = ctile_count(desc, grid)
-    if any(not 0 <= ctile.coords[i] < c_counts[i] for i in range(3)):
-        raise OutOfRange(f"C-tile {ctile.coords} outside counts {c_counts}")
-    k = _enumeration_index(ctile.coords, c_counts, desc.tiles.compute_data_map)
-    d_counts = dtile_count(desc)
-    return TileIndex(unflatten_xyz(k, d_counts), k)
+    counts = ctile_count(desc, grid)
+    ranks = desc.tiles.compute_data_map
+    # Axes are consumed fastest-first: rank 1, then 2, then 3. Rank-0 axes
+    # always hold index 0 (validation pins their count to 1).
+    k, scale = 0, 1
+    for axis in sorted((a for a in range(3) if ranks[a] != 0), key=lambda a: ranks[a]):
+        k += ctile.coords[axis] * scale
+        scale *= counts[axis]
+    return TileIndex(unflatten_xyz(k, dtile_count(desc)), k)
 
 
 def dtile_byte_runs(dtile: TileIndex, desc: LocalityDescriptor) -> list[ByteRun]:
@@ -141,27 +112,12 @@ def dtile_byte_runs(dtile: TileIndex, desc: LocalityDescriptor) -> list[ByteRun]
     return runs
 
 
-def dtile_of_address(addr: int, desc: LocalityDescriptor) -> TileIndex:
-    """D-tile containing a byte address of the descriptor's structure."""
-    ds = desc.data
-    if not ds.contains(addr):
-        raise OutOfRange(f"address {addr:#x} outside {ds.name}")
-    elem = (addr - ds.base_addr) // ds.elem_size
-    lenx, leny, _ = ds.dims
-    ex = elem % lenx
-    ey = (elem // lenx) % leny
-    ez = elem // (lenx * leny)
-    d = desc.tiles.dtile_dims
-    coords = (ex // d[0], ey // d[1], ez // d[2])
-    return TileIndex(coords, flatten_xyz(coords, dtile_count(desc)))
-
-
 class DtileGeometry:
     """One descriptor's structure extent and D-tile shape, worked out once.
 
-    ``flat_of(addr)`` equals ``dtile_of_address(addr, desc).flat`` for an
-    address inside the structure, without building a ``TileIndex`` or
-    recounting the D-tiles; ``row_bytes`` is a D-tile's X extent in bytes.
+    ``flat_of(addr)`` is the X->Y->Z flat index of the D-tile that holds an
+    address inside the structure; ``row_bytes`` is a D-tile's X extent in
+    bytes.
     """
 
     __slots__ = ("base", "end", "elem_size", "lenx", "leny", "dtile_dims", "counts",

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .descriptor import LocalityDescriptor, LocalityType, SharingType
-from .errors import UnknownStream
 from .grid import DtileGeometry
 
 
@@ -65,11 +64,3 @@ def on_miss(
     if not tiles.base <= target < tiles.end:
         return []
     return [target]
-
-
-def retire_stream(dtile_flat: int, state: StreamState) -> None:
-    """Drop a finished data tile from the active set, widening later distances."""
-    try:
-        state.active_dtiles.remove(dtile_flat)
-    except KeyError:
-        raise UnknownStream(f"data tile {dtile_flat} has no active stream") from None

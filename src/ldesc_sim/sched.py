@@ -22,9 +22,6 @@ class ClusterDims:
 
     dims: Triple
 
-    def total_in(self, grid: CtaGrid) -> int:
-        return _ct_num(grid, self.dims)
-
 
 @dataclass
 class Schedule:

@@ -1,13 +1,70 @@
 """Reference implementations that tests compare the simulator against."""
 
 import json
-from typing import NoReturn, TextIO
+import math
+from typing import Iterable, NoReturn, TextIO
 
 from ldesc_sim import AccessOutcome, CacheConfig, InsertionClass
+from ldesc_sim.descriptor import ctile_count, dtile_count
 from ldesc_sim.engine import AccessEvent
 from ldesc_sim.errors import ConfigError, MshrFull
-from ldesc_sim.grid import cta_flat, unflatten_xyz
+from ldesc_sim.grid import TileIndex, unflatten_xyz
 from ldesc_sim.sched import majority_zone
+
+# Tile arithmetic per CTA and per address, a data structure's bounds and the
+# per-SM working set of a trace. No run needs them: runs read tile tables,
+# D-tile geometry and the engine's own line sets, which tests check against
+# these.
+
+
+def flatten_xyz(coords, counts):
+    x, y, z = coords
+    return x + counts[0] * (y + counts[1] * z)
+
+
+def cta_flat(cta, grid):
+    """X->Y->Z flat index of a CTA in the grid."""
+    return flatten_xyz(cta, grid.dims)
+
+
+def ctile_of_cta(cta, desc, grid):
+    """C-tile containing a CTA: componentwise floor division by the C-tile dims."""
+    c = desc.tiles.ctile_dims
+    coords = (cta[0] // c[0], cta[1] // c[1], cta[2] // c[2])
+    return TileIndex(coords, flatten_xyz(coords, ctile_count(desc, grid)))
+
+
+def contains(ds, addr):
+    """Whether a byte address lies inside a data structure."""
+    return ds.base_addr <= addr < ds.end_addr
+
+
+def dtile_of_address(addr, desc):
+    """D-tile containing a byte address of the descriptor's structure."""
+    ds = desc.data
+    assert contains(ds, addr), f"address {addr:#x} outside {ds.name}"
+    elem = (addr - ds.base_addr) // ds.elem_size
+    lenx, leny, _ = ds.dims
+    ex = elem % lenx
+    ey = (elem // lenx) % leny
+    ez = elem // (lenx * leny)
+    d = desc.tiles.dtile_dims
+    coords = (ex // d[0], ey // d[1], ez // d[2])
+    return TileIndex(coords, flatten_xyz(coords, dtile_count(desc)))
+
+
+def total_in(cls, grid):
+    """How many clusters of shape ``cls`` the grid holds."""
+    return math.prod(_count_in(cls, grid))
+
+
+def working_set(events: Iterable[AccessEvent], line_size: int = 128) -> dict[int, int]:
+    """Distinct-line count per SM over a demand trace."""
+    per_sm: dict[int, set[int]] = {}
+    for ev in events:
+        per_sm.setdefault(ev.sm, set()).add(ev.addr // line_size)
+    return {sm: len(lines) for sm, lines in per_sm.items()}
+
 
 # The reference: the cache as it stood when every way of every set was built
 # up front as an invalid line, kept verbatim (only renamed) as the oracle.

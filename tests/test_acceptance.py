@@ -34,7 +34,6 @@ from ldesc_sim import (
     place_and_partition,
     simulate,
     validate_descriptor_set,
-    working_set,
     zone_of_address,
 )
 from ldesc_sim.cache import AccessOutcome
@@ -45,6 +44,7 @@ from ldesc_sim.numa import LOW_BIT_MAX, LOW_BIT_MIN, bitrange, numa_part
 from ldesc_sim.prefetch import on_miss
 
 from conftest import make_desc
+from oracles import working_set
 from test_numa import brute_force_best_utility, random_two_desc_instance
 from test_sched import alg1_reference, _descs_for
 

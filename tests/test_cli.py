@@ -204,6 +204,25 @@ def test_run_replay_rejects_a_cta_on_two_sms(tmp_path, capsys, moved):
     assert f"CTA 0 on SM {home} and on SM {other}" in err
 
 
+def test_run_replay_rejects_a_warp_with_two_accesses_in_flight(tmp_path, capsys):
+    # CTA 0 warp 0's second event moves to the cycle of its first, so it
+    # issues before the first completes: a warp has one access in flight,
+    # and no live run can write this trace.
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", HISTO, "--trace-out", str(trace), "--out", str(tmp_path / "m")]) == 0
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    first, second = [ev for ev in events if ev["cta"] == 0 and ev["warp"] == 0][:2]
+    recorded = second["cycle"]
+    second["cycle"] = first["cycle"]
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert main(["run", HISTO, "--trace-in", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ") and "Traceback" not in err
+    assert f"CTA 0 warp 0 at cycle {first['cycle']}" in err
+    completes = int(re.search(r"completes at cycle (\d+)", err).group(1))
+    assert first["cycle"] < completes <= recorded
+
+
 def _edited_inputs(tmp_path, which, edit):
     """`run` arguments for histo.json and its recorded trace, with line 3 of
     the config or of the trace (``which``) replaced by ``edit(line)``."""

