@@ -93,9 +93,6 @@ class CacheModel:
         # The first pin-reset boundary not yet applied; a period of 0 never resets.
         self._next_reset = config.pin_reset_period or math.inf
 
-    def line_addr(self, addr: int) -> int:
-        return addr - addr % self.line_size
-
     def contains(self, addr: int) -> bool:
         line = addr // self.line_size
         return line in self.sets[line % self.num_sets]

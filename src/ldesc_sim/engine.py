@@ -407,7 +407,7 @@ class _Sm:
         self.prefetched: set[int] = set()  # lines it prefetched and has not demanded yet
         self.fill_at: dict[int, int] = {}  # line address -> cycle its in-flight fill lands
         self.streams: dict[int, StreamState] = {}  # row index -> its prefetch stream
-        self.lines: set[int] = set()  # line numbers it demanded: its working set
+        self.lines: set[int] = set()  # line addresses it demanded: its working set
 
 
 class _Due:
@@ -429,14 +429,29 @@ class _Due:
 
 class _Row(NamedTuple):
     """One descriptor's address range, tile table and the levers resolved
-    for it."""
+    for it once per run. ``home(addr, toucher_zone)`` is an address's zone
+    under ``mapping``, the run's copy of its structure's mapping, into whose
+    page table a first-touch ``home`` places pages; on one zone both are
+    None and every address is in zone 0."""
 
     base: int
     end: int
     index: int
     table: TileTable
-    policy: DescriptorPolicy
-    mapping: ZoneMapping | None  # None on a single-zone system
+    insertion: InsertionClass
+    prefetches: bool
+    mapping: ZoneMapping | None
+    home: Callable[[int, int], int] | None
+
+
+def _home_resolver(mapping: ZoneMapping, zone_count: int) -> Callable[[int, int], int]:
+    """``home(addr, toucher_zone)`` under ``mapping`` on ``zone_count`` zones."""
+    low_bit, place = mapping.low_bit, mapping.page_table.setdefault
+    if mapping.scheme is MappingScheme.BITRANGE:
+        return lambda addr, _: (addr >> low_bit) % zone_count
+    if mapping.scheme is MappingScheme.FIRST_TOUCH:
+        return lambda addr, toucher: place(addr >> PAGE_BITS, toucher)
+    return lambda addr, _: zone_of_address(addr, mapping, zone_count)
 
 
 class _Simulation:
@@ -454,6 +469,7 @@ class _Simulation:
         self.schedule = schedule
         self.trace_sink = trace_sink
         self.line_size = config.l1.line_size
+        self.l1_hit = config.latencies.l1_hit
         self._check_consistency()
 
         self.l2 = [CacheModel(config.l2) for _ in range(config.zone_count)]
@@ -486,18 +502,17 @@ class _Simulation:
                 mapping = placement.per_structure.get(desc.data.name)
                 if mapping is None:
                     raise ConfigMismatch(f"placement plan lacks structure {desc.data.name!r}")
-            if mapping is not None and config.zone_count > 1:
+            if config.zone_count > 1:
                 fresh = replace(mapping, page_table=dict(mapping.page_table))
                 mapping = copies.setdefault(id(mapping), fresh)
+                home = _home_resolver(mapping, config.zone_count)
             else:
-                mapping = None
-            data = desc.data
-            table = TileTable(desc, workload.grid)
-            self.rows.append(_Row(data.base_addr, data.end_addr, i, table, policy, mapping))
+                mapping = home = None
+            data, prefetches = desc.data, policy.prefetch is not PrefetchKind.NONE
+            self.rows.append(_Row(data.base_addr, data.end_addr, i, TileTable(desc, workload.grid),
+                                  policy.insertion, prefetches, mapping, home))
         self.tables = [r.table for r in self.rows]
-        self.prefetch_rows = [
-            r for r in self.rows if r.policy.prefetch is not PrefetchKind.NONE
-        ]
+        self.prefetch_rows = [r for r in self.rows if r.prefetches]
 
         # Resident CTAs per (sm, descriptor index, D-tile); each SM keeps its
         # own prefetch streams in ``_Sm.streams``.
@@ -552,13 +567,6 @@ class _Simulation:
                 return row
         raise ConfigMismatch(f"address {addr:#x} matches no descriptor")
 
-    def _home_zone(self, addr: int, mapping: ZoneMapping | None, toucher_zone: int) -> int:
-        if mapping is None:
-            return 0
-        if mapping.scheme is MappingScheme.FIRST_TOUCH:
-            return mapping.page_table.setdefault(addr >> PAGE_BITS, toucher_zone)
-        return zone_of_address(addr, mapping, self.config.zone_count)
-
     # -- memory path -------------------------------------------------------
 
     def _memory_latency(self, sm_zone: int, line_addr: int, home: int, cycle: int) -> int:
@@ -592,20 +600,23 @@ class _Simulation:
 
     def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
         """Issue the prefetches a demand miss of ``row``, a row whose policy
-        prefetches, asks for."""
+        prefetches, asks for. A target's home zone is that of the row that
+        holds it, which may be a higher-priority, overlapping descriptor's."""
         desc = row.table.desc
         state = sm.streams.get(row.index)
         if state is None:
             state = sm.streams[row.index] = StreamState.for_descriptor(desc)
-        for target in pf.on_miss(addr, desc, self.config.l1.capacity, state, self.line_size):
-            line_addr = sm.l1.line_addr(target)
-            if sm.l1.contains(line_addr) or sm.l1.inflight(line_addr):
+        l1, line_size = sm.l1, self.line_size
+        for target in pf.on_miss(addr, desc, self.config.l1.capacity, state, line_size):
+            line_addr = target - target % line_size
+            if l1.contains(line_addr) or l1.inflight(line_addr):
                 continue
             try:
-                sm.l1.access(line_addr, InsertionClass.SOFT_PIN, cycle)
+                l1.access(line_addr, InsertionClass.SOFT_PIN, cycle)
             except MshrFull:
                 continue
-            home = self._home_zone(line_addr, self._row_of(line_addr).mapping, sm.zone)
+            resolve = self._row_of(line_addr).home
+            home = 0 if resolve is None else resolve(line_addr, sm.zone)
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             self._schedule_fill(sm, line_addr, cycle + latency)
             self.pf_issued += 1
@@ -678,17 +689,18 @@ class _Simulation:
         sm, cta = slot.sm, slot.cta
         row = self._row_of(addr)
         try:
-            outcome = sm.l1.access(addr, row.policy.insertion, cycle)
+            outcome = sm.l1.access(addr, row.insertion, cycle)
         except MshrFull:
             return None
 
         self.demand += 1
-        home = self._home_zone(addr, row.mapping, sm.zone)
+        resolve = row.home
+        home = 0 if resolve is None else resolve(addr, sm.zone)
         self.zone_counts[home] += 1
         if home == sm.zone:
             self.local_accesses += 1
-        line_addr = sm.l1.line_addr(addr)
-        sm.lines.add(line_addr // self.line_size)
+        line_addr = addr - addr % self.line_size
+        sm.lines.add(line_addr)
         if not cta.started:
             self._mark_started(sm, cta)
         if self.trace_sink is not None:
@@ -700,7 +712,7 @@ class _Simulation:
                 self.pf_useful += 1
         if outcome is AccessOutcome.HIT:
             self.hits += 1
-            completion = cycle + self.config.latencies.l1_hit
+            completion = cycle + self.l1_hit
         elif outcome is AccessOutcome.INFLIGHT_HIT:
             self.inflight_hits += 1
             completion = sm.fill_at[line_addr]
@@ -709,7 +721,7 @@ class _Simulation:
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             completion = cycle + latency
             self._schedule_fill(sm, line_addr, completion)
-            if row.policy.prefetch is not PrefetchKind.NONE:
+            if row.prefetches:
                 self._maybe_prefetch(sm, addr, row, cycle)
 
         cta.remaining -= 1

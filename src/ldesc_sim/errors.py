@@ -21,10 +21,6 @@ class OverlapConflict(LdescError):
     """Two descriptors over overlapping address ranges share a priority."""
 
 
-class UnplacedPage(LdescError):
-    """First-touch lookup for a page no CTA has accessed yet."""
-
-
 class MshrFull(LdescError):
     """No MSHR entry available; the access must stall and retry."""
 

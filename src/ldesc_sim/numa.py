@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .descriptor import PAGE_BITS, LocalityDescriptor, log2_exact
-from .errors import UnplacedPage
 from .grid import CtaGrid, TileTable
 from .sched import ClusterDims, Schedule, assign_clusters_by_zone, majority_zone
 
@@ -57,19 +56,15 @@ def first_touch(zone_count: int) -> ZoneMapping:
 
 
 def zone_of_address(addr: int, mapping: ZoneMapping, zone_count: int) -> int:
-    """Resolve a byte address to its NUMA zone under a mapping."""
-    if zone_count == 1:
-        return 0
-    if mapping.scheme is MappingScheme.BITRANGE:
-        return (addr >> mapping.low_bit) % zone_count
+    """Resolve a byte address to its NUMA zone under a BITRANGE or XOR_HASH
+    mapping. A FIRST_TOUCH mapping has no such rule: its ``page_table``
+    holds the zone of each page touched so far."""
     if mapping.scheme is MappingScheme.XOR_HASH:
         n = mapping.num_bits
         return ((addr >> 7) ^ (addr >> (7 + n)) ^ (addr >> (7 + 2 * n))) % zone_count
-    page = addr >> PAGE_BITS
-    try:
-        return mapping.page_table[page]
-    except KeyError:
-        raise UnplacedPage(f"page {page:#x} has never been touched") from None
+    if mapping.scheme is MappingScheme.BITRANGE:
+        return (addr >> mapping.low_bit) % zone_count
+    raise ValueError("a FIRST_TOUCH mapping places pages in its page_table, not by address")
 
 
 def _zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:

@@ -5,10 +5,11 @@ import math
 from typing import Iterable, NoReturn, TextIO
 
 from ldesc_sim import AccessOutcome, CacheConfig, InsertionClass
-from ldesc_sim.descriptor import ctile_count, dtile_count
+from ldesc_sim.descriptor import PAGE_BITS, ctile_count, dtile_count
 from ldesc_sim.engine import AccessEvent
-from ldesc_sim.errors import ConfigError, MshrFull
+from ldesc_sim.errors import ConfigError, LdescError, MshrFull
 from ldesc_sim.grid import TileIndex, unflatten_xyz
+from ldesc_sim.numa import MappingScheme
 from ldesc_sim.sched import majority_zone
 
 # Tile arithmetic per CTA and per address, a data structure's bounds and the
@@ -64,6 +65,38 @@ def working_set(events: Iterable[AccessEvent], line_size: int = 128) -> dict[int
     for ev in events:
         per_sm.setdefault(ev.sm, set()).add(ev.addr // line_size)
     return {sm: len(lines) for sm, lines in per_sm.items()}
+
+
+# Zone resolution as it stood when the engine worked each access's home
+# zone out from its row's mapping: ``zone_of_address`` with its first-touch
+# page-table lookup, and the engine's ``_home_zone``, kept verbatim except
+# that ``_home_zone`` takes the zone count that it read from the system.
+class UnplacedPage(LdescError):
+    """First-touch lookup for a page no CTA has accessed yet."""
+
+
+def zone_of_address(addr, mapping, zone_count):
+    """Resolve a byte address to its NUMA zone under a mapping."""
+    if zone_count == 1:
+        return 0
+    if mapping.scheme is MappingScheme.BITRANGE:
+        return (addr >> mapping.low_bit) % zone_count
+    if mapping.scheme is MappingScheme.XOR_HASH:
+        n = mapping.num_bits
+        return ((addr >> 7) ^ (addr >> (7 + n)) ^ (addr >> (7 + 2 * n))) % zone_count
+    page = addr >> PAGE_BITS
+    try:
+        return mapping.page_table[page]
+    except KeyError:
+        raise UnplacedPage(f"page {page:#x} has never been touched") from None
+
+
+def home_zone(addr, mapping, toucher_zone, zone_count):
+    if mapping is None:
+        return 0
+    if mapping.scheme is MappingScheme.FIRST_TOUCH:
+        return mapping.page_table.setdefault(addr >> PAGE_BITS, toucher_zone)
+    return zone_of_address(addr, mapping, zone_count)
 
 
 # The reference: the cache as it stood when every way of every set was built

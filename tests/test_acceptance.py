@@ -43,6 +43,7 @@ from ldesc_sim.engine import SystemConfig, preset
 from ldesc_sim.numa import LOW_BIT_MAX, LOW_BIT_MIN, bitrange, numa_part
 from ldesc_sim.prefetch import on_miss
 
+import oracles
 from conftest import make_desc
 from oracles import working_set
 from test_numa import brute_force_best_utility, random_two_desc_instance
@@ -154,7 +155,7 @@ def test_criterion_5_first_touch_skew():
     mapping, _ = baseline_first_touch(grid, 4, trace, sm_count=8)
     ft_counts = [0, 0, 0, 0]
     for _, addr in trace:
-        ft_counts[zone_of_address(addr, mapping, 4)] += 1
+        ft_counts[oracles.zone_of_address(addr, mapping, 4)] += 1
     ft_max_share = max(ft_counts) / len(trace)
     assert ft_max_share >= 0.9
 

