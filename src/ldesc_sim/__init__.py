@@ -19,6 +19,7 @@ from .descriptor import (
 )
 from .engine import (
     AccessEvent,
+    DescriptorPolicy,
     Latencies,
     PolicySet,
     SimMetrics,
@@ -67,6 +68,7 @@ __all__ = [
     "ClusterDims",
     "CtaGrid",
     "DataStructureRef",
+    "DescriptorPolicy",
     "InsertionClass",
     "Latencies",
     "LocalityDescriptor",

@@ -41,14 +41,7 @@ COMPARE_COLUMNS = (
 
 
 def _metric_row(m: SimMetrics) -> list:
-    return [
-        m.l1_hit_rate,
-        m.inflight_hit_rate,
-        m.avg_working_set,
-        m.access_efficiency,
-        m.total_cycles,
-        m.prefetch_accuracy,
-    ]
+    return [getattr(m, name) for name in COMPARE_COLUMNS[1:]]
 
 
 def _write_output(text: str, out: str | None) -> None:

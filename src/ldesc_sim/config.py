@@ -26,7 +26,6 @@ from .descriptor import (
     validate_descriptor_set,
 )
 from .engine import (
-    AccessEvent,
     DescriptorPolicy,
     PolicySet,
     SimMetrics,
@@ -54,18 +53,20 @@ from .sched import (
     form_clusters,
 )
 
-# Which descriptor-driven levers each named policy keeps, as (clusters,
-# insertion, prefetch); a lever left out falls back to the baseline
-# (round-robin or paired-CTA scheduling, LRU insertion, no prefetching).
-POLICY_LEVERS = {
-    "rr": (False, False, False),
-    "bcs": (False, False, False),
-    "ldesc": (True, True, True),
-    "ldesc-sched": (True, False, False),
-    "ldesc-cache": (False, True, False),
-    "ldesc-pref": (False, False, True),
+# Each named policy's CTA schedule and whether it keeps the descriptor-driven
+# cache insertion and prefetching, as (schedule, insertion, prefetch). The
+# schedule is "rr" (round robin), "bcs" (consecutive CTA pairs) or
+# "clusters" (descriptor clusters); a dropped lever falls back to LRU
+# insertion or no prefetching.
+POLICIES = {
+    "rr": ("rr", False, False),
+    "bcs": ("bcs", False, False),
+    "ldesc": ("clusters", True, True),
+    "ldesc-sched": ("clusters", False, False),
+    "ldesc-cache": ("rr", True, False),
+    "ldesc-pref": ("rr", False, True),
 }
-POLICY_NAMES = tuple(POLICY_LEVERS)
+POLICY_NAMES = tuple(POLICIES)
 PLACEMENT_NAMES = ("ldesc", "xor", "first_touch")
 SWEEP_AXES = ("sm_count", "zone_count", "l1_capacity", "pin_reset_period", "seed")
 
@@ -316,32 +317,28 @@ def _long_int_line(text: str) -> int:
     return 1
 
 
-def build_policies(name: str, descs: list[LocalityDescriptor]) -> PolicySet:
-    """Cache/prefetch policy set for a named configuration."""
-    try:
-        clusters, insertion, prefetch = POLICY_LEVERS[name]
-    except KeyError:
-        raise ConfigError(f"unknown policy {name!r}") from None
-    return PolicySet(
-        tuple(
-            DescriptorPolicy(
-                clusters and p.schedule_with_clusters,
-                p.insertion if insertion else InsertionClass.NORMAL,
-                p.prefetch if prefetch else PrefetchKind.NONE,
-            )
-            for p in select_policies(descs).per_desc
-        )
-    )
-
-
 def compose(cfg: ExperimentConfig):
     """Build (workload, policies, schedule, placement) for one experiment.
 
-    The placement comes first, then the schedule: paired CTAs for ``bcs``,
-    round-robin when no descriptor asks for clusters, clusters kept next to
-    their data under a placement plan, plain clusters otherwise.
+    Each descriptor keeps the insertion and prefetch levers that
+    ``select_policies`` derives from it when the named policy keeps that
+    lever. The placement comes first, then the schedule the policy names;
+    ``clusters`` is round robin when no descriptor is inter-thread, and
+    keeps each cluster next to its data under a placement plan.
     """
-    policies = build_policies(cfg.policy, cfg.descs)
+    try:
+        schedule_kind, insertion, prefetch = POLICIES[cfg.policy]
+    except KeyError:
+        raise ConfigError(f"unknown policy {cfg.policy!r}") from None
+    policies = PolicySet(
+        tuple(
+            DescriptorPolicy(
+                p.insertion if insertion else InsertionClass.NORMAL,
+                p.prefetch if prefetch else PrefetchKind.NONE,
+            )
+            for p in select_policies(cfg.descs).per_desc
+        )
+    )
     workload = Workload(cfg.grid, cfg.descs, cfg.seed)
     grid, sms, zones = cfg.grid, cfg.system.sm_count, cfg.system.zone_count
     if zones == 1:
@@ -355,9 +352,13 @@ def compose(cfg: ExperimentConfig):
         # pages are placed in-simulation at the zone of their first toucher.
         return workload, policies, distributed_schedule(grid, zones, sms), first_touch(zones)
 
-    if cfg.policy == "bcs":
+    if schedule_kind == "clusters" and not any(
+        d.ltype is LocalityType.INTER_THREAD for d in cfg.descs
+    ):
+        schedule_kind = "rr"
+    if schedule_kind == "bcs":
         schedule = baseline_bcs(grid, sms)
-    elif not policies.wants_clusters():
+    elif schedule_kind == "rr":
         schedule = baseline_round_robin(grid, sms)
     elif isinstance(placement, NumaPlan):
         cls = form_clusters(cfg.descs, grid, sms // zones)
@@ -367,21 +368,9 @@ def compose(cfg: ExperimentConfig):
     return workload, policies, schedule, placement
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    trace_sink: list[AccessEvent] | None = None,
-    trace_in: list[AccessEvent] | None = None,
-) -> SimMetrics:
+def run_experiment(cfg: ExperimentConfig) -> SimMetrics:
     workload, policies, schedule, placement = compose(cfg)
-    return simulate(
-        workload,
-        cfg.system,
-        schedule,
-        placement=placement,
-        policies=policies,
-        trace_sink=trace_sink,
-        trace_in=trace_in,
-    )
+    return simulate(workload, cfg.system, schedule, placement=placement, policies=policies)
 
 
 def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig:

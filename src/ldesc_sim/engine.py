@@ -82,7 +82,9 @@ def preset(name: str) -> SystemConfig:
 
 @dataclass(frozen=True)
 class DescriptorPolicy:
-    schedule_with_clusters: bool
+    """One descriptor's cache insertion class and the prefetcher kind run
+    on its demand misses."""
+
     insertion: InsertionClass
     prefetch: PrefetchKind
 
@@ -91,15 +93,12 @@ class DescriptorPolicy:
 class PolicySet:
     per_desc: tuple[DescriptorPolicy, ...]  # aligned with Workload.descs
 
-    def wants_clusters(self) -> bool:
-        return any(p.schedule_with_clusters for p in self.per_desc)
-
 
 def select_policies(descs: list[LocalityDescriptor]) -> PolicySet:
     """Map each descriptor's locality type to its architectural levers.
 
-    Inter-thread data is soft pinned and scheduled in clusters, with stride
-    prefetch for regular co-access and nextline for nearby sharing.
+    Inter-thread data is soft pinned, with stride prefetch for regular
+    co-access and nextline for nearby sharing.
     Intra-thread data is hard pinned against thrash; no-reuse data bypasses
     the cache. Conflicts between overlapping descriptors resolve by
     priority at access time.
@@ -113,18 +112,18 @@ def select_policies(descs: list[LocalityDescriptor]) -> PolicySet:
                 kind = PrefetchKind.STRIDE
             else:
                 kind = PrefetchKind.NONE
-            out.append(DescriptorPolicy(True, InsertionClass.SOFT_PIN, kind))
+            out.append(DescriptorPolicy(InsertionClass.SOFT_PIN, kind))
         elif d.ltype is LocalityType.INTRA_THREAD:
-            out.append(DescriptorPolicy(False, InsertionClass.HARD_PIN, PrefetchKind.NONE))
+            out.append(DescriptorPolicy(InsertionClass.HARD_PIN, PrefetchKind.NONE))
         else:
-            out.append(DescriptorPolicy(False, InsertionClass.BYPASS, PrefetchKind.NONE))
+            out.append(DescriptorPolicy(InsertionClass.BYPASS, PrefetchKind.NONE))
     return PolicySet(tuple(out))
 
 
 def normal_policies(descs: list[LocalityDescriptor]) -> PolicySet:
     """Baseline cache behaviour: plain LRU insertion, no prefetching."""
     return PolicySet(
-        (DescriptorPolicy(False, InsertionClass.NORMAL, PrefetchKind.NONE),) * len(descs)
+        (DescriptorPolicy(InsertionClass.NORMAL, PrefetchKind.NONE),) * len(descs)
     )
 
 
@@ -439,9 +438,13 @@ class _Row(NamedTuple):
     index: int
     table: TileTable
     insertion: InsertionClass
-    prefetches: bool
+    prefetch: PrefetchKind
     mapping: ZoneMapping | None
     home: Callable[[int, int], int] | None
+
+
+# The miss path reads a global several times faster than an enum member.
+_NO_PREFETCH = PrefetchKind.NONE
 
 
 def _home_resolver(mapping: ZoneMapping, zone_count: int) -> Callable[[int, int], int]:
@@ -508,11 +511,11 @@ class _Simulation:
                 home = _home_resolver(mapping, config.zone_count)
             else:
                 mapping = home = None
-            data, prefetches = desc.data, policy.prefetch is not PrefetchKind.NONE
+            data = desc.data
             self.rows.append(_Row(data.base_addr, data.end_addr, i, TileTable(desc, workload.grid),
-                                  policy.insertion, prefetches, mapping, home))
+                                  policy.insertion, policy.prefetch, mapping, home))
         self.tables = [r.table for r in self.rows]
-        self.prefetch_rows = [r for r in self.rows if r.prefetches]
+        self.prefetch_rows = [r for r in self.rows if r.prefetch is not _NO_PREFETCH]
 
         # Resident CTAs per (sm, descriptor index, D-tile); each SM keeps its
         # own prefetch streams in ``_Sm.streams``.
@@ -599,15 +602,16 @@ class _Simulation:
     # -- prefetching ---------------------------------------------------------
 
     def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
-        """Issue the prefetches a demand miss of ``row``, a row whose policy
-        prefetches, asks for. A target's home zone is that of the row that
-        holds it, which may be a higher-priority, overlapping descriptor's."""
+        """Issue the prefetches that a demand miss of ``row`` asks for from
+        the prefetcher kind its policy names (not NONE). A target's home
+        zone is that of the row that holds it, which may be a
+        higher-priority, overlapping descriptor's."""
         desc = row.table.desc
         state = sm.streams.get(row.index)
         if state is None:
             state = sm.streams[row.index] = StreamState.for_descriptor(desc)
         l1, line_size = sm.l1, self.line_size
-        for target in pf.on_miss(addr, desc, self.config.l1.capacity, state, line_size):
+        for target in pf.on_miss(addr, row.prefetch, desc, self.config.l1.capacity, state, line_size):
             line_addr = target - target % line_size
             if l1.contains(line_addr) or l1.inflight(line_addr):
                 continue
@@ -721,7 +725,7 @@ class _Simulation:
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             completion = cycle + latency
             self._schedule_fill(sm, line_addr, completion)
-            if row.prefetches:
+            if row.prefetch is not _NO_PREFETCH:
                 self._maybe_prefetch(sm, addr, row, cycle)
 
         cta.remaining -= 1

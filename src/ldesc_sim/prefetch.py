@@ -1,8 +1,9 @@
-"""Descriptor-guided prefetching for inter-thread data.
+"""Descriptor-guided prefetching.
 
-NEARBY sharing gets plain nextline prefetching. COACCESSED sharing with a
-regular stride gets a computed lookahead: the distance shrinks as more data
-tiles stream concurrently, so the prefetched lines still fit in L1:
+A descriptor's policy names the prefetcher kind its demand misses run.
+NEXTLINE prefetches the next line. STRIDE computes a lookahead along the
+descriptor's stride: the distance shrinks as more data tiles stream
+concurrently, so the prefetched lines still fit in L1:
 
     target = addr + (l1_size // (active_tiles * dtile_width)) * stride
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .descriptor import LocalityDescriptor, LocalityType, SharingType
+from .descriptor import LocalityDescriptor
 from .grid import DtileGeometry
 
 
@@ -40,27 +41,27 @@ class StreamState:
 
 def on_miss(
     addr: int,
+    kind: PrefetchKind,
     desc: LocalityDescriptor,
     l1_size: int,
     state: StreamState,
     line_size: int = 128,
 ) -> list[int]:
-    """React to a demand miss at ``addr``, inside the descriptor's structure:
-    track the stream and return the addresses to prefetch, at most one."""
-    if desc.ltype is not LocalityType.INTER_THREAD:
-        return []
+    """React to a demand miss at ``addr``, inside the descriptor's structure,
+    with prefetcher ``kind``: track the stream and return the addresses to
+    prefetch, at most one."""
     tiles = state.tiles
     state.active_dtiles.add(tiles.flat_of(addr))
-    if desc.sharing is SharingType.NEARBY:
+    if kind is PrefetchKind.NEXTLINE:
         target = addr + line_size
-    elif desc.sharing is SharingType.COACCESSED and desc.pattern.regular:
+    elif kind is PrefetchKind.STRIDE:
         factor = l1_size // (len(state.active_dtiles) * tiles.row_bytes)
         if factor == 0:
             target = addr + line_size  # nextline fallback
         else:
             target = addr + factor * desc.pattern.stride_bytes
     else:
-        return []  # COACCESSED irregular: retention is the cache's job
+        return []  # NONE
     if not tiles.base <= target < tiles.end:
         return []
     return [target]

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import dataclass
 from typing import Iterable, NoReturn, TextIO
 
-from ldesc_sim import AccessOutcome, CacheConfig, InsertionClass
-from ldesc_sim.descriptor import PAGE_BITS, ctile_count, dtile_count
-from ldesc_sim.engine import AccessEvent
+from ldesc_sim import AccessOutcome, CacheConfig, InsertionClass, PrefetchKind
+from ldesc_sim import numa, sched
+from ldesc_sim.descriptor import PAGE_BITS, LocalityType, SharingType, ctile_count, dtile_count
+from ldesc_sim.engine import AccessEvent, Workload
 from ldesc_sim.errors import ConfigError, LdescError, MshrFull
 from ldesc_sim.grid import TileIndex, unflatten_xyz
 from ldesc_sim.numa import MappingScheme
@@ -336,3 +338,112 @@ def _reject_trace_line(line: str, where: str) -> NoReturn:
             raise ConfigError(f"{where}: {key} {raw[key]} is negative")
     # every other check passed, so the addr is what failed to parse
     raise ConfigError(f"{where}: addr {raw['addr']!r} is not a hex string")
+
+
+# Policy composition as it stood when each descriptor's policy also said
+# whether it wanted clusters and a table of booleans named each policy's
+# levers: ``select_policies``, ``build_policies`` and ``compose`` kept
+# verbatim, except that the schedule and placement builders are reached
+# through their modules. Tests check ``config.compose`` against it.
+
+
+@dataclass(frozen=True)
+class DescriptorPolicy:
+    schedule_with_clusters: bool
+    insertion: InsertionClass
+    prefetch: PrefetchKind
+
+
+@dataclass
+class PolicySet:
+    per_desc: tuple[DescriptorPolicy, ...]
+
+    def wants_clusters(self) -> bool:
+        return any(p.schedule_with_clusters for p in self.per_desc)
+
+
+POLICY_LEVERS = {
+    "rr": (False, False, False),
+    "bcs": (False, False, False),
+    "ldesc": (True, True, True),
+    "ldesc-sched": (True, False, False),
+    "ldesc-cache": (False, True, False),
+    "ldesc-pref": (False, False, True),
+}
+
+
+def select_policies(descs) -> PolicySet:
+    """Map each descriptor's locality type to its architectural levers.
+
+    Inter-thread data is soft pinned and scheduled in clusters, with stride
+    prefetch for regular co-access and nextline for nearby sharing.
+    Intra-thread data is hard pinned against thrash; no-reuse data bypasses
+    the cache. Conflicts between overlapping descriptors resolve by
+    priority at access time.
+    """
+    out: list[DescriptorPolicy] = []
+    for d in descs:
+        if d.ltype is LocalityType.INTER_THREAD:
+            if d.sharing is SharingType.NEARBY:
+                kind = PrefetchKind.NEXTLINE
+            elif d.pattern.regular:
+                kind = PrefetchKind.STRIDE
+            else:
+                kind = PrefetchKind.NONE
+            out.append(DescriptorPolicy(True, InsertionClass.SOFT_PIN, kind))
+        elif d.ltype is LocalityType.INTRA_THREAD:
+            out.append(DescriptorPolicy(False, InsertionClass.HARD_PIN, PrefetchKind.NONE))
+        else:
+            out.append(DescriptorPolicy(False, InsertionClass.BYPASS, PrefetchKind.NONE))
+    return PolicySet(tuple(out))
+
+
+def build_policies(name, descs) -> PolicySet:
+    """Cache/prefetch policy set for a named configuration."""
+    try:
+        clusters, insertion, prefetch = POLICY_LEVERS[name]
+    except KeyError:
+        raise ConfigError(f"unknown policy {name!r}") from None
+    return PolicySet(
+        tuple(
+            DescriptorPolicy(
+                clusters and p.schedule_with_clusters,
+                p.insertion if insertion else InsertionClass.NORMAL,
+                p.prefetch if prefetch else PrefetchKind.NONE,
+            )
+            for p in select_policies(descs).per_desc
+        )
+    )
+
+
+def compose(cfg):
+    """Build (workload, policies, schedule, placement) for one experiment.
+
+    The placement comes first, then the schedule: paired CTAs for ``bcs``,
+    round-robin when no descriptor asks for clusters, clusters kept next to
+    their data under a placement plan, plain clusters otherwise.
+    """
+    policies = build_policies(cfg.policy, cfg.descs)
+    workload = Workload(cfg.grid, cfg.descs, cfg.seed)
+    grid, sms, zones = cfg.grid, cfg.system.sm_count, cfg.system.zone_count
+    if zones == 1:
+        placement = None
+    elif cfg.placement == "ldesc":
+        placement = numa.place_and_partition(cfg.descs, grid, zones)
+    elif cfg.placement == "xor":
+        placement = numa.xor_hash(zones)
+    else:
+        # first_touch prescribes its own distributed contiguous schedule;
+        # pages are placed in-simulation at the zone of their first toucher.
+        return workload, policies, numa.distributed_schedule(grid, zones, sms), numa.first_touch(zones)
+
+    if cfg.policy == "bcs":
+        schedule = sched.baseline_bcs(grid, sms)
+    elif not policies.wants_clusters():
+        schedule = sched.baseline_round_robin(grid, sms)
+    elif isinstance(placement, numa.NumaPlan):
+        cls = sched.form_clusters(cfg.descs, grid, sms // zones)
+        schedule = sched.assign_clusters_by_zone(cls, grid, placement.cta_partition, sms, zones)
+    else:
+        schedule = sched.assign_clusters(sched.form_clusters(cfg.descs, grid, sms), grid, sms)
+    return workload, policies, schedule, placement

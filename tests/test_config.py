@@ -9,9 +9,10 @@ import pytest
 
 from ldesc_sim import config as config_mod
 from ldesc_sim.config import (
+    PLACEMENT_NAMES,
+    POLICY_NAMES,
     ConfigError,
     apply_axis,
-    build_policies,
     compose,
     load_config,
     parse_config,
@@ -20,6 +21,9 @@ from ldesc_sim.config import (
 from ldesc_sim.engine import PrefetchKind
 from ldesc_sim.cache import InsertionClass
 from ldesc_sim.numa import MappingScheme, NumaPlan, ZoneMapping
+from ldesc_sim.sched import baseline_round_robin
+
+import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,7 +55,8 @@ def test_intra_only_workload_falls_back_to_rr():
     del raw["descriptors"][0]["sharing"]
     cfg = parse_config(raw)
     _, policies, schedule, _ = compose(cfg)
-    assert not policies.wants_clusters()
+    assert policies.per_desc[0].insertion is InsertionClass.HARD_PIN
+    assert schedule.assignment == baseline_round_robin(cfg.grid, cfg.system.sm_count).assignment
     assert [schedule.assignment[i] for i in range(5)] == [0, 1, 2, 3, 0]
 
 
@@ -79,17 +84,56 @@ def test_placement_without_scheduling_is_ineffective():
 
 def test_ablation_policy_sets():
     cfg = load_config(CONFIGS / "histo.json")
-    descs = cfg.descs
-    sched_only = build_policies("ldesc-sched", descs).per_desc[0]
-    assert sched_only.schedule_with_clusters
+
+    def composed(policy):
+        _, policies, schedule, _ = compose(dataclasses.replace(cfg, policy=policy))
+        return policies.per_desc[0], schedule.assignment
+
+    _, clustered = composed("ldesc")
+    _, round_robin = composed("rr")
+    assert clustered != round_robin
+    sched_only, schedule = composed("ldesc-sched")
+    assert schedule == clustered
     assert sched_only.insertion is InsertionClass.NORMAL
     assert sched_only.prefetch is PrefetchKind.NONE
-    cache_only = build_policies("ldesc-cache", descs).per_desc[0]
-    assert not cache_only.schedule_with_clusters
+    cache_only, schedule = composed("ldesc-cache")
+    assert schedule == round_robin
     assert cache_only.insertion is InsertionClass.SOFT_PIN
-    pref_only = build_policies("ldesc-pref", descs).per_desc[0]
+    pref_only, _ = composed("ldesc-pref")
     assert pref_only.prefetch is PrefetchKind.STRIDE
     assert pref_only.insertion is InsertionClass.NORMAL
+
+
+def _intra_only_histo(preset):
+    raw = _histo_raw()
+    for draw in raw["descriptors"]:
+        draw["locality_type"] = "INTRA_THREAD"
+        draw.pop("sharing", None)
+    return parse_config(raw, preset)
+
+
+@pytest.mark.parametrize("preset", [None, "paper-single", "paper-numa"])
+@pytest.mark.parametrize(
+    "name", [p.name for p in sorted(CONFIGS.glob("*.json"))] + ["histo-intra-only"]
+)
+def test_compose_matches_reference(name, preset):
+    # Every policy and placement composes the levers and the schedule that
+    # the boolean lever table and its schedule branch composed.
+    if name == "histo-intra-only":
+        base = _intra_only_histo(preset)
+    else:
+        base = load_config(CONFIGS / name, preset)
+    for policy in POLICY_NAMES:
+        for placement in PLACEMENT_NAMES:
+            cfg = dataclasses.replace(base, policy=policy, placement=placement)
+            _, policies, schedule, _ = compose(cfg)
+            _, ref_policies, ref_schedule, _ = oracles.compose(cfg)
+            where = f"{policy}/{placement}"
+            assert [(p.insertion, p.prefetch) for p in policies.per_desc] == [
+                (p.insertion, p.prefetch) for p in ref_policies.per_desc
+            ], where
+            assert schedule.sm_count == ref_schedule.sm_count, where
+            assert schedule.assignment == ref_schedule.assignment, where
 
 
 def test_apply_axis_zone_divisibility():

@@ -87,10 +87,24 @@ def stripe_workload(tiles=16, tile_kb=16, seed=1):
 # -- select_policies ---------------------------------------------------------
 
 
+def _ldesc_schedule(d):
+    """The schedule, ``clusters`` or ``rr``, that ``compose`` builds for
+    policy ``ldesc`` and ``d`` alone on four SMs and a 5x8 grid."""
+    grid, sms = CtaGrid((5, 8, 1)), 4
+    descs = validate_descriptor_set([d], grid)
+    _, _, schedule, _ = compose(ExperimentConfig(SystemConfig(sm_count=sms), grid, descs))
+    named = {
+        "clusters": assign_clusters(form_clusters(descs, grid, sms), grid, sms),
+        "rr": baseline_round_robin(grid, sms),
+    }
+    (name,) = [k for k, s in named.items() if s.assignment == schedule.assignment]
+    return name
+
+
 def test_policies_coaccessed_regular():
     d = make_desc()
     p = select_policies([d]).per_desc[0]
-    assert p.schedule_with_clusters
+    assert _ldesc_schedule(d) == "clusters"
     assert p.insertion is InsertionClass.SOFT_PIN
     assert p.prefetch is PrefetchKind.STRIDE
 
@@ -98,7 +112,7 @@ def test_policies_coaccessed_regular():
 def test_policies_intra_thread():
     d = make_desc(ltype=LocalityType.INTRA_THREAD)
     p = select_policies([d]).per_desc[0]
-    assert not p.schedule_with_clusters
+    assert _ldesc_schedule(d) == "rr"
     assert p.insertion is InsertionClass.HARD_PIN
     assert p.prefetch is PrefetchKind.NONE
 
@@ -462,7 +476,7 @@ def test_remote_link_capacity_throttles():
 
 def test_pure_intra_workload_needs_no_clusters():
     d = make_desc(ltype=LocalityType.INTRA_THREAD)
-    assert not select_policies([d]).wants_clusters()
+    assert _ldesc_schedule(d) == "rr"
 
 
 def test_sequential_stream_prefetch_accuracy():

@@ -1,5 +1,6 @@
-"""The package's public surface, the README library example, no unused
-imports in ``src/ldesc_sim``, and the functions the benchmark tracer wraps."""
+"""The package's public surface, the README library example, the documented
+policy table, no unused imports in ``src/ldesc_sim``, and the functions the
+benchmark tracer wraps."""
 
 import ast
 import contextlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ldesc_sim
+from ldesc_sim.config import POLICIES
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ldesc_sim").glob("*.py"))
@@ -46,6 +48,21 @@ def test_readme_example_prints_its_working_set():
     with contextlib.redirect_stdout(out):
         exec(compile(_library_example(), "README.md", "exec"), {})
     assert out.getvalue() == "[64, 32, 32, 32]\n"
+
+
+def test_policy_table_matches_config():
+    # docs/formats.md's policy table says what config.POLICIES does.
+    schedules = {"round robin": "rr", "consecutive CTA pairs": "bcs",
+                 "descriptor clusters": "clusters"}
+    insertion = {"plain LRU": False, "bypass/soft/hard pins": True}
+    prefetch = {"off": False, "nextline/stride": True}
+    doc = (ROOT / "docs" / "formats.md").read_text()
+    rows = {}
+    for name, sched, ins, pref in re.findall(
+        r"^\| `([\w-]+)` +\| ([^|]+?) +\| ([^|]+?) +\| ([^|]+?) +\|$", doc, re.M
+    ):
+        rows[name] = (schedules[sched], insertion[ins], prefetch[pref])
+    assert rows == POLICIES
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
