@@ -49,11 +49,16 @@ def test_rr_and_bcs_policies_schedule_baselines():
     assert [bcs_sched.assignment[i] for i in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
-def test_intra_only_workload_falls_back_to_rr():
+def _intra_only_histo(preset=None):
     raw = _histo_raw()
-    raw["descriptors"][0]["locality_type"] = "INTRA_THREAD"
-    del raw["descriptors"][0]["sharing"]
-    cfg = parse_config(raw)
+    for draw in raw["descriptors"]:
+        draw["locality_type"] = "INTRA_THREAD"
+        draw.pop("sharing", None)
+    return parse_config(raw, preset)
+
+
+def test_intra_only_workload_falls_back_to_rr():
+    cfg = _intra_only_histo()
     _, policies, schedule, _ = compose(cfg)
     assert policies.per_desc[0].insertion is InsertionClass.HARD_PIN
     assert schedule.assignment == baseline_round_robin(cfg.grid, cfg.system.sm_count).assignment
@@ -102,14 +107,6 @@ def test_ablation_policy_sets():
     pref_only, _ = composed("ldesc-pref")
     assert pref_only.prefetch is PrefetchKind.STRIDE
     assert pref_only.insertion is InsertionClass.NORMAL
-
-
-def _intra_only_histo(preset):
-    raw = _histo_raw()
-    for draw in raw["descriptors"]:
-        draw["locality_type"] = "INTRA_THREAD"
-        draw.pop("sharing", None)
-    return parse_config(raw, preset)
 
 
 @pytest.mark.parametrize("preset", [None, "paper-single", "paper-numa"])
