@@ -21,7 +21,6 @@ from .engine import (
     AccessEvent,
     DescriptorPolicy,
     Latencies,
-    PolicySet,
     SimMetrics,
     SystemConfig,
     Workload,
@@ -46,7 +45,7 @@ from .numa import (
     place_and_partition,
     zone_of_address,
 )
-from .prefetch import PrefetchKind, StreamState
+from .prefetch import PrefetchKind
 from .sched import (
     ClusterDims,
     Schedule,
@@ -74,12 +73,10 @@ __all__ = [
     "LocalityDescriptor",
     "LocalityType",
     "NumaPlan",
-    "PolicySet",
     "PrefetchKind",
     "Schedule",
     "SharingType",
     "SimMetrics",
-    "StreamState",
     "SystemConfig",
     "TileIndex",
     "TileSemantics",

@@ -27,7 +27,6 @@ from .descriptor import (
 )
 from .engine import (
     DescriptorPolicy,
-    PolicySet,
     SimMetrics,
     SystemConfig,
     Workload,
@@ -330,14 +329,12 @@ def compose(cfg: ExperimentConfig):
         schedule_kind, insertion, prefetch = POLICIES[cfg.policy]
     except KeyError:
         raise ConfigError(f"unknown policy {cfg.policy!r}") from None
-    policies = PolicySet(
-        tuple(
-            DescriptorPolicy(
-                p.insertion if insertion else InsertionClass.NORMAL,
-                p.prefetch if prefetch else PrefetchKind.NONE,
-            )
-            for p in select_policies(cfg.descs).per_desc
+    policies = tuple(
+        DescriptorPolicy(
+            p.insertion if insertion else InsertionClass.NORMAL,
+            p.prefetch if prefetch else PrefetchKind.NONE,
         )
+        for p in select_policies(cfg.descs)
     )
     workload = Workload(cfg.grid, cfg.descs, cfg.seed)
     grid, sms, zones = cfg.grid, cfg.system.sm_count, cfg.system.zone_count

@@ -30,7 +30,7 @@ from .descriptor import PAGE_BITS, LocalityDescriptor, LocalityType, SharingType
 from .errors import TOO_DEEP, ConfigError, ConfigMismatch, MshrFull, too_long_int, undecodable
 from .grid import CtaGrid, TileTable
 from .numa import MappingScheme, NumaPlan, ZoneMapping, zone_of_address
-from .prefetch import PrefetchKind, StreamState
+from .prefetch import PrefetchKind
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,9 @@ class DescriptorPolicy:
     prefetch: PrefetchKind
 
 
-@dataclass
-class PolicySet:
-    per_desc: tuple[DescriptorPolicy, ...]  # aligned with Workload.descs
-
-
-def select_policies(descs: list[LocalityDescriptor]) -> PolicySet:
-    """Map each descriptor's locality type to its architectural levers.
+def select_policies(descs: list[LocalityDescriptor]) -> tuple[DescriptorPolicy, ...]:
+    """Map each descriptor's locality type to its architectural levers, one
+    policy per descriptor, aligned with ``descs``.
 
     Inter-thread data is soft pinned, with stride prefetch for regular
     co-access and nextline for nearby sharing.
@@ -117,14 +113,12 @@ def select_policies(descs: list[LocalityDescriptor]) -> PolicySet:
             out.append(DescriptorPolicy(InsertionClass.HARD_PIN, PrefetchKind.NONE))
         else:
             out.append(DescriptorPolicy(InsertionClass.BYPASS, PrefetchKind.NONE))
-    return PolicySet(tuple(out))
+    return tuple(out)
 
 
-def normal_policies(descs: list[LocalityDescriptor]) -> PolicySet:
+def normal_policies(descs: list[LocalityDescriptor]) -> tuple[DescriptorPolicy, ...]:
     """Baseline cache behaviour: plain LRU insertion, no prefetching."""
-    return PolicySet(
-        (DescriptorPolicy(InsertionClass.NORMAL, PrefetchKind.NONE),) * len(descs)
-    )
+    return (DescriptorPolicy(InsertionClass.NORMAL, PrefetchKind.NONE),) * len(descs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +388,7 @@ class _Sm:
     __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ready", "ptr",
                  "prefetched", "fill_at", "streams", "lines")
 
-    def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int]):
+    def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int], rows: int):
         self.sm = sm
         self.zone = zone
         self.l1 = l1
@@ -405,7 +399,8 @@ class _Sm:
         self.ptr = 0
         self.prefetched: set[int] = set()  # lines it prefetched and has not demanded yet
         self.fill_at: dict[int, int] = {}  # line address -> cycle its in-flight fill lands
-        self.streams: dict[int, StreamState] = {}  # row index -> its prefetch stream
+        # per row index: the D-tiles its stride prefetches stream on this SM now
+        self.streams: list[set[int]] = [set() for _ in range(rows)]
         self.lines: set[int] = set()  # line addresses it demanded: its working set
 
 
@@ -445,6 +440,7 @@ class _Row(NamedTuple):
 
 # The miss path reads a global several times faster than an enum member.
 _NO_PREFETCH = PrefetchKind.NONE
+_STRIDE = PrefetchKind.STRIDE
 
 
 def _home_resolver(mapping: ZoneMapping, zone_count: int) -> Callable[[int, int], int]:
@@ -464,7 +460,7 @@ class _Simulation:
         config: SystemConfig,
         schedule,
         placement,
-        policies: PolicySet,
+        policies: tuple[DescriptorPolicy, ...],
         trace_sink: list[AccessEvent] | None,
     ):
         self.workload = workload
@@ -481,9 +477,8 @@ class _Simulation:
         for flat in sorted(schedule.assignment):
             per_sm_ctas[schedule.assignment[flat]].append(flat)
         for s in range(config.sm_count):
-            self.sms.append(
-                _Sm(s, config.sm_zone(s), CacheModel(config.l1), deque(per_sm_ctas[s]))
-            )
+            self.sms.append(_Sm(s, config.sm_zone(s), CacheModel(config.l1),
+                                deque(per_sm_ctas[s]), len(workload.descs)))
 
         # Address resolution: one row per descriptor, in priority order. The
         # first row whose range holds an address is its highest-priority
@@ -492,14 +487,19 @@ class _Simulation:
             placement is not None or config.zone_count != 1
         ):
             raise ConfigMismatch("zone_count > 1 requires a placement")
-        if len(policies.per_desc) != len(workload.descs):
+        if len(policies) != len(workload.descs):
             raise ConfigMismatch(
-                f"policy set has {len(policies.per_desc)} entries for "
+                f"policy set has {len(policies)} entries for "
                 f"{len(workload.descs)} descriptors"
             )
         copies: dict[int, ZoneMapping] = {}
         self.rows: list[_Row] = []
-        for i, (desc, policy) in enumerate(zip(workload.descs, policies.per_desc)):
+        for i, (desc, policy) in enumerate(zip(workload.descs, policies)):
+            if policy.prefetch is _STRIDE and not desc.pattern.regular:
+                raise ConfigMismatch(
+                    f"policy names STRIDE prefetch for descriptor {desc.data.name!r}, "
+                    "whose access pattern is irregular and has no stride"
+                )
             mapping = placement
             if isinstance(placement, NumaPlan):
                 mapping = placement.per_structure.get(desc.data.name)
@@ -515,10 +515,10 @@ class _Simulation:
             self.rows.append(_Row(data.base_addr, data.end_addr, i, TileTable(desc, workload.grid),
                                   policy.insertion, policy.prefetch, mapping, home))
         self.tables = [r.table for r in self.rows]
-        self.prefetch_rows = [r for r in self.rows if r.prefetch is not _NO_PREFETCH]
+        self.stride_rows = [r for r in self.rows if r.prefetch is _STRIDE]
 
-        # Resident CTAs per (sm, descriptor index, D-tile); each SM keeps its
-        # own prefetch streams in ``_Sm.streams``.
+        # Resident CTAs per (sm, descriptor index, D-tile) of the stride rows;
+        # each SM keeps its streaming D-tiles in ``_Sm.streams``.
         self.dtile_users: dict[tuple[int, int, int], int] = {}
 
         # Event plumbing: each cycle with something due has one entry in
@@ -603,15 +603,16 @@ class _Simulation:
 
     def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
         """Issue the prefetches that a demand miss of ``row`` asks for from
-        the prefetcher kind its policy names (not NONE). A target's home
+        the prefetcher kind its policy names (not NONE). Under STRIDE the
+        D-tile of ``addr`` streams on ``sm`` from now on. A target's home
         zone is that of the row that holds it, which may be a
         higher-priority, overlapping descriptor's."""
-        desc = row.table.desc
-        state = sm.streams.get(row.index)
-        if state is None:
-            state = sm.streams[row.index] = StreamState.for_descriptor(desc)
+        table, active = row.table, sm.streams[row.index]
+        if row.prefetch is _STRIDE:
+            active.add(table.dtile_at(addr))
         l1, line_size = sm.l1, self.line_size
-        for target in pf.on_miss(addr, row.prefetch, desc, self.config.l1.capacity, state, line_size):
+        for target in pf.on_miss(addr, row.prefetch, table, self.config.l1.capacity,
+                                 len(active), line_size):
             line_addr = target - target % line_size
             if l1.contains(line_addr) or l1.inflight(line_addr):
                 continue
@@ -630,23 +631,21 @@ class _Simulation:
 
     def _mark_started(self, sm: _Sm, cta: _Cta) -> None:
         cta.started = True
-        for row in self.prefetch_rows:
+        for row in self.stride_rows:
             table = row.table
             key = (sm.sm, row.index, table.dtiles[table.slot[cta.flat][0]].flat)
             self.dtile_users[key] = self.dtile_users.get(key, 0) + 1
 
     def _complete_cta(self, sm: _Sm, cta: _Cta) -> None:
         self.unfinished -= 1
-        for row in self.prefetch_rows:
+        for row in self.stride_rows:
             table = row.table
             dt = table.dtiles[table.slot[cta.flat][0]].flat
             key = (sm.sm, row.index, dt)
             self.dtile_users[key] -= 1
             if self.dtile_users[key] == 0:
-                state = sm.streams.get(row.index)
-                if state is not None:
-                    # Its stream ends, widening the distances of the rest.
-                    state.active_dtiles.discard(dt)
+                # Its stream ends, widening the distances of the rest.
+                sm.streams[row.index].discard(dt)
         if cta in sm.resident:
             sm.resident.remove(cta)
             # Renumber the slots left, keeping their order and which are ready.
@@ -915,7 +914,7 @@ def simulate(
     config: SystemConfig,
     schedule,
     placement=None,
-    policies: PolicySet | None = None,
+    policies: tuple[DescriptorPolicy, ...] | None = None,
     trace_sink: list[AccessEvent] | None = None,
     trace_in: list[AccessEvent] | None = None,
 ) -> SimMetrics:

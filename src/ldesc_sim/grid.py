@@ -6,7 +6,8 @@ compute-data map says otherwise for the C-tile enumeration.
 
 ``TileTable`` enumerates one descriptor's C-tiles once: per C-tile its CTAs,
 its D-tile and that D-tile's byte runs, and per CTA its C-tile and rank.
-The placement search, access generation and prefetch stream retirement all
+It also maps an address of the structure to the D-tile that holds it. The
+placement search, access generation and the stride prefetcher's streams all
 read these facts from it rather than working them out again.
 """
 
@@ -112,36 +113,6 @@ def dtile_byte_runs(dtile: TileIndex, desc: LocalityDescriptor) -> list[ByteRun]
     return runs
 
 
-class DtileGeometry:
-    """One descriptor's structure extent and D-tile shape, worked out once.
-
-    ``flat_of(addr)`` is the X->Y->Z flat index of the D-tile that holds an
-    address inside the structure; ``row_bytes`` is a D-tile's X extent in
-    bytes.
-    """
-
-    __slots__ = ("base", "end", "elem_size", "lenx", "leny", "dtile_dims", "counts",
-                 "row_bytes")
-
-    def __init__(self, desc: LocalityDescriptor):
-        ds = desc.data
-        self.base = ds.base_addr
-        self.end = ds.end_addr
-        self.elem_size = ds.elem_size
-        self.lenx, self.leny, _ = ds.dims
-        self.dtile_dims = desc.tiles.dtile_dims
-        self.counts = dtile_count(desc)
-        self.row_bytes = self.dtile_dims[0] * ds.elem_size
-
-    def flat_of(self, addr: int) -> int:
-        elem = (addr - self.base) // self.elem_size
-        row, ex = divmod(elem, self.lenx)
-        ez, ey = divmod(row, self.leny)
-        dx, dy, dz = self.dtile_dims
-        nx, ny, _ = self.counts
-        return ex // dx + nx * (ey // dy + ny * (ez // dz))
-
-
 def _lines_of_runs(runs: list[ByteRun], line_size: int) -> list[int]:
     lines: list[int] = []
     seen = set()
@@ -163,6 +134,10 @@ class TileTable:
     D-tile's byte runs. ``slot[flat]`` is a CTA's (k, rank): its C-tile and
     its index in ``ctas[k]``. ``lines(k, line_size)`` is worked out on
     first use and then shared by every CTA of the C-tile.
+
+    ``[base, end)`` is the structure's byte range, ``row_bytes`` a D-tile's
+    X extent in bytes, and ``dtile_at(addr)`` the X->Y->Z flat index of the
+    D-tile that holds an address in that range.
     """
 
     def __init__(self, desc: LocalityDescriptor, grid: CtaGrid):
@@ -173,6 +148,11 @@ class TileTable:
         self.runs: list[list[ByteRun]] = []
         self.slot: dict[int, tuple[int, int]] = {}
         self._lines: dict[tuple[int, int], list[int]] = {}
+        ds = desc.data
+        self.base, self.end = ds.base_addr, ds.end_addr
+        self.row_bytes = desc.tiles.dtile_dims[0] * ds.elem_size
+        self._geometry = (ds.elem_size, *ds.dims[:2], *desc.tiles.dtile_dims,
+                          *dtile_count(desc)[:2])
         counts = ctile_count(desc, grid)
         for k in range(counts[0] * counts[1] * counts[2]):
             ctile = TileIndex(unflatten_xyz(k, counts), k)
@@ -183,6 +163,12 @@ class TileTable:
             self.ctas.append(flats)
             self.dtiles.append(dtile)
             self.runs.append(dtile_byte_runs(dtile, desc))
+
+    def dtile_at(self, addr: int) -> int:
+        elem_size, lenx, leny, dx, dy, dz, nx, ny = self._geometry
+        row, ex = divmod((addr - self.base) // elem_size, lenx)
+        ez, ey = divmod(row, leny)
+        return ex // dx + nx * (ey // dy + ny * (ez // dz))
 
     def lines(self, k: int, line_size: int) -> list[int]:
         """Line addresses of C-tile k's D-tile, in run order, each once.

@@ -8,16 +8,15 @@ concurrently, so the prefetched lines still fit in L1:
     target = addr + (l1_size // (active_tiles * dtile_width)) * stride
 
 A zero distance factor (tiny cache, many streams) falls back to nextline.
-Requests that would land outside the data structure are dropped.
+Requests that would land outside the data structure are dropped. Which
+D-tiles stream on an SM is the engine's to track; it passes their count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .descriptor import LocalityDescriptor
-from .grid import DtileGeometry
+from .grid import TileTable
 
 
 class PrefetchKind(Enum):
@@ -26,42 +25,27 @@ class PrefetchKind(Enum):
     STRIDE = "STRIDE"
 
 
-@dataclass
-class StreamState:
-    """Per-context prefetcher state for one descriptor: its D-tile geometry
-    and the D-tiles streaming now."""
-
-    tiles: DtileGeometry
-    active_dtiles: set[int] = field(default_factory=set)
-
-    @classmethod
-    def for_descriptor(cls, desc: LocalityDescriptor) -> "StreamState":
-        return cls(DtileGeometry(desc))
-
-
 def on_miss(
     addr: int,
     kind: PrefetchKind,
-    desc: LocalityDescriptor,
+    table: TileTable,
     l1_size: int,
-    state: StreamState,
+    active_tiles: int,
     line_size: int = 128,
 ) -> list[int]:
-    """React to a demand miss at ``addr``, inside the descriptor's structure,
-    with prefetcher ``kind``: track the stream and return the addresses to
-    prefetch, at most one."""
-    tiles = state.tiles
-    state.active_dtiles.add(tiles.flat_of(addr))
+    """The addresses, at most one, that prefetcher ``kind`` fetches on a
+    demand miss at ``addr`` inside ``table``'s structure, while
+    ``active_tiles`` of its D-tiles stream on the SM (STRIDE only)."""
     if kind is PrefetchKind.NEXTLINE:
         target = addr + line_size
     elif kind is PrefetchKind.STRIDE:
-        factor = l1_size // (len(state.active_dtiles) * tiles.row_bytes)
+        factor = l1_size // (active_tiles * table.row_bytes)
         if factor == 0:
             target = addr + line_size  # nextline fallback
         else:
-            target = addr + factor * desc.pattern.stride_bytes
+            target = addr + factor * table.desc.pattern.stride_bytes
     else:
         return []  # NONE
-    if not tiles.base <= target < tiles.end:
+    if not table.base <= target < table.end:
         return []
     return [target]

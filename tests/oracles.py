@@ -2,22 +2,27 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NoReturn, TextIO
 
-from ldesc_sim import AccessOutcome, CacheConfig, InsertionClass, PrefetchKind
+from ldesc_sim import (
+    AccessOutcome,
+    CacheConfig,
+    InsertionClass,
+    LocalityDescriptor,
+    PrefetchKind,
+)
 from ldesc_sim import numa, sched
 from ldesc_sim.descriptor import PAGE_BITS, LocalityType, SharingType, ctile_count, dtile_count
-from ldesc_sim.engine import AccessEvent, Workload
+from ldesc_sim.engine import AccessEvent, Workload, _Cta, _Row, _Simulation, _Sm
 from ldesc_sim.errors import ConfigError, LdescError, MshrFull
 from ldesc_sim.grid import TileIndex, unflatten_xyz
 from ldesc_sim.numa import MappingScheme
 from ldesc_sim.sched import majority_zone
 
 # Tile arithmetic per CTA and per address, a data structure's bounds and the
-# per-SM working set of a trace. No run needs them: runs read tile tables,
-# D-tile geometry and the engine's own line sets, which tests check against
-# these.
+# per-SM working set of a trace. No run needs them: runs read tile tables
+# and the engine's own line sets, which tests check against these.
 
 
 def flatten_xyz(coords, counts):
@@ -447,3 +452,157 @@ def compose(cfg):
     else:
         schedule = sched.assign_clusters(sched.form_clusters(cfg.descs, grid, sms), grid, sms)
     return workload, policies, schedule, placement
+
+
+# The stride prefetcher's stream tracking as it stood when each SM built a
+# ``StreamState`` per prefetching row, with a ``DtileGeometry`` of its own,
+# and ``on_miss`` added the missing address's D-tile to it: kept verbatim,
+# except that ``_maybe_prefetch`` calls this module's ``on_miss`` and the
+# rows' filter names ``PrefetchKind.NONE`` for the engine's alias. Rows of
+# every prefetcher kind, NEXTLINE too, count their resident CTAs per D-tile
+# and retire streams. Tests check ``simulate`` against it.
+
+
+class DtileGeometry:
+    """One descriptor's structure extent and D-tile shape, worked out once.
+
+    ``flat_of(addr)`` is the X->Y->Z flat index of the D-tile that holds an
+    address inside the structure; ``row_bytes`` is a D-tile's X extent in
+    bytes.
+    """
+
+    __slots__ = ("base", "end", "elem_size", "lenx", "leny", "dtile_dims", "counts",
+                 "row_bytes")
+
+    def __init__(self, desc: LocalityDescriptor):
+        ds = desc.data
+        self.base = ds.base_addr
+        self.end = ds.end_addr
+        self.elem_size = ds.elem_size
+        self.lenx, self.leny, _ = ds.dims
+        self.dtile_dims = desc.tiles.dtile_dims
+        self.counts = dtile_count(desc)
+        self.row_bytes = self.dtile_dims[0] * ds.elem_size
+
+    def flat_of(self, addr: int) -> int:
+        elem = (addr - self.base) // self.elem_size
+        row, ex = divmod(elem, self.lenx)
+        ez, ey = divmod(row, self.leny)
+        dx, dy, dz = self.dtile_dims
+        nx, ny, _ = self.counts
+        return ex // dx + nx * (ey // dy + ny * (ez // dz))
+
+
+@dataclass
+class StreamState:
+    """Per-context prefetcher state for one descriptor: its D-tile geometry
+    and the D-tiles streaming now."""
+
+    tiles: DtileGeometry
+    active_dtiles: set[int] = field(default_factory=set)
+
+    @classmethod
+    def for_descriptor(cls, desc: LocalityDescriptor) -> "StreamState":
+        return cls(DtileGeometry(desc))
+
+
+def on_miss(
+    addr: int,
+    kind: PrefetchKind,
+    desc: LocalityDescriptor,
+    l1_size: int,
+    state: StreamState,
+    line_size: int = 128,
+) -> list[int]:
+    """React to a demand miss at ``addr``, inside the descriptor's structure,
+    with prefetcher ``kind``: track the stream and return the addresses to
+    prefetch, at most one."""
+    tiles = state.tiles
+    state.active_dtiles.add(tiles.flat_of(addr))
+    if kind is PrefetchKind.NEXTLINE:
+        target = addr + line_size
+    elif kind is PrefetchKind.STRIDE:
+        factor = l1_size // (len(state.active_dtiles) * tiles.row_bytes)
+        if factor == 0:
+            target = addr + line_size  # nextline fallback
+        else:
+            target = addr + factor * desc.pattern.stride_bytes
+    else:
+        return []  # NONE
+    if not tiles.base <= target < tiles.end:
+        return []
+    return [target]
+
+
+class StreamStateSimulation(_Simulation):
+    """``_Simulation`` with the old per-SM ``StreamState``s in ``sm.streams``
+    (row index -> its stream) and ``dtile_users`` kept for every prefetching
+    row."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.prefetch_rows = [r for r in self.rows if r.prefetch is not PrefetchKind.NONE]
+        self.dtile_users: dict[tuple[int, int, int], int] = {}
+        for sm in self.sms:
+            sm.streams = {}
+
+    def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
+        """Issue the prefetches that a demand miss of ``row`` asks for from
+        the prefetcher kind its policy names (not NONE). A target's home
+        zone is that of the row that holds it, which may be a
+        higher-priority, overlapping descriptor's."""
+        desc = row.table.desc
+        state = sm.streams.get(row.index)
+        if state is None:
+            state = sm.streams[row.index] = StreamState.for_descriptor(desc)
+        l1, line_size = sm.l1, self.line_size
+        for target in on_miss(addr, row.prefetch, desc, self.config.l1.capacity, state, line_size):
+            line_addr = target - target % line_size
+            if l1.contains(line_addr) or l1.inflight(line_addr):
+                continue
+            try:
+                l1.access(line_addr, InsertionClass.SOFT_PIN, cycle)
+            except MshrFull:
+                continue
+            resolve = self._row_of(line_addr).home
+            home = 0 if resolve is None else resolve(line_addr, sm.zone)
+            latency = self._memory_latency(sm.zone, line_addr, home, cycle)
+            self._schedule_fill(sm, line_addr, cycle + latency)
+            self.pf_issued += 1
+            sm.prefetched.add(line_addr)
+
+    def _mark_started(self, sm: _Sm, cta: _Cta) -> None:
+        cta.started = True
+        for row in self.prefetch_rows:
+            table = row.table
+            key = (sm.sm, row.index, table.dtiles[table.slot[cta.flat][0]].flat)
+            self.dtile_users[key] = self.dtile_users.get(key, 0) + 1
+
+    def _complete_cta(self, sm: _Sm, cta: _Cta) -> None:
+        self.unfinished -= 1
+        for row in self.prefetch_rows:
+            table = row.table
+            dt = table.dtiles[table.slot[cta.flat][0]].flat
+            key = (sm.sm, row.index, dt)
+            self.dtile_users[key] -= 1
+            if self.dtile_users[key] == 0:
+                state = sm.streams.get(row.index)
+                if state is not None:
+                    # Its stream ends, widening the distances of the rest.
+                    state.active_dtiles.discard(dt)
+        if cta in sm.resident:
+            sm.resident.remove(cta)
+            # Renumber the slots left, keeping their order and which are ready.
+            ready = set(sm.ready)
+            sm.slots = [s for s in sm.slots if s.cta is not cta]
+            sm.ready = [pos for pos, s in enumerate(sm.slots) if s.pos in ready]
+            for pos, slot in enumerate(sm.slots):
+                slot.pos = pos
+            if sm.slots:
+                sm.ptr %= len(sm.slots)
+            else:
+                sm.ptr = 0
+            # ``ptr`` may now name another warp, so a stalled SM tries again.
+            if sm.ready:
+                self.awake.add(sm.sm)
+            self._refill(sm)

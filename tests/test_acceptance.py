@@ -22,7 +22,6 @@ from ldesc_sim import (
     CtaGrid,
     InsertionClass,
     PrefetchKind,
-    StreamState,
     TileTable,
     Workload,
     assign_clusters,
@@ -198,14 +197,14 @@ def test_criterion_7_prefetch_formula_exact():
         elem=4, data_dims=(16 * KB, 1, 1), dtile=(KB, 1, 1), ctile=(1, 8, 1),
         cdmap=(1, 0, 0),
     )
+    table = TileTable(desc, CtaGrid((16, 8, 1)))
     trigger = desc.data.base_addr + 4096
-    two = StreamState.for_descriptor(desc)
-    two.active_dtiles.add(0)
-    (target,) = on_miss(trigger, PrefetchKind.STRIDE, desc, 32768, two)
+    # The trigger's D-tile joins the streams already active on the SM.
+    two = {0, table.dtile_at(trigger)}
+    (target,) = on_miss(trigger, PrefetchKind.STRIDE, table, 32768, len(two))
     assert target == trigger + 512
-    four = StreamState.for_descriptor(desc)
-    four.active_dtiles.update({0, 2, 3})
-    (target4,) = on_miss(trigger, PrefetchKind.STRIDE, desc, 32768, four)
+    four = {0, 2, 3, table.dtile_at(trigger)}
+    (target4,) = on_miss(trigger, PrefetchKind.STRIDE, table, 32768, len(four))
     assert target4 - trigger == (target - trigger) // 2
     report(7, "stride distance is bit-exact (trigger+512) and halves when "
               "active tiles double")

@@ -60,7 +60,7 @@ def _intra_only_histo(preset=None):
 def test_intra_only_workload_falls_back_to_rr():
     cfg = _intra_only_histo()
     _, policies, schedule, _ = compose(cfg)
-    assert policies.per_desc[0].insertion is InsertionClass.HARD_PIN
+    assert policies[0].insertion is InsertionClass.HARD_PIN
     assert schedule.assignment == baseline_round_robin(cfg.grid, cfg.system.sm_count).assignment
     assert [schedule.assignment[i] for i in range(5)] == [0, 1, 2, 3, 0]
 
@@ -92,7 +92,7 @@ def test_ablation_policy_sets():
 
     def composed(policy):
         _, policies, schedule, _ = compose(dataclasses.replace(cfg, policy=policy))
-        return policies.per_desc[0], schedule.assignment
+        return policies[0], schedule.assignment
 
     _, clustered = composed("ldesc")
     _, round_robin = composed("rr")
@@ -126,7 +126,7 @@ def test_compose_matches_reference(name, preset):
             _, policies, schedule, _ = compose(cfg)
             _, ref_policies, ref_schedule, _ = oracles.compose(cfg)
             where = f"{policy}/{placement}"
-            assert [(p.insertion, p.prefetch) for p in policies.per_desc] == [
+            assert [(p.insertion, p.prefetch) for p in policies] == [
                 (p.insertion, p.prefetch) for p in ref_policies.per_desc
             ], where
             assert schedule.sm_count == ref_schedule.sm_count, where

@@ -103,7 +103,7 @@ def _ldesc_schedule(d):
 
 def test_policies_coaccessed_regular():
     d = make_desc()
-    p = select_policies([d]).per_desc[0]
+    p = select_policies([d])[0]
     assert _ldesc_schedule(d) == "clusters"
     assert p.insertion is InsertionClass.SOFT_PIN
     assert p.prefetch is PrefetchKind.STRIDE
@@ -111,7 +111,7 @@ def test_policies_coaccessed_regular():
 
 def test_policies_intra_thread():
     d = make_desc(ltype=LocalityType.INTRA_THREAD)
-    p = select_policies([d]).per_desc[0]
+    p = select_policies([d])[0]
     assert _ldesc_schedule(d) == "rr"
     assert p.insertion is InsertionClass.HARD_PIN
     assert p.prefetch is PrefetchKind.NONE
@@ -119,7 +119,7 @@ def test_policies_intra_thread():
 
 def test_policies_no_reuse():
     d = make_desc(ltype=LocalityType.NO_REUSE)
-    p = select_policies([d]).per_desc[0]
+    p = select_policies([d])[0]
     assert p.insertion is InsertionClass.BYPASS
     assert p.prefetch is PrefetchKind.NONE
 
@@ -128,10 +128,10 @@ def test_policies_nearby_and_irregular():
     nearby = make_desc(sharing=SharingType.NEARBY)
     irregular = make_desc(pattern=AccessPattern.irregular())
     pol = select_policies([nearby])
-    assert pol.per_desc[0].prefetch is PrefetchKind.NEXTLINE
+    assert pol[0].prefetch is PrefetchKind.NEXTLINE
     pol = select_policies([irregular])
-    assert pol.per_desc[0].prefetch is PrefetchKind.NONE
-    assert pol.per_desc[0].insertion is InsertionClass.SOFT_PIN
+    assert pol[0].prefetch is PrefetchKind.NONE
+    assert pol[0].insertion is InsertionClass.SOFT_PIN
 
 
 # -- generate_accesses -------------------------------------------------------
@@ -324,10 +324,17 @@ def test_finished_ctas_retire_their_dtile_streams():
     wl = Workload(grid, validate_descriptor_set([desc], grid))
     sim = engine_mod._Simulation(wl, SystemConfig(sm_count=4), baseline_round_robin(grid, 4),
                                  None, select_policies(wl.descs), None)
+    prefetching = set()  # SMs that ran the stride prefetcher
+    real = sim._maybe_prefetch
+
+    def recording(sm, *args):
+        prefetching.add(sm.sm)
+        real(sm, *args)
+
+    sim._maybe_prefetch = recording
     sim.run_live()
-    streams = [state for sm in sim.sms for state in sm.streams.values()]
-    assert len(streams) == 4
-    assert all(not state.active_dtiles for state in streams)
+    assert prefetching == {0, 1, 2, 3}
+    assert [sm.streams for sm in sim.sms] == [[set()]] * 4
 
 
 def test_histo_working_set_reduction():
@@ -680,7 +687,7 @@ def test_prefetch_into_a_higher_priority_row_uses_that_rows_mapping():
     hot = make_desc(name="hot", base=128 * KB, data_dims=(64 * KB, 1, 1),
                     dtile=(4 * KB, 1, 1), ctile=(1, 1, 1), priority=0)
     wl = Workload(grid, validate_descriptor_set([wide, hot], grid), 1)
-    assert [p.prefetch for p in select_policies(wl.descs).per_desc] == [PrefetchKind.STRIDE] * 2
+    assert [p.prefetch for p in select_policies(wl.descs)] == [PrefetchKind.STRIDE] * 2
     cfg = SystemConfig(sm_count=16, zone_count=4, l1=CacheConfig(64 * KB, ways=4))
     plan = NumaPlan(
         {flat: flat // 4 for flat in range(16)},

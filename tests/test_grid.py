@@ -14,7 +14,6 @@ from ldesc_sim import (
 )
 from ldesc_sim.descriptor import PAGE_SIZE, ctile_count, dtile_count
 from ldesc_sim.grid import (
-    DtileGeometry,
     TileIndex,
     box_ctas,
     dtile_of_ctile,
@@ -250,12 +249,13 @@ def test_tile_table_matches_per_cta_functions(case):
 @settings(max_examples=80, deadline=None)
 @given(descriptor_and_grid(), st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
 def test_dtile_geometry_matches_dtile_of_address(case, fractions):
-    desc, _ = case
+    desc, grid = case
     ds = desc.data
-    geometry = DtileGeometry(desc)
-    assert (geometry.base, geometry.end) == (ds.base_addr, ds.end_addr)
+    table = TileTable(desc, grid)
+    assert (table.base, table.end) == (ds.base_addr, ds.end_addr)
+    assert table.row_bytes == desc.tiles.dtile_dims[0] * ds.elem_size
     size = ds.end_addr - ds.base_addr
     # the first and last byte, so that both corner D-tiles, clipped or not, are hit
     offsets = {0, size - 1} | {int(f * size) for f in fractions}
     for addr in (ds.base_addr + o for o in offsets):
-        assert geometry.flat_of(addr) == dtile_of_address(addr, desc).flat
+        assert table.dtile_at(addr) == dtile_of_address(addr, desc).flat

@@ -1,6 +1,6 @@
-"""The package's public surface, the README library example, the documented
-policy table, no unused imports in ``src/ldesc_sim``, and the functions the
-benchmark tracer wraps."""
+"""The package's public surface and the README's list of it, the README
+library example, the documented policy table, no unused imports in
+``src/ldesc_sim``, and the functions the benchmark tracer wraps."""
 
 import ast
 import contextlib
@@ -30,6 +30,14 @@ def test_every_public_name_resolves():
     assert len(set(ldesc_sim.__all__)) == len(ldesc_sim.__all__)
     for name in ldesc_sim.__all__:
         assert hasattr(ldesc_sim, name), name
+
+
+def test_readme_public_surface_is_all():
+    readme = (ROOT / "README.md").read_text()
+    surface = readme.split("`ldesc_sim.__all__` is the public surface", 1)[1]
+    listed = re.findall(r"`(\w+)`", surface.split("\n\n", 2)[1])
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(ldesc_sim.__all__)
 
 
 def test_readme_example_imports_only_public_names():
