@@ -53,6 +53,12 @@ class AccessOutcome(Enum):
     MISS = "MISS"
 
 
+# The access path reads a global several times faster than an enum member.
+_HIT = AccessOutcome.HIT
+_INFLIGHT_HIT = AccessOutcome.INFLIGHT_HIT
+_MISS = AccessOutcome.MISS
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     capacity: int
@@ -117,13 +123,13 @@ class CacheModel:
             if priority >= 0:
                 del ways[line]  # re-inserted as the most recently used
                 ways[line] = held if held > priority else priority
-            return AccessOutcome.HIT
+            return _HIT
         if line in self.mshr:
-            return AccessOutcome.INFLIGHT_HIT
+            return _INFLIGHT_HIT
         if len(self.mshr) >= self.config.mshr_entries:
             raise MshrFull(f"no MSHR entry for line {line:#x}")
         self.mshr[line] = iclass
-        return AccessOutcome.MISS
+        return _MISS
 
     def fill(self, addr: int, cycle: int) -> None:
         """Complete an outstanding miss and install the line (unless bypassed).

@@ -259,10 +259,12 @@ def dump_trace(events: Iterable[AccessEvent], fp: TextIO) -> None:
 # The one line form dump_trace writes: keys sorted, a lowercase hex address
 # and non-negative decimal integers, none with a leading zero. [0-9], not \d,
 # so that no Unicode digit that json.loads would refuse matches.
-_TRACE_LINE = (
+_TRACE_BODY = (
     r'\{"addr": "0x(0|[1-9a-f][0-9a-f]*)", "cta": (0|[1-9][0-9]*), '
-    r'"cycle": (0|[1-9][0-9]*), "sm": (0|[1-9][0-9]*), "warp": (0|[1-9][0-9]*)\}\n?'
+    r'"cycle": (0|[1-9][0-9]*), "sm": (0|[1-9][0-9]*), "warp": (0|[1-9][0-9]*)\}'
 )
+_TRACE_LINE = _TRACE_BODY + r"\n?"
+_TRACE_BLOCK = 1 << 16  # characters of whole lines read at a time
 
 
 def load_trace(fp: TextIO) -> list[AccessEvent]:
@@ -270,34 +272,53 @@ def load_trace(fp: TextIO) -> list[AccessEvent]:
     ``sm``, ``cta``, ``warp`` or ``cycle``, raises ConfigError naming it.
 
     Lines in ``dump_trace``'s own form are parsed without ``json``; any other
-    JSON object with the five keys loads to the same event."""
+    JSON object with the five keys loads to the same event. The file is read
+    in blocks of lines: a block whose every line is in that form converts in
+    one pass, and any other block goes line by line."""
     name = getattr(fp, "name", "trace")
+    # Each match spans one whole line, so a block has as many matches as
+    # lines exactly when every line is in dump_trace's form.
+    every_line = re.compile("^" + _TRACE_BODY + "$", re.M).findall
     fast = re.compile(_TRACE_LINE).fullmatch
-    events = []
+    new = tuple.__new__
+    events: list[AccessEvent] = []
+    n = 0  # lines read so far
     try:
-        for n, line in enumerate(fp, 1):
-            m = fast(line)
-            if m is not None:
-                addr, cta, cycle, sm, warp = m.groups()
+        while lines := fp.readlines(_TRACE_BLOCK):
+            found = every_line("".join(lines))
+            if len(found) == len(lines):
                 try:
-                    events.append(AccessEvent._make(
-                        (int(sm), int(cta), int(warp), int(addr, 16), int(cycle))))
+                    events += [
+                        new(AccessEvent, (int(sm), int(cta), int(warp), int(addr, 16), int(cycle)))
+                        for addr, cta, cycle, sm, warp in found
+                    ]
+                    n += len(lines)
                     continue
                 except ValueError:
-                    pass  # too many digits for int(); the JSON path names it
-            try:
-                raw = json.loads(line)
-                sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
-                addr = int(raw["addr"], 16)
-            except (ValueError, TypeError, KeyError, RecursionError):
-                if line.strip():
+                    pass  # too many digits for int(); the JSON path names the line
+            for n, line in enumerate(lines, n + 1):
+                m = fast(line)
+                if m is not None:
+                    addr, cta, cycle, sm, warp = m.groups()
+                    try:
+                        events.append(AccessEvent._make(
+                            (int(sm), int(cta), int(warp), int(addr, 16), int(cycle))))
+                        continue
+                    except ValueError:
+                        pass  # too many digits for int(); the JSON path names it
+                try:
+                    raw = json.loads(line)
+                    sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
+                    addr = int(raw["addr"], 16)
+                except (ValueError, TypeError, KeyError, RecursionError):
+                    if line.strip():
+                        _reject_trace_line(line, f"{name}:{n}")
+                    continue
+                # An OR of integers is negative exactly when one of them is.
+                if not (type(sm) is type(cta) is type(warp) is type(cycle) is int
+                        and (sm | cta | warp | cycle) >= 0):
                     _reject_trace_line(line, f"{name}:{n}")
-                continue
-            # An OR of integers is negative exactly when one of them is.
-            if not (type(sm) is type(cta) is type(warp) is type(cycle) is int
-                    and (sm | cta | warp | cycle) >= 0):
-                _reject_trace_line(line, f"{name}:{n}")
-            events.append(AccessEvent._make((sm, cta, warp, addr, cycle)))
+                events.append(AccessEvent._make((sm, cta, warp, addr, cycle)))
     except UnicodeDecodeError as exc:  # only reading fp raises it, so one try covers it
         raise undecodable(name, exc) from None
     return events
@@ -438,9 +459,14 @@ class _Row(NamedTuple):
     home: Callable[[int, int], int] | None
 
 
-# The miss path reads a global several times faster than an enum member.
+# The access path reads a global several times faster than an enum member.
 _NO_PREFETCH = PrefetchKind.NONE
 _STRIDE = PrefetchKind.STRIDE
+_NORMAL = InsertionClass.NORMAL
+_SOFT_PIN = InsertionClass.SOFT_PIN
+_HIT = AccessOutcome.HIT
+_INFLIGHT_HIT = AccessOutcome.INFLIGHT_HIT
+_MISS = AccessOutcome.MISS
 
 
 def _home_resolver(mapping: ZoneMapping, zone_count: int) -> Callable[[int, int], int]:
@@ -575,8 +601,8 @@ class _Simulation:
     def _memory_latency(self, sm_zone: int, line_addr: int, home: int, cycle: int) -> int:
         lat = self.config.latencies
         l2 = self.l2[home]
-        out = l2.access(line_addr, InsertionClass.NORMAL, cycle)
-        if out is AccessOutcome.MISS:
+        out = l2.access(line_addr, _NORMAL, cycle)
+        if out is _MISS:
             l2.fill(line_addr, cycle)
         else:
             return lat.l2_hit
@@ -617,7 +643,7 @@ class _Simulation:
             if l1.contains(line_addr) or l1.inflight(line_addr):
                 continue
             try:
-                l1.access(line_addr, InsertionClass.SOFT_PIN, cycle)
+                l1.access(line_addr, _SOFT_PIN, cycle)
             except MshrFull:
                 continue
             resolve = self._row_of(line_addr).home
@@ -711,12 +737,12 @@ class _Simulation:
 
         if line_addr in sm.prefetched:
             sm.prefetched.remove(line_addr)
-            if outcome is not AccessOutcome.MISS:  # a miss: evicted before use
+            if outcome is not _MISS:  # a miss: evicted before use
                 self.pf_useful += 1
-        if outcome is AccessOutcome.HIT:
+        if outcome is _HIT:
             self.hits += 1
             completion = cycle + self.l1_hit
-        elif outcome is AccessOutcome.INFLIGHT_HIT:
+        elif outcome is _INFLIGHT_HIT:
             self.inflight_hits += 1
             completion = sm.fill_at[line_addr]
         else:

@@ -25,6 +25,11 @@ class PrefetchKind(Enum):
     STRIDE = "STRIDE"
 
 
+# The miss path reads a global several times faster than an enum member.
+_NEXTLINE = PrefetchKind.NEXTLINE
+_STRIDE = PrefetchKind.STRIDE
+
+
 def on_miss(
     addr: int,
     kind: PrefetchKind,
@@ -36,9 +41,9 @@ def on_miss(
     """The addresses, at most one, that prefetcher ``kind`` fetches on a
     demand miss at ``addr`` inside ``table``'s structure, while
     ``active_tiles`` of its D-tiles stream on the SM (STRIDE only)."""
-    if kind is PrefetchKind.NEXTLINE:
+    if kind is _NEXTLINE:
         target = addr + line_size
-    elif kind is PrefetchKind.STRIDE:
+    elif kind is _STRIDE:
         factor = l1_size // (active_tiles * table.row_bytes)
         if factor == 0:
             target = addr + line_size  # nextline fallback

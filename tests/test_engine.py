@@ -879,6 +879,30 @@ def test_trace_fast_path_matches_json_loader_on_malformed_lines(events, data):
         assert _loaded(engine_mod.load_trace, text) == want, bad
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_trace_event, min_size=1, max_size=4), st.data())
+def test_trace_block_reader_matches_json_loader_across_two_blocks(events, data):
+    # load_trace reads blocks of about _TRACE_BLOCK characters; the first
+    # block here is all dump_trace lines and the second holds one other line,
+    # valid or not, and the trace ends without a final newline.
+    dumped = _dumped(events)
+    first = dumped * (engine_mod._TRACE_BLOCK // len(dumped) + 1)
+    rest = dumped.splitlines()
+    ev = data.draw(st.sampled_from(events))
+    if data.draw(st.booleans()):
+        other = data.draw(st.sampled_from(list(_malformed_lines(ev))))
+    else:
+        fields = list(_trace_fields(ev).items())
+        other = _trace_object(data.draw(st.permutations(fields)), ",", ":")
+    rest.insert(data.draw(st.integers(0, len(rest))), other)
+    text = first + "\n".join(rest)
+    want = _loaded(oracles.load_trace, text)
+    if isinstance(want, str):
+        bad = first.count("\n") + rest.index(other) + 1
+        assert want.startswith(f"trace:{bad}: ")
+    assert _loaded(engine_mod.load_trace, text) == want
+
+
 def test_trace_replay_rejects_event_before_cycle_zero():
     # Such an event would never be issued, so its CTA would never finish.
     wl = histo_workload()

@@ -1,9 +1,11 @@
 """The package's public surface and the README's list of it, the README
 library example, the documented policy table, no unused imports in
-``src/ldesc_sim``, and the functions the benchmark tracer wraps."""
+``src/ldesc_sim``, no enum member read on the per-access path, and the
+functions the benchmark tracer wraps."""
 
 import ast
 import contextlib
+import enum
 import importlib.util
 import io
 import re
@@ -121,6 +123,57 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# The functions every demand access or prefetch runs, by module; nested
+# functions, such as run_live's and run_replay's ``issue``, are checked too.
+_PER_ACCESS = {
+    "cache": ["CacheModel.access", "CacheModel.fill", "CacheModel.contains",
+              "CacheModel.inflight"],
+    "engine": ["_Simulation._issue", "_Simulation._memory_latency",
+               "_Simulation._maybe_prefetch", "_Simulation._due_at",
+               "_Simulation._schedule_fill", "_Simulation._run", "_Simulation.run_live",
+               "_Simulation.run_replay"],
+    "prefetch": ["on_miss"],
+    "grid": ["TileTable.dtile_at"],
+}
+
+
+def _function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    body = tree.body
+    for part in qualname.split("."):
+        node = next(n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                    and n.name == part)
+        body = node.body
+    return node
+
+
+def _resolve(node: ast.expr, namespace: dict):
+    """The object a name or dotted name denotes in a module's namespace, or
+    None when it is not one there (a local, a call, a subscript)."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+def test_per_access_paths_read_no_enum_member():
+    # An Enum member read goes through the Enum metaclass, several times
+    # slower than a module-level alias of the member on Python 3.10/3.11.
+    found = []
+    for name, qualnames in _PER_ACCESS.items():
+        module = importlib.import_module(f"ldesc_sim.{name}")
+        path = ROOT / "src" / "ldesc_sim" / f"{name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname in qualnames:
+            for node in ast.walk(_function(tree, qualname)):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                base = _resolve(node.value, vars(module))
+                if isinstance(base, type) and issubclass(base, enum.Enum):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)} in {qualname}")
+    assert not found, "enum member reads: " + ", ".join(found)
 
 
 def test_every_traced_function_resolves():
