@@ -142,8 +142,9 @@ _PER_ACCESS = {
 def _function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
     body = tree.body
     for part in qualname.split("."):
-        node = next(n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
-                    and n.name == part)
+        node = next((n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == part), None)
+        assert node is not None, f"{qualname} not found"
         body = node.body
     return node
 
