@@ -53,7 +53,10 @@ class AccessOutcome(Enum):
     MISS = "MISS"
 
 
-# The access path reads a global several times faster than an enum member.
+# The access path reads a global several times faster than an enum member;
+# the engine imports these aliases too.
+_NORMAL = InsertionClass.NORMAL
+_SOFT_PIN = InsertionClass.SOFT_PIN
 _HIT = AccessOutcome.HIT
 _INFLIGHT_HIT = AccessOutcome.INFLIGHT_HIT
 _MISS = AccessOutcome.MISS

@@ -25,12 +25,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
 
 from . import prefetch as pf
-from .cache import AccessOutcome, CacheConfig, CacheModel, InsertionClass
+from .cache import (
+    _HIT, _INFLIGHT_HIT, _MISS, _NORMAL, _SOFT_PIN, CacheConfig, CacheModel, InsertionClass,
+)
 from .descriptor import PAGE_BITS, LocalityDescriptor, LocalityType, SharingType
 from .errors import TOO_DEEP, ConfigError, ConfigMismatch, MshrFull, too_long_int, undecodable
 from .grid import CtaGrid, TileTable
 from .numa import MappingScheme, NumaPlan, ZoneMapping, zone_of_address
-from .prefetch import PrefetchKind
+from .prefetch import _NO_PREFETCH, _STRIDE, PrefetchKind
 
 
 @dataclass(frozen=True)
@@ -259,11 +261,10 @@ def dump_trace(events: Iterable[AccessEvent], fp: TextIO) -> None:
 # The one line form dump_trace writes: keys sorted, a lowercase hex address
 # and non-negative decimal integers, none with a leading zero. [0-9], not \d,
 # so that no Unicode digit that json.loads would refuse matches.
-_TRACE_BODY = (
+_TRACE_LINE = (
     r'\{"addr": "0x(0|[1-9a-f][0-9a-f]*)", "cta": (0|[1-9][0-9]*), '
     r'"cycle": (0|[1-9][0-9]*), "sm": (0|[1-9][0-9]*), "warp": (0|[1-9][0-9]*)\}'
 )
-_TRACE_LINE = _TRACE_BODY + r"\n?"
 _TRACE_BLOCK = 1 << 16  # characters of whole lines read at a time
 
 
@@ -271,15 +272,14 @@ def load_trace(fp: TextIO) -> list[AccessEvent]:
     """Parse a JSONL demand trace; a malformed line, or one with a negative
     ``sm``, ``cta``, ``warp`` or ``cycle``, raises ConfigError naming it.
 
-    Lines in ``dump_trace``'s own form are parsed without ``json``; any other
-    JSON object with the five keys loads to the same event. The file is read
-    in blocks of lines: a block whose every line is in that form converts in
-    one pass, and any other block goes line by line."""
+    The file is read in blocks of lines. A block whose every line is in
+    ``dump_trace``'s own form converts in one pass without ``json``; any
+    other block goes through ``json.loads`` line by line, where any JSON
+    object with the five keys loads to the same event."""
     name = getattr(fp, "name", "trace")
     # Each match spans one whole line, so a block has as many matches as
     # lines exactly when every line is in dump_trace's form.
-    every_line = re.compile("^" + _TRACE_BODY + "$", re.M).findall
-    fast = re.compile(_TRACE_LINE).fullmatch
+    every_line = re.compile("^" + _TRACE_LINE + "$", re.M).findall
     new = tuple.__new__
     events: list[AccessEvent] = []
     n = 0  # lines read so far
@@ -297,15 +297,6 @@ def load_trace(fp: TextIO) -> list[AccessEvent]:
                 except ValueError:
                     pass  # too many digits for int(); the JSON path names the line
             for n, line in enumerate(lines, n + 1):
-                m = fast(line)
-                if m is not None:
-                    addr, cta, cycle, sm, warp = m.groups()
-                    try:
-                        events.append(AccessEvent._make(
-                            (int(sm), int(cta), int(warp), int(addr, 16), int(cycle))))
-                        continue
-                    except ValueError:
-                        pass  # too many digits for int(); the JSON path names it
                 try:
                     raw = json.loads(line)
                     sm, cta, warp, cycle = raw["sm"], raw["cta"], raw["warp"], raw["cycle"]
@@ -457,16 +448,6 @@ class _Row(NamedTuple):
     prefetch: PrefetchKind
     mapping: ZoneMapping | None
     home: Callable[[int, int], int] | None
-
-
-# The access path reads a global several times faster than an enum member.
-_NO_PREFETCH = PrefetchKind.NONE
-_STRIDE = PrefetchKind.STRIDE
-_NORMAL = InsertionClass.NORMAL
-_SOFT_PIN = InsertionClass.SOFT_PIN
-_HIT = AccessOutcome.HIT
-_INFLIGHT_HIT = AccessOutcome.INFLIGHT_HIT
-_MISS = AccessOutcome.MISS
 
 
 def _home_resolver(mapping: ZoneMapping, zone_count: int) -> Callable[[int, int], int]:

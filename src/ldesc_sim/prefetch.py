@@ -25,7 +25,9 @@ class PrefetchKind(Enum):
     STRIDE = "STRIDE"
 
 
-# The miss path reads a global several times faster than an enum member.
+# The miss path reads a global several times faster than an enum member;
+# the engine imports these aliases too.
+_NO_PREFETCH = PrefetchKind.NONE
 _NEXTLINE = PrefetchKind.NEXTLINE
 _STRIDE = PrefetchKind.STRIDE
 

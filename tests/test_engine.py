@@ -903,6 +903,23 @@ def test_trace_block_reader_matches_json_loader_across_two_blocks(events, data):
     assert _loaded(engine_mod.load_trace, text) == want
 
 
+@pytest.mark.parametrize("kib", [20, 200])
+def test_trace_undecodable_byte_beats_malformed_line_in_its_block(tmp_path, kib):
+    # Each block is decoded before its lines are parsed: a bad byte about
+    # 20 KiB after a malformed line 1 is in the same block, one about 200 KiB
+    # after it is not.
+    dumped = _dumped([AccessEvent(1, 2, 3, 0x1F80, 42)])
+    count = kib * 1024 // len(dumped)
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"{}\n" + dumped.encode() * count + b"\xff\n")
+    with open(path, encoding="utf-8") as fp, pytest.raises(ConfigError) as exc:
+        engine_mod.load_trace(fp)
+    if kib * 1024 < engine_mod._TRACE_BLOCK:
+        assert str(exc.value) == f"{path}:{count + 2}: byte 0xff is not valid utf-8"
+    else:
+        assert str(exc.value).startswith(f"{path}:1: missing key")
+
+
 def test_trace_replay_rejects_event_before_cycle_zero():
     # Such an event would never be issued, so its CTA would never finish.
     wl = histo_workload()
