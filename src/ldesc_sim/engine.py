@@ -164,7 +164,7 @@ def generate_accesses(
     desc = table.desc
     k, rank = table.slot[cta]
     dtile = table.dtiles[k]
-    runs = table.runs[k]
+    runs = table.runs(k)
     members = len(table.ctas[k])
     warps = table.grid.warps_per_cta
 

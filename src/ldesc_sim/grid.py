@@ -4,11 +4,14 @@ Everything here is pure arithmetic over validated descriptors. CTAs, C-tiles
 and D-tiles all flatten in X->Y->Z order (X fastest) unless the descriptor's
 compute-data map says otherwise for the C-tile enumeration.
 
-``TileTable`` enumerates one descriptor's C-tiles once: per C-tile its CTAs,
-its D-tile and that D-tile's byte runs, and per CTA its C-tile and rank.
-It also maps an address of the structure to the D-tile that holds it. The
-placement search, access generation and the stride prefetcher's streams all
-read these facts from it rather than working them out again.
+``TileTable`` enumerates one descriptor's C-tiles once: per C-tile its CTAs
+and its D-tile, and per CTA its C-tile and rank. A D-tile's byte runs and
+line list are worked out on first read, since access generation reads them
+and the placement search does not (it counts zone bytes from each D-tile's
+geometry). The table also maps an address of the structure to the D-tile
+that holds it. The placement search, access generation and the stride
+prefetcher's streams all read these facts from it rather than working them
+out again.
 """
 
 from __future__ import annotations
@@ -130,10 +133,10 @@ class TileTable:
     """One descriptor's C-tiles over one grid, enumerated once.
 
     C-tile k (X->Y->Z flat) keeps ``ctas[k]``, its CTA flat ids in X->Y->Z
-    order; ``dtiles[k]``, the D-tile it accesses; and ``runs[k]``, that
-    D-tile's byte runs. ``slot[flat]`` is a CTA's (k, rank): its C-tile and
-    its index in ``ctas[k]``. ``lines(k, line_size)`` is worked out on
-    first use and then shared by every CTA of the C-tile.
+    order, and ``dtiles[k]``, the D-tile it accesses. ``slot[flat]`` is a
+    CTA's (k, rank): its C-tile and its index in ``ctas[k]``. ``runs(k)``,
+    the D-tile's byte runs, and ``lines(k, line_size)`` are worked out on
+    first read and then shared by every CTA of the C-tile.
 
     ``[base, end)`` is the structure's byte range, ``row_bytes`` a D-tile's
     X extent in bytes, and ``dtile_at(addr)`` the X->Y->Z flat index of the
@@ -145,8 +148,8 @@ class TileTable:
         self.grid = grid
         self.ctas: list[list[int]] = []
         self.dtiles: list[TileIndex] = []
-        self.runs: list[list[ByteRun]] = []
         self.slot: dict[int, tuple[int, int]] = {}
+        self._runs: dict[int, list[ByteRun]] = {}
         self._lines: dict[tuple[int, int], list[int]] = {}
         ds = desc.data
         self.base, self.end = ds.base_addr, ds.end_addr
@@ -162,13 +165,21 @@ class TileTable:
             dtile = dtile_of_ctile(ctile, desc, grid)
             self.ctas.append(flats)
             self.dtiles.append(dtile)
-            self.runs.append(dtile_byte_runs(dtile, desc))
 
     def dtile_at(self, addr: int) -> int:
         elem_size, lenx, leny, dx, dy, dz, nx, ny = self._geometry
         row, ex = divmod((addr - self.base) // elem_size, lenx)
         ez, ey = divmod(row, leny)
         return ex // dx + nx * (ey // dy + ny * (ez // dz))
+
+    def runs(self, k: int) -> list[ByteRun]:
+        """Byte runs of C-tile k's D-tile.
+
+        The list is shared by every caller; it must not be changed.
+        """
+        if k not in self._runs:
+            self._runs[k] = dtile_byte_runs(self.dtiles[k], self.desc)
+        return self._runs[k]
 
     def lines(self, k: int, line_size: int) -> list[int]:
         """Line addresses of C-tile k's D-tile, in run order, each once.
@@ -177,5 +188,5 @@ class TileTable:
         """
         key = (k, line_size)
         if key not in self._lines:
-            self._lines[key] = _lines_of_runs(self.runs[k], line_size)
+            self._lines[key] = _lines_of_runs(self.runs(k), line_size)
         return self._lines[key]

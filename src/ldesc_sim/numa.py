@@ -4,13 +4,16 @@ Data structures are interleaved across zones by a consecutive bit field of
 the physical address (BITRANGE), by a fold-XOR hash (the randomizing
 baseline), or by first-touch page placement (the 64 KiB paging baseline).
 The placement search jointly picks the top descriptor's bit field and the
-CTA partition, then fits every remaining structure to that partition.
+CTA partition, then fits every remaining structure to that partition. It
+counts the bytes each D-tile places in each zone from the tile's geometry,
+one row per residue of the stripe period, and builds no byte runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import gcd
 
 from .descriptor import PAGE_BITS, LocalityDescriptor, log2_exact
 from .grid import CtaGrid, TileTable
@@ -67,9 +70,14 @@ def zone_of_address(addr: int, mapping: ZoneMapping, zone_count: int) -> int:
     raise ValueError("a FIRST_TOUCH mapping places pages in its page_table, not by address")
 
 
-def _zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
-    """Bytes the runs place in each zone, without walking their stripes.
+def _zone_bytes_of_dtile(
+    first: int, shape: tuple[int, int, int], pitches: tuple[int, int],
+    low_bit: int, zone_count: int,
+) -> list[int]:
+    """Bytes a D-tile places in each zone, from its geometry alone.
 
+    The D-tile is ``rows`` x ``planes`` runs of ``length`` bytes (``shape``);
+    run (y, z) starts at ``first + y * row_pitch + z * plane_pitch``.
     Stripe k (``1 << low_bit`` bytes) lives in zone k % zone_count, so the
     layout repeats every ``period`` bytes. The bytes of [0, x) in zone z are
     x // period * stripe + clamp(x % period - z * stripe, 0, stripe), and a
@@ -77,23 +85,37 @@ def _zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
     end (+) and start (-), a zone gets a stripe for each whole period, a
     stripe for each offset whose stripe lies above it, and the bytes of the
     offsets inside its own stripe.
+
+    A run's share of those sums depends only on its start modulo the
+    period, and rows y and y + c, with c = period // gcd(row_pitch,
+    period), start at the same residue. So only the first min(rows, c) rows
+    are visited, row y weighted by the ceil((rows - y) / c) rows it stands
+    for; planes collapse the same way with the plane pitch.
     """
+    length, rows, planes = shape
+    row_pitch, plane_pitch = pitches
     stripe = 1 << low_bit
     period = zone_count << low_bit
     mask = stripe - 1
+    row_cycle = period // gcd(row_pitch, period)
+    plane_cycle = period // gcd(plane_pitch, period)
     periods = 0
     offsets = [0] * zone_count  # signed count of offsets in each stripe
     partial = [0] * zone_count  # their signed bytes into that stripe
-    for run in runs:
-        start = run.start
-        end = start + run.length
-        periods += end // period - start // period
-        k = (end >> low_bit) % zone_count
-        offsets[k] += 1
-        partial[k] += end & mask
-        k = (start >> low_bit) % zone_count
-        offsets[k] -= 1
-        partial[k] -= start & mask
+    for z in range(min(planes, plane_cycle)):
+        plane = first + z * plane_pitch
+        plane_count = -(-(planes - z) // plane_cycle)
+        for y in range(min(rows, row_cycle)):
+            count = plane_count * -(-(rows - y) // row_cycle)
+            start = (plane + y * row_pitch) % period
+            end = start + length
+            periods += count * (end // period)
+            k = (end >> low_bit) % zone_count
+            offsets[k] += count
+            partial[k] += count * (end & mask)
+            k = start >> low_bit
+            offsets[k] -= count
+            partial[k] -= count * (start & mask)
     out = [0] * zone_count
     above = 0
     for zone in reversed(range(zone_count)):
@@ -105,10 +127,12 @@ def _zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
 class _CtileTable:
     """One descriptor's C-tiles for one placement search.
 
-    The C-tiles' CTAs and byte runs come from a ``TileTable``; the bytes
-    each D-tile places in each zone are worked out once per low_bit, and
-    within one low_bit once per key: the D-tile's clipped extents and its
-    first byte modulo the stripe period ``zone_count << low_bit``.
+    The C-tiles' CTAs and D-tiles come from a ``TileTable``; the bytes each
+    D-tile places in each zone are counted from its geometry (first byte,
+    clipped extents, row and plane pitch), never from byte runs. They are
+    worked out once per low_bit, and within one low_bit once per key: the
+    D-tile's clipped extents and its first byte modulo the stripe period
+    ``zone_count << low_bit``.
 
     The key is exact. Two D-tiles of one descriptor with equal clipped
     extents have byte runs that are translates of each other: each run
@@ -123,11 +147,16 @@ class _CtileTable:
         self.tiles = TileTable(desc, grid)
         self.total = desc.data.total_bytes
         self.zone_count = zone_count
-        dims, d = desc.data.dims, desc.tiles.dtile_dims
-        self._extents = [
-            tuple(min(d[i], dims[i] - dtile.coords[i] * d[i]) for i in range(3))
-            for dtile in self.tiles.dtiles
-        ]
+        ds, d = desc.data, desc.tiles.dtile_dims
+        elem, (lenx, leny, lenz) = ds.elem_size, ds.dims
+        self._pitches = (lenx * elem, leny * lenx * elem)
+        # per C-tile: its D-tile's (run length in bytes, rows, planes) and first byte
+        self._dtiles = []
+        for dtile in self.tiles.dtiles:
+            x0, y0, z0 = (c * n for c, n in zip(dtile.coords, d))
+            shape = (min(d[0], lenx - x0) * elem, min(d[1], leny - y0), min(d[2], lenz - z0))
+            first = ds.base_addr + ((z0 * leny + y0) * lenx + x0) * elem
+            self._dtiles.append((shape, first))
         self._zone_bytes: dict[int, list[list[int]]] = {}
 
     def zone_bytes(self, low_bit: int) -> list[list[int]]:
@@ -136,10 +165,12 @@ class _CtileTable:
             period = self.zone_count << low_bit
             by_key: dict[tuple, list[int]] = {}
             out = []
-            for extents, runs in zip(self._extents, self.tiles.runs):
-                key = (extents, runs[0].start % period)
+            for shape, first in self._dtiles:
+                key = (shape, first % period)
                 if key not in by_key:
-                    by_key[key] = _zone_bytes_of_runs(runs, low_bit, self.zone_count)
+                    by_key[key] = _zone_bytes_of_dtile(
+                        key[1], shape, self._pitches, low_bit, self.zone_count
+                    )
                 out.append(by_key[key])
             self._zone_bytes[low_bit] = out
         return self._zone_bytes[low_bit]

@@ -106,6 +106,44 @@ def home_zone(addr, mapping, toucher_zone, zone_count):
     return zone_of_address(addr, mapping, zone_count)
 
 
+# The placement search's zone-byte count as it stood when it read each
+# D-tile's byte runs, kept verbatim (only renamed): the reference for the
+# count from D-tile geometry, ``numa._zone_bytes_of_dtile``.
+def zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
+    """Bytes the runs place in each zone, without walking their stripes.
+
+    Stripe k (``1 << low_bit`` bytes) lives in zone k % zone_count, so the
+    layout repeats every ``period`` bytes. The bytes of [0, x) in zone z are
+    x // period * stripe + clamp(x % period - z * stripe, 0, stripe), and a
+    run adds that at its end minus that at its start. Summed over every run
+    end (+) and start (-), a zone gets a stripe for each whole period, a
+    stripe for each offset whose stripe lies above it, and the bytes of the
+    offsets inside its own stripe.
+    """
+    stripe = 1 << low_bit
+    period = zone_count << low_bit
+    mask = stripe - 1
+    periods = 0
+    offsets = [0] * zone_count  # signed count of offsets in each stripe
+    partial = [0] * zone_count  # their signed bytes into that stripe
+    for run in runs:
+        start = run.start
+        end = start + run.length
+        periods += end // period - start // period
+        k = (end >> low_bit) % zone_count
+        offsets[k] += 1
+        partial[k] += end & mask
+        k = (start >> low_bit) % zone_count
+        offsets[k] -= 1
+        partial[k] -= start & mask
+    out = [0] * zone_count
+    above = 0
+    for zone in reversed(range(zone_count)):
+        out[zone] = (periods + above) * stripe + partial[zone]
+        above += offsets[zone]
+    return out
+
+
 # The reference: the cache as it stood when every way of every set was built
 # up front as an invalid line, kept verbatim (only renamed) as the oracle.
 _PRIORITY = {

@@ -243,7 +243,7 @@ def test_tile_table_matches_per_cta_functions(case):
         assert (k, rank) == (ctile.flat, members[k].index(cta_flat(cta, grid)))
         assert table.ctas[k] == members[k]
         assert table.dtiles[k] == dtile
-        assert table.runs[k] == dtile_byte_runs(dtile, desc)
+        assert table.runs(k) == dtile_byte_runs(dtile, desc)
 
 
 @settings(max_examples=80, deadline=None)

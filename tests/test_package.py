@@ -1,7 +1,7 @@
 """The package's public surface and the README's list of it, the README
-library example, the documented policy table, no unused imports in
-``src/ldesc_sim``, no enum member read on the per-access path, and the
-functions the benchmark tracer wraps."""
+library example, the documented policy table, no unused imports and no
+unread private module-level names in ``src/ldesc_sim``, no enum member read
+on the per-access path, and the functions the benchmark tracer wraps."""
 
 import ast
 import contextlib
@@ -123,6 +123,53 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each private name the module defines at top level:
+    a function, a class or an assigned name; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _reads(tree: ast.Module):
+    """(name, node) of each name a module reads, as a name, an attribute or
+    an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node
+
+
+def test_every_private_name_is_read():
+    # Code that no path of the package reads any more belongs in
+    # tests/oracles.py, or nowhere; a private name cannot be read from
+    # outside the package, so one that the package never reads is left over.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for name, node in _reads(tree):
+            reads.setdefault(name, []).append(node)
+    unread = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in reads.get(name, [])):
+                unread.append(f"{module}:{definition.lineno}: {name}")
+    assert not unread, "private names nothing reads: " + ", ".join(unread)
 
 
 # The functions every demand access or prefetch runs, by module; nested
