@@ -4,9 +4,11 @@ Data structures are interleaved across zones by a consecutive bit field of
 the physical address (BITRANGE), by a fold-XOR hash (the randomizing
 baseline), or by first-touch page placement (the 64 KiB paging baseline).
 The placement search jointly picks the top descriptor's bit field and the
-CTA partition, then fits every remaining structure to that partition. It
-counts the bytes each D-tile places in each zone from the tile's geometry,
-one row per residue of the stripe period, and builds no byte runs.
+CTA partition, then fits every remaining structure to that partition, once
+per distinct partition. It counts the bytes each D-tile places in each zone
+from the tile's geometry and builds no byte runs: one row per residue of
+the stripe period, or, when the stripes are wide against the row pitch and
+the tile spans fewer of them than that, one stripe at a time.
 """
 
 from __future__ import annotations
@@ -79,18 +81,29 @@ def _zone_bytes_of_dtile(
     The D-tile is ``rows`` x ``planes`` runs of ``length`` bytes (``shape``);
     run (y, z) starts at ``first + y * row_pitch + z * plane_pitch``.
     Stripe k (``1 << low_bit`` bytes) lives in zone k % zone_count, so the
-    layout repeats every ``period`` bytes. The bytes of [0, x) in zone z are
-    x // period * stripe + clamp(x % period - z * stripe, 0, stripe), and a
-    run adds that at its end minus that at its start. Summed over every run
-    end (+) and start (-), a zone gets a stripe for each whole period, a
-    stripe for each offset whose stripe lies above it, and the bytes of the
-    offsets inside its own stripe.
+    layout repeats every ``period`` bytes, and planes z and z + c, with
+    c = period // gcd(plane_pitch, period), start at the same residue. So
+    only the first min(planes, c) planes are visited, plane z weighted by
+    the ceil((planes - z) / c) planes it stands for. Each visited plane is
+    counted by whichever of two exact walks takes fewer steps:
 
-    A run's share of those sums depends only on its start modulo the
-    period, and rows y and y + c, with c = period // gcd(row_pitch,
-    period), start at the same residue. So only the first min(rows, c) rows
-    are visited, row y weighted by the ceil((rows - y) / c) rows it stands
-    for; planes collapse the same way with the plane pitch.
+    - the row walk, when the plane spans at least as many stripes as it has
+      row residues. The bytes of [0, x) in zone z are x // period * stripe
+      + clamp(x % period - z * stripe, 0, stripe), and a run adds that at
+      its end minus that at its start. Summed over every run end (+) and
+      start (-), a zone gets a stripe for each whole period, a stripe for
+      each offset whose stripe lies above it, and the bytes of the offsets
+      inside its own stripe. A run's share of those sums depends only on
+      its start modulo the period, and rows y and y + c, with c = period //
+      gcd(row_pitch, period), start at the same residue; so only the first
+      min(rows, c) rows are visited, row y weighted by the ceil((rows - y)
+      / c) rows it stands for.
+    - the stripe walk, when the stripe is wide against the row pitch and
+      the plane's extent ``(rows - 1) * row_pitch + length`` spans fewer
+      stripes than that. The plane's bytes below address x are y * length
+      + min(r, length), with y, r = divmod(x - start, row_pitch), at most
+      rows * length; each spanned stripe adds those below its end minus
+      those below its start to its zone.
     """
     length, rows, planes = shape
     row_pitch, plane_pitch = pitches
@@ -99,13 +112,26 @@ def _zone_bytes_of_dtile(
     mask = stripe - 1
     row_cycle = period // gcd(row_pitch, period)
     plane_cycle = period // gcd(plane_pitch, period)
+    row_steps = min(rows, row_cycle)
+    extent = (rows - 1) * row_pitch + length
+    plane_bytes = rows * length
+    out = [0] * zone_count  # the stripe walk's bytes, counted directly
     periods = 0
     offsets = [0] * zone_count  # signed count of offsets in each stripe
     partial = [0] * zone_count  # their signed bytes into that stripe
     for z in range(min(planes, plane_cycle)):
         plane = first + z * plane_pitch
         plane_count = -(-(planes - z) // plane_cycle)
-        for y in range(min(rows, row_cycle)):
+        k0, k1 = plane >> low_bit, (plane + extent - 1) >> low_bit
+        if k1 - k0 < row_steps - 1:
+            below = 0  # the plane's bytes below the current stripe
+            for k in range(k0, k1 + 1):
+                y, r = divmod(((k + 1) << low_bit) - plane, row_pitch)
+                end = min(y * length + min(r, length), plane_bytes)
+                out[k % zone_count] += plane_count * (end - below)
+                below = end
+            continue
+        for y in range(row_steps):
             count = plane_count * -(-(rows - y) // row_cycle)
             start = (plane + y * row_pitch) % period
             end = start + length
@@ -116,10 +142,9 @@ def _zone_bytes_of_dtile(
             k = start >> low_bit
             offsets[k] -= count
             partial[k] -= count * (start & mask)
-    out = [0] * zone_count
     above = 0
     for zone in reversed(range(zone_count)):
-        out[zone] = (periods + above) * stripe + partial[zone]
+        out[zone] += (periods + above) * stripe + partial[zone]
         above += offsets[zone]
     return out
 
@@ -129,10 +154,13 @@ class _CtileTable:
 
     The C-tiles' CTAs and D-tiles come from a ``TileTable``; the bytes each
     D-tile places in each zone are counted from its geometry (first byte,
-    clipped extents, row and plane pitch), never from byte runs. They are
-    worked out once per low_bit, and within one low_bit once per key: the
-    D-tile's clipped extents and its first byte modulo the stripe period
-    ``zone_count << low_bit``.
+    clipped extents, row and plane pitch), never from byte runs, by the row
+    walk or the stripe walk of ``_zone_bytes_of_dtile``, whichever visits
+    fewer steps. They are worked out once per low_bit, and within one
+    low_bit once per key: the D-tile's clipped extents and its first byte
+    modulo the stripe period ``zone_count << low_bit``. The placement
+    search asks for ``homes`` once per distinct partition of the top
+    descriptor.
 
     The key is exact. Two D-tiles of one descriptor with equal clipped
     extents have byte runs that are translates of each other: each run
@@ -248,6 +276,45 @@ def _is_balanced(part: dict[int, int], zone_count: int) -> bool:
     return max(loads) <= ideal * BALANCE_SLACK
 
 
+@dataclass
+class _PartitionFit:
+    """Every descriptor fitted to one CTA partition of the placement search.
+
+    ``homes[i]`` is descriptor i's C-tile zones under the partition,
+    ``bits`` the low bit fitted for each structure other than the top
+    descriptor's, and ``terms[i - 1]`` descriptor i's weighted utility at
+    its structure's bit, or None where that structure is the top
+    descriptor's, which keeps the candidate's own bit.
+    """
+
+    homes: list[list[int]]
+    bits: dict[str, int]
+    terms: list[float | None]
+
+
+def _fit_partition(
+    descs: list[LocalityDescriptor], tables: list[_CtileTable], part: dict[int, int]
+) -> _PartitionFit:
+    n = len(descs)
+    top = descs[0].data.name
+    homes = [table.homes(part) for table in tables]
+    bits: dict[str, int] = {}
+    terms: list[float | None] = []
+    for i in range(1, n):
+        weight = n - i  # alg position i+1 -> weight n - (i+1) + 1
+        table, name = tables[i], descs[i].data.name
+        if name == top:
+            terms.append(None)
+            continue
+        if name not in bits:  # max() keeps the first, so the lowest bit
+            bits[name] = max(
+                range(LOW_BIT_MIN, LOW_BIT_MAX + 1),
+                key=lambda b: table.util(weight, homes[i], b),
+            )
+        terms.append(table.util(weight, homes[i], bits[name]))
+    return _PartitionFit(homes, bits, terms)
+
+
 def place_and_partition(
     descs: list[LocalityDescriptor], grid: CtaGrid, zone_count: int
 ) -> NumaPlan:
@@ -260,23 +327,27 @@ def place_and_partition(
     candidate whose partition loads no zone past 125% of the ideal load
     wins; should every candidate fail that guard, the best candidate
     overall is returned with ``balance_guard_failed`` set.
+
+    Candidate bits often yield the same partition, so the structures are
+    fitted once per distinct partition; only the top descriptor's own
+    utility, and that of a later descriptor over its structure, are worked
+    out per candidate bit.
     """
     n = len(descs)
-    bits = range(LOW_BIT_MIN, LOW_BIT_MAX + 1)
     tables = [_CtileTable(d, grid, zone_count) for d in descs]
+    fits: dict[tuple[int, ...], _PartitionFit] = {}
     plans = []
-    for b_hi in bits:
+    for b_hi in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
         part = tables[0].partition(b_hi)
-        chosen = {descs[0].data.name: b_hi}
-        util = tables[0].util(n, tables[0].homes(part), b_hi)
+        key = tuple(part.values())  # every candidate inserts the CTAs in one order
+        if key not in fits:
+            fits[key] = _fit_partition(descs, tables, part)
+        fit = fits[key]
+        util = tables[0].util(n, fit.homes[0], b_hi)
         added = 0.0
-        for i in range(1, n):
-            weight = n - i  # alg position i+1 -> weight n - (i+1) + 1
-            table, name = tables[i], descs[i].data.name
-            homes = table.homes(part)
-            if name not in chosen:  # max() keeps the first, so the lowest bit
-                chosen[name] = max(bits, key=lambda b: table.util(weight, homes, b))
-            added += table.util(weight, homes, chosen[name])
+        for i, term in enumerate(fit.terms, 1):
+            added += tables[i].util(n - i, fit.homes[i], b_hi) if term is None else term
+        chosen = {descs[0].data.name: b_hi, **fit.bits}
         mappings = {name: bitrange(bit, zone_count) for name, bit in chosen.items()}
         plans.append(NumaPlan(part, mappings, util + added))
     balanced = [p for p in plans if _is_balanced(p.cta_partition, zone_count)]

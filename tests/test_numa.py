@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -184,6 +185,55 @@ def test_balance_guard_fallback_flag():
     assert set(plan.cta_partition.values()) == {0}
 
 
+def test_place_and_partition_majority_ties_go_to_the_lowest_zone():
+    # 8x1 grid on 4 zones. "a" is 2 KiB in eight 256 B D-tiles, one CTA each;
+    # "b" is 512 B at 64 KiB in two 256 B D-tiles, C-tile j holding CTAs
+    # 4j..4j+3. Worked out by hand from README's rules:
+    #  b_hi 7: each D-tile of "a" splits evenly over zones 2k % 4 and
+    #    2k % 4 + 1, so ties put its CTA in zone 0 or 2: 4 CTAs in a zone
+    #    whose ideal load is 2, rejected. b_hi >= 10 puts 4 or more CTAs in
+    #    zone 0, rejected too.
+    #  b_hi 8: D-tile k is stripe k, so CTA k sits in zone k % 4 and "a"
+    #    scores 2 x 1.0. Each C-tile of "b" holds one CTA in every zone: a
+    #    four-way tie, so both go to zone 0. b's 512 B lie in zone 0 at
+    #    low bits 9..14 (128 B at 7, 256 B at 8, none at 15 and 16), so "b"
+    #    takes bit 9 and scores 1 x 1.0: 3.0 in all.
+    #  b_hi 9: CTAs sit in zones 0,0,1,1,2,2,3,3, and "a" scores 2.0. The
+    #    C-tiles of "b" tie between zones 0 and 1 and between 2 and 3, so
+    #    they go to zones 0 and 2, where at most half of b's bytes can be
+    #    local: 2.5.
+    # Ties that went to the highest zone would pick b_hi 9 (2.5 against
+    # 2.25 at b_hi 8), with "b" at bit 7.
+    grid = CtaGrid((8, 1, 1))
+    a = make_desc(name="a", data_dims=(512, 1, 1), dtile=(64, 1, 1), ctile=(1, 1, 1),
+                  cdmap=(1, 0, 0), priority=0)
+    b = make_desc(name="b", base=1 << 16, data_dims=(128, 1, 1), dtile=(64, 1, 1),
+                  ctile=(4, 1, 1), cdmap=(1, 0, 0), priority=1)
+    plan = place_and_partition(validate_descriptor_set([a, b], grid), grid, 4)
+    assert [plan.cta_partition[flat] for flat in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert {name: m.low_bit for name, m in plan.per_structure.items()} == {"a": 8, "b": 9}
+    assert plan.utility == 3.0
+    assert not plan.balance_guard_failed
+
+
+def test_later_descriptor_over_the_top_structure_takes_each_candidates_bit():
+    # The top descriptor's one 16 KiB D-tile feeds all four CTAs, so every
+    # candidate bit gives one partition, all CTAs in zone 0, and the guard
+    # fails. The fraction of the structure in zone 0 is 1/4 at bits 7..12,
+    # 1/2 at 13 and 1 at 14..16; both descriptors' C-tiles sit in zone 0, so
+    # candidate b scores (2 + 1) x that fraction, and bit 14 wins with 3.0.
+    # Taking the later descriptor's term from the partition's first
+    # candidate, bit 7, would score 2 + 1/4 there.
+    top = make_desc(name="a", elem=4, data_dims=(4 * KB, 1, 1), dtile=(4 * KB, 1, 1),
+                    ctile=(4, 1, 1), cdmap=(1, 0, 0), priority=0)
+    later = make_desc(name="a", elem=4, data_dims=(4 * KB, 1, 1), dtile=(KB, 1, 1),
+                      ctile=(1, 1, 1), cdmap=(1, 0, 0), priority=1)
+    plan = place_and_partition(validate_descriptor_set([top, later], GRID4), GRID4, 4)
+    assert plan.per_structure["a"].low_bit == 14
+    assert plan.utility == 3.0
+    assert plan.balance_guard_failed
+
+
 def brute_force_best_utility(descs, grid, zone_count):
     """Exhaustive cross-product search over guarded candidates."""
     n = len(descs)
@@ -254,11 +304,14 @@ def two_matrix_instance(n):
     return validate_descriptor_set(descs, grid), grid, 4
 
 
-# sha256 of the plan's JSON export and its balance_guard_failed flag,
-# pinned when the search still counted zone bytes from byte runs.
+# sha256 of the plan's JSON export and its balance_guard_failed flag: 1024
+# and 2048 pinned when the search still counted zone bytes from byte runs,
+# 4096 when it still counted every D-tile row by row and fitted every
+# candidate bit on its own.
 TWO_MATRIX_PLAN_DIGESTS = {
     1024: "db70a6e781087fe67dd1c3b1ffe58b16166aab5d5134f00a4efcd0f87a6adcef",
     2048: "54910bf60136b37a3c2f05c906af6115326af8d0f601acd1a02bd7a625b57ac9",
+    4096: "a0248c42ec133c1eebb6128cb5fa381b7360e70824a7476c015699bf2feae777",
 }
 
 
@@ -315,6 +368,79 @@ def test_search_works_out_zone_bytes_once_per_key(monkeypatch):
     ctiles = ctile_count(cfg.descs[0], cfg.grid)
     bound = ctiles[0] * ctiles[1] * ctiles[2] * (LOW_BIT_MAX - LOW_BIT_MIN + 1) * len(cfg.descs)
     assert 0 < len(calls) == keys < bound
+
+
+def test_search_fits_each_distinct_partition_once(monkeypatch):
+    # Candidate bits that give the top descriptor one partition share one
+    # fit: every descriptor's C-tile homes are worked out once per distinct
+    # partition, not once per candidate.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "matrix.json")
+    zone_count = cfg.system.zone_count
+    homes_of = numa._CtileTable.homes
+    calls = []
+
+    def counting(table, part):
+        calls.append(table.tiles.desc.data.name)
+        return homes_of(table, part)
+
+    monkeypatch.setattr(numa._CtileTable, "homes", counting)
+    place_and_partition(cfg.descs, cfg.grid, zone_count)
+    bits = range(LOW_BIT_MIN, LOW_BIT_MAX + 1)
+    partitions = {
+        tuple(sorted(numa_part(cfg.descs[0], b, cfg.grid, zone_count).items())) for b in bits
+    }
+    assert len(partitions) < len(bits)
+    assert len(calls) == len(partitions) * len(cfg.descs)
+
+
+def wide_stripe_3d_instance():
+    """A 3-D structure whose 256 B row pitch is far below the wide stripes
+    of the top low bits, with D-tiles clipped along every axis, on 4 zones."""
+    desc = make_desc(base=PAGE_SIZE, elem=4, data_dims=(64, 48, 6), dtile=(48, 20, 4),
+                     ctile=(1, 1, 1), cdmap=(1, 2, 3))
+    grid = CtaGrid((2, 3, 2))
+    return validate_descriptor_set([desc], grid), grid, 4
+
+
+def stripe_end_instance():
+    """A 2-D byte structure with a 1000 B row pitch whose first D-tile, 9
+    rows of 193 B, ends on the first byte of an 8 KiB stripe, on 4 zones."""
+    desc = make_desc(base=PAGE_SIZE, elem=1, data_dims=(1000, 18, 1), dtile=(193, 9, 1),
+                     ctile=(1, 1, 1), cdmap=(1, 2, 0))
+    grid = CtaGrid((6, 2, 1))
+    return validate_descriptor_set([desc], grid), grid, 4
+
+
+def stripe_walk_runs(shape, first, pitches, low_bit, zone_count):
+    """Whether a D-tile's first plane spans fewer stripes than it has row
+    residues, so that its zone bytes are counted stripe by stripe."""
+    length, rows, _ = shape
+    period = zone_count << low_bit
+    stripes = ((first + (rows - 1) * pitches[0] + length - 1) >> low_bit) - (first >> low_bit) + 1
+    return stripes < min(rows, period // math.gcd(pitches[0], period))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [lambda: two_matrix_instance(512), wide_stripe_3d_instance, stripe_end_instance],
+    ids=["two-matrix-512", "wide-stripe-3d", "stripe-end"],
+)
+def test_both_zone_byte_walks_match_the_run_count(instance):
+    descs, grid, zone_count = instance()
+    walks = set()
+    for desc in descs:
+        table = numa._CtileTable(desc, grid, zone_count)
+        for low_bit in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
+            got = table.zone_bytes(low_bit)
+            period = zone_count << low_bit
+            seen = set()
+            for k, (shape, first) in enumerate(table._dtiles):
+                if (shape, first % period) in seen:
+                    continue
+                seen.add((shape, first % period))
+                walks.add(stripe_walk_runs(shape, first, table._pitches, low_bit, zone_count))
+                assert got[k] == oracles.zone_bytes_of_runs(table.tiles.runs(k), low_bit, zone_count)
+    assert walks == {False, True}
 
 
 @st.composite

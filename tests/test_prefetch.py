@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldesc_sim import (
+    AccessEvent,
     CacheConfig,
     CtaGrid,
     DescriptorPolicy,
@@ -147,6 +148,30 @@ def test_policy_nextline_runs_nextline(monkeypatch):
     assert any(targets for _, targets in calls)
     for addr, targets in calls:
         assert all(target == addr + 128 for target in targets), (addr, targets)
+
+
+def test_prefetch_evicted_before_its_demand_is_not_useful():
+    # One warp replays four demand accesses to a 4-line structure through a
+    # one-line L1, under NEXTLINE with normal insertion; each access starts
+    # after the one before completes. Worked out by hand:
+    #  line 2: miss, prefetches line 3; line 2 lands, then line 3 evicts it.
+    #  line 0: miss, prefetches line 1; line 0 evicts line 3 before its
+    #          demand, then line 1 evicts line 0.
+    #  line 1: hit on the prefetched line, which counts as useful.
+    #  line 3: miss on a line prefetched and evicted unused: not useful. Its
+    #          next line lies past the structure, so nothing is prefetched.
+    grid = CtaGrid((1, 1, 1), warps_per_cta=1)
+    desc = make_desc(data_dims=(128, 1, 1), dtile=(128, 1, 1), ctile=(1, 1, 1),
+                     cdmap=(1, 0, 0))
+    wl = Workload(grid, validate_descriptor_set([desc], grid), 1)
+    config = SystemConfig(sm_count=1, l1=CacheConfig(128, ways=1))
+    policies = (DescriptorPolicy(InsertionClass.NORMAL, NEXTLINE),)
+    events = [AccessEvent(0, 0, 0, line * 128, cycle * 1000)
+              for cycle, line in enumerate([2, 0, 1, 3])]
+    m = simulate(wl, config, baseline_round_robin(grid, 1), policies=policies, trace_in=events)
+    assert (m.hits, m.misses) == (1, 3)
+    assert (m.prefetches_issued, m.prefetches_useful) == (2, 1)
+    assert m.prefetch_accuracy == 0.5
 
 
 def test_policy_stride_prefetches_intra_thread(monkeypatch):
