@@ -19,7 +19,7 @@ import json
 import math
 import random
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
@@ -370,12 +370,16 @@ class SimMetrics:
 
 
 class _Cta:
-    __slots__ = ("flat", "remaining", "inflight", "started")
+    """One CTA of a run. ``pending`` counts its accesses not yet completed,
+    issued or not: a live CTA starts with its whole access count, a replayed
+    one counts each of its trace events. Landing an access's completion
+    record takes it off, and the CTA completes when it reaches 0."""
 
-    def __init__(self, flat: int, remaining: int):
+    __slots__ = ("flat", "pending", "started")
+
+    def __init__(self, flat: int, pending: int):
         self.flat = flat
-        self.remaining = remaining
-        self.inflight = 0
+        self.pending = pending
         self.started = False
 
 
@@ -398,9 +402,10 @@ class _WarpSlot:
 
 class _Sm:
     __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ready", "ptr",
-                 "prefetched", "fill_at", "streams", "lines")
+                 "prefetched", "fill_at", "streams", "lines", "homes")
 
-    def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int], rows: int):
+    def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int], rows: int,
+                 zones: int):
         self.sm = sm
         self.zone = zone
         self.l1 = l1
@@ -414,6 +419,7 @@ class _Sm:
         # per row index: the D-tiles its stride prefetches stream on this SM now
         self.streams: list[set[int]] = [set() for _ in range(rows)]
         self.lines: set[int] = set()  # line addresses it demanded: its working set
+        self.homes = [0] * zones  # per home zone: how many demand accesses it issued there
 
 
 class _Due:
@@ -485,7 +491,7 @@ class _Simulation:
             per_sm_ctas[schedule.assignment[flat]].append(flat)
         for s in range(config.sm_count):
             self.sms.append(_Sm(s, config.sm_zone(s), CacheModel(config.l1),
-                                deque(per_sm_ctas[s]), len(workload.descs)))
+                                deque(per_sm_ctas[s]), len(workload.descs), config.zone_count))
 
         # Address resolution: one row per descriptor, in priority order. The
         # first row whose range holds an address is its highest-priority
@@ -522,6 +528,14 @@ class _Simulation:
             self.rows.append(_Row(data.base_addr, data.end_addr, i, TileTable(desc, workload.grid),
                                   policy.insertion, policy.prefetch, mapping, home))
         self.tables = [r.table for r in self.rows]
+        # The rows' ranges cut the address space into intervals, at every
+        # base and end. Each interval is held by the same rows throughout,
+        # so ``owner[bisect_right(bounds, addr)]`` is the first row that
+        # holds ``addr``, or None where none does.
+        self.bounds = sorted({a for r in self.rows for a in (r.base, r.end)})
+        self.owner: list[_Row | None] = [None] + [
+            next((r for r in self.rows if r.base <= lo < r.end), None) for lo in self.bounds
+        ]
         self.stride_rows = [r for r in self.rows if r.prefetch is _STRIDE]
 
         # Resident CTAs per (sm, descriptor index, D-tile) of the stride rows;
@@ -535,13 +549,10 @@ class _Simulation:
         self.awake: set[int] = set()  # SMs with ready warps, not stalled
         self.link_free: dict[tuple[int, int], float] = {}
 
-        # Metrics
-        self.demand = 0
+        # Metrics; demand accesses per SM and home zone are ``_Sm.homes``.
         self.hits = 0
         self.inflight_hits = 0
         self.misses = 0
-        self.local_accesses = 0
-        self.zone_counts = [0] * config.zone_count
         self.remote_traffic = 0
         self.pf_issued = 0
         self.pf_useful = 0
@@ -572,10 +583,13 @@ class _Simulation:
     # -- address resolution ------------------------------------------------
 
     def _row_of(self, addr: int) -> _Row:
-        for row in self.rows:
-            if row.base <= addr < row.end:
-                return row
-        raise ConfigMismatch(f"address {addr:#x} matches no descriptor")
+        """The row of ``addr``'s highest-priority descriptor, by one lookup
+        in the interval map built once per run; ConfigMismatch if no
+        descriptor's structure holds it."""
+        row = self.owner[bisect_right(self.bounds, addr)]
+        if row is None:
+            raise ConfigMismatch(f"address {addr:#x} matches no descriptor")
+        return row
 
     # -- memory path -------------------------------------------------------
 
@@ -620,7 +634,7 @@ class _Simulation:
         l1, line_size = sm.l1, self.line_size
         for target in pf.on_miss(addr, row.prefetch, table, self.config.l1.capacity,
                                  len(active), line_size):
-            line_addr = target - target % line_size
+            line_addr = target & -line_size
             if l1.contains(line_addr) or l1.inflight(line_addr):
                 continue
             try:
@@ -677,9 +691,9 @@ class _Simulation:
         while sm.pending and len(sm.resident) < self.config.max_resident_ctas_per_sm:
             flat = sm.pending.popleft()
             queues = cta_warp_queues(self.workload, self.tables, flat, self.line_size)
-            remaining = sum(len(q) for q in queues.values())
-            cta = _Cta(flat, remaining)
-            if remaining == 0:
+            pending = sum(len(q) for q in queues.values())
+            cta = _Cta(flat, pending)
+            if pending == 0:
                 self.unfinished -= 1
                 continue
             sm.resident.append(cta)
@@ -697,19 +711,18 @@ class _Simulation:
         cycle, or None on stall. An access that issues appends the slot to
         its completion cycle's records."""
         sm, cta = slot.sm, slot.cta
-        row = self._row_of(addr)
+        row = self.owner[bisect_right(self.bounds, addr)]
+        if row is None:
+            self._row_of(addr)  # raises ConfigMismatch
         try:
             outcome = sm.l1.access(addr, row.insertion, cycle)
         except MshrFull:
             return None
 
-        self.demand += 1
         resolve = row.home
         home = 0 if resolve is None else resolve(addr, sm.zone)
-        self.zone_counts[home] += 1
-        if home == sm.zone:
-            self.local_accesses += 1
-        line_addr = addr - addr % self.line_size
+        sm.homes[home] += 1
+        line_addr = addr & -self.line_size
         sm.lines.add(line_addr)
         if not cta.started:
             self._mark_started(sm, cta)
@@ -734,14 +747,10 @@ class _Simulation:
             if row.prefetch is not _NO_PREFETCH:
                 self._maybe_prefetch(sm, addr, row, cycle)
 
-        cta.remaining -= 1
-        cta.inflight += 1
         due = self.due.get(completion)
         if due is None:
             due = self._due_at(completion)
         due.comps.append(slot)
-        if completion > self.last_completion:
-            self.last_completion = completion
         return completion
 
     # -- main loop -------------------------------------------------------------
@@ -753,16 +762,20 @@ class _Simulation:
         later cycle it needs. A fill wakes the SM whose L1 it lands in, if
         that SM has ready warps: they may wait on a full MSHR.
 
-        Each record lands once. It takes the access off its CTA's in-flight
-        count, then puts the slot back on its SM's ready list if the slot's
-        queue still holds work, or else completes the CTA if nothing of it is
-        left to issue or in flight. Both cannot apply: a slot with work left
-        belongs to a CTA with accesses left. A replay slot's queue is empty,
-        so it never wakes. Handling a cycle's wakes among its completions,
+        Each record lands once. It takes the access off its CTA's
+        ``pending`` count, then puts the slot back on its SM's ready list if
+        the slot's queue still holds work, or else completes the CTA if no
+        access of it is left to complete. Both cannot apply: a slot with work
+        left belongs to a CTA with accesses pending. A replay slot's queue is
+        empty, so it never wakes. Handling a cycle's wakes among its completions,
         not after them, leaves the same ready lists, ``awake`` set and
         ``ptr``s: a completion rebuilds ``ready`` from the set of ready
         positions, renumbering any slot woken before it, and a slot woken
-        after it goes in at its new position."""
+        after it goes in at its new position.
+
+        Visits go in increasing cycle order and land every record, so the
+        last visit that lands one is the run's last completion: each such
+        visit records its cycle as ``last_completion``, the total cycles."""
         self._due_at(0)
         awake = self.awake
         while self.unfinished > 0:
@@ -773,14 +786,17 @@ class _Simulation:
                 del sm.fill_at[line_addr]
                 if sm.ready:
                     awake.add(sm.sm)
-            for slot in due.comps:
+            comps = due.comps
+            if comps:
+                self.last_completion = cycle
+            for slot in comps:
                 cta = slot.cta
-                cta.inflight -= 1
+                cta.pending -= 1
                 if slot.queue:
                     sm = slot.sm
                     insort(sm.ready, slot.pos)
                     awake.add(sm.sm)
-                elif cta.remaining == 0 and cta.inflight == 0:
+                elif cta.pending == 0:
                     self._complete_cta(slot.sm, cta)
             issue(cycle)
 
@@ -867,7 +883,7 @@ class _Simulation:
                     f"trace puts CTA {ev.cta} on SM {slot.sm.sm} and on SM {ev.sm}; a CTA "
                     "runs on one SM"
                 )
-            slot.cta.remaining += 1
+            slot.cta.pending += 1
             by_cycle.setdefault(ev.issue_cycle, []).append((slot, ev.addr))
         self.unfinished = len(ctas)
         for c in by_cycle:
@@ -892,11 +908,14 @@ class _Simulation:
         self._run(issue)
 
     def metrics(self) -> SimMetrics:
-        demand = self.demand
+        # Every issued access is exactly one hit, inflight hit or miss.
+        demand = self.hits + self.inflight_hits + self.misses
         counts = [len(sm.lines) for sm in self.sms]
         dist = [
-            (z / demand) if demand else 0.0 for z in self.zone_counts
+            (sum(zones) / demand) if demand else 0.0
+            for zones in zip(*(sm.homes for sm in self.sms))
         ]
+        local = sum(sm.homes[sm.zone] for sm in self.sms)
         return SimMetrics(
             demand_accesses=demand,
             hits=self.hits,
@@ -906,7 +925,7 @@ class _Simulation:
             inflight_hit_rate=self.inflight_hits / demand if demand else 0.0,
             working_set=counts,
             avg_working_set=sum(counts) / len(counts) if counts else 0.0,
-            access_efficiency=self.local_accesses / demand if demand else 0.0,
+            access_efficiency=local / demand if demand else 0.0,
             zone_access_distribution=dist,
             total_cycles=self.last_completion,
             prefetch_accuracy=self.pf_useful / self.pf_issued if self.pf_issued else 0.0,

@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Checked-in mutation list: each mutant must be caught by the test it names.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py 2 5        # only the mutants at these indexes
+
+A mutant is (file under the checkout root, old text that must occur in it
+exactly once, new text, pytest node id). For each one the script copies
+``src/`` and ``tests/``, with the ``configs/`` and ``docs/`` that tests
+read, to a temporary directory, replaces the old text by
+the new one there and runs ``pytest -x -q -p no:cacheprovider <node>``
+against the copy. The named tests first run once on an unmutated copy,
+where they must pass.
+
+It exits 1 when a mutant survives (its test passes), does not apply (its
+old text occurs other than once), or its test fails on the unmutated copy
+or cannot run. The file is not a ``test_*.py`` module, so the tier-1 suite
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    path: str
+    old: str
+    new: str
+    node: str
+
+
+MUTANTS = [
+    # The interval map: an address at a cut point takes the interval below it.
+    Mutant(
+        "src/ldesc_sim/engine.py",
+        "row = self.owner[bisect_right(self.bounds, addr)]\n        if row is None:\n"
+        "            raise",
+        "row = self.owner[bisect_left(self.bounds, addr)]\n        if row is None:\n"
+        "            raise",
+        "tests/test_engine.py::test_row_map_is_the_priority_scan",
+    ),
+    # The interval map: an interval goes to the last row holding it, not the first.
+    Mutant(
+        "src/ldesc_sim/engine.py",
+        "next((r for r in self.rows if r.base <= lo < r.end), None)",
+        "next((r for r in reversed(self.rows) if r.base <= lo < r.end), None)",
+        "tests/test_engine.py::test_row_map_is_the_priority_scan",
+    ),
+    # A replayed CTA counts one pending access, whatever its events.
+    Mutant(
+        "src/ldesc_sim/engine.py",
+        "slot.cta.pending += 1",
+        "slot.cta.pending = 1",
+        "tests/test_cli.py::test_trace_round_trip",
+    ),
+    # Each access counts in its SM's zone, not its home zone.
+    Mutant(
+        "src/ldesc_sim/engine.py",
+        "sm.homes[home] += 1",
+        "sm.homes[sm.zone] += 1",
+        "tests/test_engine.py::test_numa_xor_spreads_accesses",
+    ),
+    # A multi-zone run places first-touch pages in its caller's page table.
+    Mutant(
+        "src/ldesc_sim/engine.py",
+        "fresh = replace(mapping, page_table=dict(mapping.page_table))",
+        "fresh = mapping",
+        "tests/test_engine.py::test_simulate_leaves_its_arguments_unchanged",
+    ),
+    # A prefetched line evicted before its demand counts as useful.
+    Mutant(
+        "src/ldesc_sim/engine.py",
+        "if outcome is not _MISS:",
+        "if True:",
+        "tests/test_prefetch.py::test_prefetch_evicted_before_its_demand_is_not_useful",
+    ),
+    # Majority-zone ties go to the highest zone, not the lowest.
+    Mutant(
+        "src/ldesc_sim/sched.py",
+        "return votes.index(max(votes))",
+        "return len(votes) - 1 - votes[::-1].index(max(votes))",
+        "tests/test_numa.py::test_place_and_partition_majority_ties_go_to_the_lowest_zone",
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests", "configs", "docs"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+
+
+def _pytest(tree: Path, node: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", node],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+
+
+def _tail(proc: subprocess.CompletedProcess) -> str:
+    return "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-5:])
+
+
+def run(indexes: list[int]) -> int:
+    failures = caught = 0
+    with tempfile.TemporaryDirectory(prefix="ldesc-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        for node in sorted({MUTANTS[i].node for i in indexes}):
+            proc = _pytest(clean, node)
+            if proc.returncode != 0:
+                failures += 1
+                print(f"FAIL {node} does not pass on the unmutated tree:\n{_tail(proc)}")
+        for i in indexes:
+            m = MUTANTS[i]
+            tree = Path(tmp) / f"m{i}"
+            _copy(tree)
+            target = tree / m.path
+            text = target.read_text()
+            count = text.count(m.old)
+            if count != 1:
+                failures += 1
+                print(f"FAIL [{i}] {m.path}: old text occurs {count} times, not once")
+                continue
+            target.write_text(text.replace(m.old, m.new))
+            proc = _pytest(tree, m.node)
+            if proc.returncode == 1:
+                caught += 1
+                print(f"ok   [{i}] caught by {m.node}")
+            elif proc.returncode == 0:
+                failures += 1
+                print(f"FAIL [{i}] survived {m.node}: {m.path}: {m.new!r}")
+            else:
+                failures += 1
+                print(f"FAIL [{i}] pytest exited {proc.returncode} on {m.node}:\n{_tail(proc)}")
+            shutil.rmtree(tree)
+    print(f"{caught} of {len(indexes)} mutants caught; {failures} failure(s)")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    picked = [int(a) for a in sys.argv[1:]] or list(range(len(MUTANTS)))
+    sys.exit(run(picked))

@@ -223,6 +223,24 @@ def test_run_replay_rejects_a_warp_with_two_accesses_in_flight(tmp_path, capsys)
     assert first["cycle"] < completes <= recorded
 
 
+@pytest.mark.parametrize("addr", [0x8000, 0x150000, 0x208000, 0x7FFF0000])
+def test_run_replay_rejects_an_address_outside_every_structure(tmp_path, capsys, addr):
+    # configs/mixed.json: table 0x0-0x8000, stream 0x100000-0x110000 and
+    # scratch 0x200000-0x208000, ends exclusive. The addresses are table's
+    # end, the gap between stream and scratch, the last end and one far above.
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(f'{{"addr": "{addr:#x}", "cta": 0, "cycle": 0, "sm": 0, "warp": 0}}\n')
+    assert main(["run", MIXED, "--trace-in", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"simulation error: address {addr:#x} matches no descriptor\n"
+
+
+def test_run_replay_accepts_the_last_element_of_the_last_structure(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"addr": "0x207ffc", "cta": 0, "cycle": 0, "sm": 0, "warp": 0}\n')
+    assert main(["run", MIXED, "--trace-in", str(trace), "--out", str(tmp_path / "m")]) == 0
+    assert json.loads((tmp_path / "m").read_text())["demand_accesses"] == 1
+
 def _edited_inputs(tmp_path, which, edit):
     """`run` arguments for histo.json and its recorded trace, with line 3 of
     the config or of the trace (``which``) replaced by ``edit(line)``."""

@@ -1,5 +1,6 @@
 """Policy selection, workload synthesis and the simulation's counting metrics."""
 
+import copy
 import dataclasses
 import heapq
 import io
@@ -701,6 +702,49 @@ def test_prefetch_into_a_higher_priority_row_uses_that_rows_mapping():
     assert (m.prefetches_issued, m.demand_accesses) == (1780, 4096)
 
 
+@st.composite
+def _row_map_cases(draw):
+    """A grid and 1-5 descriptors whose structures nest, overlap, abut or
+    leave gaps: bases on 64 KiB pages 0-7, lengths of 16-256 KiB. A
+    descriptor may instead copy an earlier one's structure, so that two
+    coincide. Priorities are distinct, so any two ranges may overlap."""
+    grid = CtaGrid((2, 1, 1))
+    priorities = draw(st.permutations(range(draw(st.integers(1, 5)))))
+    descs = []
+    for i, priority in enumerate(priorities):
+        if descs and draw(st.integers(0, 3)) == 0:
+            twin = draw(st.sampled_from(descs))
+            descs.append(dataclasses.replace(twin, priority=priority))
+            continue
+        elems = draw(st.sampled_from([16, 64, 128, 192, 256])) * KB // 4
+        descs.append(make_desc(
+            name=f"s{i}", base=draw(st.integers(0, 7)) * 64 * KB, data_dims=(elems, 1, 1),
+            dtile=(elems // 2, 1, 1), ctile=(1, 1, 1), cdmap=(1, 2, 3), priority=priority,
+        ))
+    return grid, descs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_row_map_cases())
+def test_row_map_is_the_priority_scan(case):
+    # At every cut point of the interval map, one byte either side of it,
+    # below the first base and above the last end, the row found is the
+    # first row, in priority order, whose structure holds the address.
+    grid, descs = case
+    wl = Workload(grid, validate_descriptor_set(descs, grid), 1)
+    sim = engine_mod._Simulation(wl, SystemConfig(sm_count=2), baseline_round_robin(grid, 2),
+                                 None, normal_policies(wl.descs), None)
+    cuts = {a for d in wl.descs for a in (d.data.base_addr, d.data.end_addr)}
+    probes = {a + step for a in cuts for step in (-1, 0, 1)} | {0, max(cuts) + 64 * KB}
+    for addr in sorted(probes):
+        want = next((r for r in sim.rows if oracles.contains(r.table.desc.data, addr)), None)
+        if want is None:
+            with pytest.raises(ConfigMismatch, match=f"^address {addr:#x} matches no descriptor$"):
+                sim._row_of(addr)
+        else:
+            assert sim._row_of(addr) is want, hex(addr)
+
+
 def test_trace_replay_reproduces_metrics():
     wl = histo_workload()
     cfg = SystemConfig(sm_count=4)
@@ -1017,7 +1061,9 @@ class OracleSimulation(engine_mod._Simulation):
     (the same deque), and a ``_Cta`` is built without that queue dict. They
     visit the cycle after every issue or stall and tick every cache on each
     visit, so the caches are OracleCaches, whose pins reset only when
-    ticked."""
+    ticked. ``_process_due`` is ported to the engine's one ``pending`` count
+    per CTA, and records ``last_completion`` when it lands completions, which
+    the inherited ``_issue`` no longer does."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -1045,10 +1091,12 @@ class OracleSimulation(engine_mod._Simulation):
         for sm, line_addr in due.fills:  # fills before issues
             sm.l1.fill(line_addr, cycle)
             sm.fill_at.pop(line_addr, None)
+        if due.comps:
+            self.last_completion = cycle
         for slot in due.comps:
             cta = slot.cta
-            cta.inflight -= 1
-            if cta.remaining == 0 and cta.inflight == 0:
+            cta.pending -= 1
+            if cta.pending == 0:
                 self._complete_cta(slot.sm, cta)
 
     def _next_cycle(self, cycle: int, active: bool) -> int:
@@ -1246,6 +1294,38 @@ def test_cycle_loop_matches_the_old_loop_with_slow_l1_hits(case):
         live = simulate(workload, system, schedule, plan, policies, trace_sink=trace)
         assert live.json_str() == oracle.metrics().json_str(), policy
         assert trace == want_trace, policy
+
+
+@st.composite
+def _shared_structure_cases(draw):
+    """A loop case with one more descriptor, over the structure of one it
+    already has, of a kind drawn afresh and at the lowest priority."""
+    system, grid, descs, seed = draw(_loop_cases())
+    twin = draw(st.sampled_from(descs))
+    ltype, sharing = draw(st.sampled_from(_DESC_KINDS))
+    extra = dataclasses.replace(twin, ltype=ltype, sharing=sharing, priority=len(descs))
+    return system, grid, validate_descriptor_set(descs + [extra], grid), seed
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.one_of(_loop_cases(), _shared_structure_cases()))
+def test_simulate_leaves_its_arguments_unchanged(case):
+    # Under every policy and placement, a live run and a replay of its own
+    # trace leave the workload, system, schedule, placement (page tables
+    # included), policy tuple and replayed trace equal to deep copies taken
+    # before them.
+    system, grid, descs, seed = case
+    for policy, placement in itertools.product(POLICY_NAMES, PLACEMENT_NAMES):
+        workload, policies, schedule, plan = compose(
+            ExperimentConfig(system, grid, descs, policy, placement, seed))
+        args = (workload, system, schedule, plan, policies)
+        before = copy.deepcopy(args)
+        trace: list[AccessEvent] = []
+        simulate(*args, trace_sink=trace)
+        assert args == before, (policy, placement)
+        recorded = copy.deepcopy(trace)
+        simulate(*args, trace_in=trace)
+        assert args == before and trace == recorded, (policy, placement)
 
 
 @pytest.mark.parametrize("name", ["histo.json", "mixed.json", "numa_stripe.json",
