@@ -2,23 +2,29 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Iterable, NoReturn, TextIO
 
 from ldesc_sim import (
     AccessOutcome,
     CacheConfig,
     InsertionClass,
-    LocalityDescriptor,
+    NumaPlan,
     PrefetchKind,
+    SimMetrics,
+    TileTable,
+    ZoneMapping,
+    generate_accesses,
+    simulate,
 )
 from ldesc_sim import numa, sched
 from ldesc_sim.descriptor import PAGE_BITS, LocalityType, SharingType, ctile_count, dtile_count
-from ldesc_sim.engine import AccessEvent, Workload, _Cta, _Row, _Simulation, _Sm
-from ldesc_sim.errors import ConfigError, LdescError, MshrFull
+from ldesc_sim.engine import AccessEvent, Workload
+from ldesc_sim.errors import ConfigError, ConfigMismatch, LdescError, MshrFull
 from ldesc_sim.grid import TileIndex, unflatten_xyz
 from ldesc_sim.numa import MappingScheme
-from ldesc_sim.sched import majority_zone
 
 # Tile arithmetic per CTA and per address, a data structure's bounds and the
 # per-SM working set of a trace. No run needs them: runs read tile tables
@@ -145,7 +151,8 @@ def zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
 
 
 # The reference: the cache as it stood when every way of every set was built
-# up front as an invalid line, kept verbatim (only renamed) as the oracle.
+# up front as an invalid line, kept verbatim as the oracle, except that it is
+# renamed and reads its line size, set count and a reset's priority once.
 _PRIORITY = {
     InsertionClass.NORMAL: 0,
     InsertionClass.SOFT_PIN: 1,
@@ -174,20 +181,18 @@ class OracleCache:
         ]
         self.mshr: dict[int, InsertionClass] = {}
         self._use_clock = 0
+        self.line_size, self.num_sets = config.line_size, config.num_sets
 
     def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_size
-        return line % self.config.num_sets, line // self.config.num_sets
-
-    def line_addr(self, addr: int) -> int:
-        return addr - addr % self.config.line_size
+        line = addr // self.line_size
+        return line % self.num_sets, line // self.num_sets
 
     def contains(self, addr: int) -> bool:
         set_idx, tag = self._locate(addr)
         return any(l.valid and l.tag == tag for l in self.sets[set_idx])
 
     def inflight(self, addr: int) -> bool:
-        return addr // self.config.line_size in self.mshr
+        return addr // self.line_size in self.mshr
 
     def access(self, addr: int, iclass: InsertionClass, cycle: int) -> AccessOutcome:
         """Look up one address; on a primary miss, allocate an MSHR entry.
@@ -204,7 +209,7 @@ class OracleCache:
                     way.last_used = self._use_clock
                     way.priority = max(way.priority, _PRIORITY[iclass])
                 return AccessOutcome.HIT
-        line = addr // self.config.line_size
+        line = addr // self.line_size
         if line in self.mshr:
             return AccessOutcome.INFLIGHT_HIT
         if len(self.mshr) >= self.config.mshr_entries:
@@ -214,11 +219,11 @@ class OracleCache:
 
     def fill(self, addr: int, cycle: int) -> None:
         """Complete an outstanding miss and install the line (unless bypassed)."""
-        line = addr // self.config.line_size
+        line = addr // self.line_size
         iclass = self.mshr.pop(line)
         if iclass is InsertionClass.BYPASS:
             return
-        set_idx = line % self.config.num_sets
+        set_idx = line % self.num_sets
         ways = self.sets[set_idx]
         victim = None
         for way in ways:
@@ -232,7 +237,7 @@ class OracleCache:
                 victim = min(ways, key=lambda w: (w.priority, w.last_used))
         self._use_clock += 1
         victim.valid = True
-        victim.tag = line // self.config.num_sets
+        victim.tag = line // self.num_sets
         victim.priority = _PRIORITY[iclass]
         victim.last_used = self._use_clock
 
@@ -240,14 +245,16 @@ class OracleCache:
         """Advance the pin-reset timer; on each period boundary unpin everything."""
         period = self.config.pin_reset_period
         if period > 0 and cycle > 0 and cycle % period == 0:
+            normal = _PRIORITY[InsertionClass.NORMAL]
             for ways in self.sets:
                 for way in ways:
-                    way.priority = _PRIORITY[InsertionClass.NORMAL]
+                    way.priority = normal
 
 
 # The box and schedule code as it stood before one box enumerator and one
 # zone round-robin loop replaced it, kept verbatim except that each schedule
-# returns its assignment dict and ``ClusterDims.count_in`` is ``_count_in``.
+# returns its assignment dict, ``ClusterDims.count_in`` is ``_count_in`` and
+# ``assign_clusters_by_zone`` counts each cluster's zone vote itself.
 
 
 def ctas_in_ctile(ctile, desc, grid):
@@ -300,7 +307,10 @@ def assign_clusters_by_zone(cls, grid, cta_zones, sm_count, zone_count):
     assignment: dict[int, int] = {}
     for k in range(counts[0] * counts[1] * counts[2]):
         members = _cluster_members(unflatten_xyz(k, counts), cls, grid)
-        zone = majority_zone(members, cta_zones, zone_count)
+        votes = [0] * zone_count
+        for cta in members:
+            votes[cta_zones[cta]] += 1
+        zone = min(range(zone_count), key=lambda z: (-votes[z], z))  # ties: lowest zone
         sm = zone * sm_per_zone + next_slot[zone] % sm_per_zone
         next_slot[zone] += 1
         for cta in members:
@@ -484,7 +494,7 @@ def compose(cfg):
         schedule = sched.baseline_bcs(grid, sms)
     elif not policies.wants_clusters():
         schedule = sched.baseline_round_robin(grid, sms)
-    elif isinstance(placement, numa.NumaPlan):
+    elif isinstance(placement, NumaPlan):
         cls = sched.form_clusters(cfg.descs, grid, sms // zones)
         schedule = sched.assign_clusters_by_zone(cls, grid, placement.cta_partition, sms, zones)
     else:
@@ -492,155 +502,264 @@ def compose(cfg):
     return workload, policies, schedule, placement
 
 
-# The stride prefetcher's stream tracking as it stood when each SM built a
-# ``StreamState`` per prefetching row, with a ``DtileGeometry`` of its own,
-# and ``on_miss`` added the missing address's D-tile to it: kept verbatim,
-# except that ``_maybe_prefetch`` calls this module's ``on_miss`` and the
-# rows' filter names ``PrefetchKind.NONE`` for the engine's alias. Rows of
-# every prefetcher kind, NEXTLINE too, count their resident CTAs per D-tile
-# and retire streams. Tests check ``simulate`` against it.
+# The engine as a plain reference, written from README, docs/formats.md and
+# the engine's docstrings, sharing no code with ``ldesc_sim.engine``: it
+# visits every cycle, retries every SM, runs OracleCaches and finds each
+# address's home zone and D-tile with the functions above.
 
 
-class DtileGeometry:
-    """One descriptor's structure extent and D-tile shape, worked out once.
-
-    ``flat_of(addr)`` is the X->Y->Z flat index of the D-tile that holds an
-    address inside the structure; ``row_bytes`` is a D-tile's X extent in
-    bytes.
-    """
-
-    __slots__ = ("base", "end", "elem_size", "lenx", "leny", "dtile_dims", "counts",
-                 "row_bytes")
-
-    def __init__(self, desc: LocalityDescriptor):
-        ds = desc.data
-        self.base = ds.base_addr
-        self.end = ds.end_addr
-        self.elem_size = ds.elem_size
-        self.lenx, self.leny, _ = ds.dims
-        self.dtile_dims = desc.tiles.dtile_dims
-        self.counts = dtile_count(desc)
-        self.row_bytes = self.dtile_dims[0] * ds.elem_size
-
-    def flat_of(self, addr: int) -> int:
-        elem = (addr - self.base) // self.elem_size
-        row, ex = divmod(elem, self.lenx)
-        ez, ey = divmod(row, self.leny)
-        dx, dy, dz = self.dtile_dims
-        nx, ny, _ = self.counts
-        return ex // dx + nx * (ey // dy + ny * (ez // dz))
+class _RefCta:
+    def __init__(self, flat: int, sm: "_RefSm", pending: int, streams: list):
+        self.flat, self.sm = flat, sm
+        self.pending = pending  # accesses not yet completed, issued or not
+        self.streams = streams  # (sm, STRIDE descriptor, its D-tile) keys of ``users``
+        self.started = False
 
 
-@dataclass
-class StreamState:
-    """Per-context prefetcher state for one descriptor: its D-tile geometry
-    and the D-tiles streaming now."""
-
-    tiles: DtileGeometry
-    active_dtiles: set[int] = field(default_factory=set)
-
-    @classmethod
-    def for_descriptor(cls, desc: LocalityDescriptor) -> "StreamState":
-        return cls(DtileGeometry(desc))
+class _RefWarp:
+    def __init__(self, cta: _RefCta, warp: int, queue: deque):
+        self.cta, self.warp = cta, warp
+        self.queue = queue  # addresses left to issue
+        self.ready_at = 0  # the cycle its access in flight completes
 
 
-def on_miss(
-    addr: int,
-    kind: PrefetchKind,
-    desc: LocalityDescriptor,
-    l1_size: int,
-    state: StreamState,
-    line_size: int = 128,
-) -> list[int]:
-    """React to a demand miss at ``addr``, inside the descriptor's structure,
-    with prefetcher ``kind``: track the stream and return the addresses to
-    prefetch, at most one."""
-    tiles = state.tiles
-    state.active_dtiles.add(tiles.flat_of(addr))
-    if kind is PrefetchKind.NEXTLINE:
-        target = addr + line_size
-    elif kind is PrefetchKind.STRIDE:
-        factor = l1_size // (len(state.active_dtiles) * tiles.row_bytes)
-        if factor == 0:
-            target = addr + line_size  # nextline fallback
+class _RefSm:
+    def __init__(self, sm: int, zone: int, l1: OracleCache, ctas: list[int], descs: int):
+        self.sm, self.zone, self.l1 = sm, zone, l1
+        self.waiting = deque(ctas)  # scheduled CTAs not yet resident
+        self.resident: list[_RefCta] = []
+        self.warps: list[_RefWarp] = []  # the resident CTAs' warps with accesses, in arrival order
+        self.ptr = 0  # the warp the next scan starts at
+        self.fill_at: dict[int, int] = {}  # line -> cycle its fill lands
+        self.prefetched: set[int] = set()  # lines prefetched and not yet demanded
+        self.streams = [set() for _ in range(descs)]  # per descriptor: D-tiles streaming
+        self.lines: set[int] = set()  # lines demanded: its working set
+
+
+class ReferenceSimulation:
+    """``simulate``'s live run worked out the slow way: ``run_live()``, then
+    ``metrics()`` and ``trace``, the run's demand trace."""
+
+    def __init__(self, workload: Workload, config, schedule, placement, policies):
+        self.workload, self.config, self.policies = workload, config, policies
+        self.trace: list[AccessEvent] = []
+        self.line_size = config.l1.line_size
+        self.tables = [TileTable(d, workload.grid) for d in workload.descs]
+        self.ranges = [(d.data.base_addr, d.data.end_addr) for d in workload.descs]
+        self.stride = [i for i, p in enumerate(policies) if p.prefetch is PrefetchKind.STRIDE]
+        zones = config.zone_count
+        self.sms = [_RefSm(s, s // (config.sm_count // zones), OracleCache(config.l1),
+                           sorted(c for c, on in schedule.assignment.items() if on == s),
+                           len(workload.descs)) for s in range(config.sm_count)]
+        self.l2 = [OracleCache(config.l2) for _ in range(zones)]
+        self.levels = [(config.l1.pin_reset_period, [sm.l1 for sm in self.sms]),
+                       (config.l2.pin_reset_period, self.l2)]  # ticked on its multiples
+        copies: dict[int, ZoneMapping] = {}  # a run's own copy of each mapping
+        self.mappings = []
+        for desc in workload.descs:
+            mapping = placement
+            if isinstance(placement, NumaPlan):
+                mapping = placement.per_structure[desc.data.name]
+            if mapping is not None:
+                fresh = replace(mapping, page_table=dict(mapping.page_table))
+                mapping = copies.setdefault(id(mapping), fresh)
+            self.mappings.append(mapping)
+        self.users: dict[tuple[int, int, int], int] = {}  # started, unfinished CTAs
+        self.fills: dict[int, list[tuple[_RefSm, int]]] = {}  # cycle -> L1 fills
+        self.completions: dict[int, list[_RefWarp]] = {}  # cycle -> accesses, in issue order
+        self.link_free: dict[tuple[int, int], float] = {}
+        self.unfinished = workload.grid.total_ctas
+        self.hits = self.inflight_hits = self.misses = self.last_completion = 0
+        self.zone_accesses = [0] * zones
+        self.local = self.remote_traffic = self.pf_issued = self.pf_useful = 0
+
+    def _desc_of(self, addr: int) -> int:
+        """The index of the highest-priority descriptor that holds ``addr``:
+        the first, in priority order, whose structure's byte range does."""
+        for i, (base, end) in enumerate(self.ranges):
+            if base <= addr < end:
+                return i
+        raise ConfigMismatch(f"address {addr:#x} matches no descriptor")
+
+    def _memory(self, sm: _RefSm, line: int, home: int, cycle: int) -> int:
+        """Latency of an L1 miss: L2 of the home zone, then its memory, over
+        the rate-limited link from the SM's zone when that is remote."""
+        lat = self.config.latencies
+        l2 = self.l2[home]
+        if l2.access(line, InsertionClass.NORMAL, cycle) is not AccessOutcome.MISS:
+            return lat.l2_hit
+        l2.fill(line, cycle)
+        if home == sm.zone:
+            return lat.local_mem
+        start = max(cycle, self.link_free.get((sm.zone, home), 0))
+        self.link_free[sm.zone, home] = start + 1 / self.config.remote_link_capacity
+        self.remote_traffic += 1
+        return lat.remote_mem + math.ceil(start) - cycle
+
+    def _fill_later(self, sm: _RefSm, line: int, at: int) -> None:
+        self.fills.setdefault(at, []).append((sm, line))
+        sm.fill_at[line] = at
+
+    def _prefetch(self, sm: _RefSm, addr: int, i: int, cycle: int) -> None:
+        """Issue the prefetch, if any, that a demand miss of descriptor ``i`` asks for."""
+        desc, kind = self.workload.descs[i], self.policies[i].prefetch
+        target = addr + self.line_size
+        if kind is PrefetchKind.STRIDE:
+            active = sm.streams[i]
+            active.add(dtile_of_address(addr, desc).flat)
+            width = desc.tiles.dtile_dims[0] * desc.data.elem_size
+            factor = self.config.l1.capacity // (len(active) * width)
+            if factor:
+                target = addr + factor * desc.pattern.stride_bytes
+        line = target - target % self.line_size
+        if not contains(desc.data, target) or sm.l1.contains(line) or sm.l1.inflight(line):
+            return
+        try:
+            sm.l1.access(line, InsertionClass.SOFT_PIN, cycle)
+        except MshrFull:
+            return
+        mapping = self.mappings[self._desc_of(line)]
+        home = home_zone(line, mapping, sm.zone, self.config.zone_count)
+        self._fill_later(sm, line, cycle + self._memory(sm, line, home, cycle))
+        self.pf_issued += 1
+        sm.prefetched.add(line)
+
+    def _issue(self, warp: _RefWarp, cycle: int) -> int | None:
+        """The warp's next demand access; its completion cycle, or None on
+        a full MSHR, when the warp keeps the access."""
+        cta, sm, addr = warp.cta, warp.cta.sm, warp.queue[0]
+        i = self._desc_of(addr)
+        policy = self.policies[i]
+        try:
+            outcome = sm.l1.access(addr, policy.insertion, cycle)
+        except MshrFull:
+            return None
+        warp.queue.popleft()
+        home = home_zone(addr, self.mappings[i], sm.zone, self.config.zone_count)
+        self.zone_accesses[home] += 1
+        self.local += home == sm.zone
+        line = addr - addr % self.line_size
+        sm.lines.add(line)
+        if not cta.started:
+            cta.started = True
+            for key in cta.streams:
+                self.users[key] = self.users.get(key, 0) + 1
+        self.trace.append(AccessEvent(sm.sm, cta.flat, warp.warp, addr, cycle))
+        if line in sm.prefetched:
+            sm.prefetched.remove(line)
+            self.pf_useful += outcome is not AccessOutcome.MISS
+        if outcome is AccessOutcome.HIT:
+            self.hits += 1
+            completion = cycle + self.config.latencies.l1_hit
+        elif outcome is AccessOutcome.INFLIGHT_HIT:
+            self.inflight_hits += 1
+            completion = sm.fill_at[line]
         else:
-            target = addr + factor * desc.pattern.stride_bytes
-    else:
-        return []  # NONE
-    if not tiles.base <= target < tiles.end:
-        return []
-    return [target]
+            self.misses += 1
+            completion = cycle + self._memory(sm, line, home, cycle)
+            self._fill_later(sm, line, completion)
+            if policy.prefetch is not PrefetchKind.NONE:
+                self._prefetch(sm, addr, i, cycle)
+        self.completions.setdefault(completion, []).append(warp)
+        return completion
 
-
-class StreamStateSimulation(_Simulation):
-    """``_Simulation`` with the old per-SM ``StreamState``s in ``sm.streams``
-    (row index -> its stream) and ``dtile_users`` kept for every prefetching
-    row."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.prefetch_rows = [r for r in self.rows if r.prefetch is not PrefetchKind.NONE]
-        self.dtile_users: dict[tuple[int, int, int], int] = {}
-        for sm in self.sms:
-            sm.streams = {}
-
-    def _maybe_prefetch(self, sm: _Sm, addr: int, row: _Row, cycle: int) -> None:
-        """Issue the prefetches that a demand miss of ``row`` asks for from
-        the prefetcher kind its policy names (not NONE). A target's home
-        zone is that of the row that holds it, which may be a
-        higher-priority, overlapping descriptor's."""
-        desc = row.table.desc
-        state = sm.streams.get(row.index)
-        if state is None:
-            state = sm.streams[row.index] = StreamState.for_descriptor(desc)
-        l1, line_size = sm.l1, self.line_size
-        for target in on_miss(addr, row.prefetch, desc, self.config.l1.capacity, state, line_size):
-            line_addr = target - target % line_size
-            if l1.contains(line_addr) or l1.inflight(line_addr):
+    def _refill(self, sm: _RefSm) -> None:
+        """Make waiting CTAs resident while there is room; each CTA's warps
+        take its descriptors' accesses in turn, one from each per step."""
+        grid, seed = self.workload.grid, self.workload.seed
+        while sm.waiting and len(sm.resident) < self.config.max_resident_ctas_per_sm:
+            flat = sm.waiting.popleft()
+            queues = [deque() for _ in range(grid.warps_per_cta)]
+            streams = [generate_accesses(t, flat, seed, self.line_size) for t in self.tables]
+            for step in zip_longest(*streams):
+                for w, addr in filter(None, step):
+                    queues[w].append(addr)
+            if not any(queues):
+                self.unfinished -= 1
                 continue
-            try:
-                l1.access(line_addr, InsertionClass.SOFT_PIN, cycle)
-            except MshrFull:
-                continue
-            resolve = self._row_of(line_addr).home
-            home = 0 if resolve is None else resolve(line_addr, sm.zone)
-            latency = self._memory_latency(sm.zone, line_addr, home, cycle)
-            self._schedule_fill(sm, line_addr, cycle + latency)
-            self.pf_issued += 1
-            sm.prefetched.add(line_addr)
+            keys = [(sm.sm, j, self.tables[j].dtiles[self.tables[j].slot[flat][0]].flat)
+                    for j in self.stride]
+            cta = _RefCta(flat, sm, sum(map(len, queues)), keys)
+            sm.resident.append(cta)
+            sm.warps += [_RefWarp(cta, w, q) for w, q in enumerate(queues) if q]
 
-    def _mark_started(self, sm: _Sm, cta: _Cta) -> None:
-        cta.started = True
-        for row in self.prefetch_rows:
-            table = row.table
-            key = (sm.sm, row.index, table.dtiles[table.slot[cta.flat][0]].flat)
-            self.dtile_users[key] = self.dtile_users.get(key, 0) + 1
-
-    def _complete_cta(self, sm: _Sm, cta: _Cta) -> None:
+    def _complete(self, cta: _RefCta) -> None:
+        """A finished CTA ends the streams no other CTA of its SM uses and
+        leaves room for the next."""
+        sm = cta.sm
         self.unfinished -= 1
-        for row in self.prefetch_rows:
-            table = row.table
-            dt = table.dtiles[table.slot[cta.flat][0]].flat
-            key = (sm.sm, row.index, dt)
-            self.dtile_users[key] -= 1
-            if self.dtile_users[key] == 0:
-                state = sm.streams.get(row.index)
-                if state is not None:
-                    # Its stream ends, widening the distances of the rest.
-                    state.active_dtiles.discard(dt)
-        if cta in sm.resident:
-            sm.resident.remove(cta)
-            # Renumber the slots left, keeping their order and which are ready.
-            ready = set(sm.ready)
-            sm.slots = [s for s in sm.slots if s.cta is not cta]
-            sm.ready = [pos for pos, s in enumerate(sm.slots) if s.pos in ready]
-            for pos, slot in enumerate(sm.slots):
-                slot.pos = pos
-            if sm.slots:
-                sm.ptr %= len(sm.slots)
-            else:
-                sm.ptr = 0
-            # ``ptr`` may now name another warp, so a stalled SM tries again.
-            if sm.ready:
-                self.awake.add(sm.sm)
+        for key in cta.streams:
+            self.users[key] -= 1
+            if self.users[key] == 0:
+                sm.streams[key[1]].discard(key[2])
+        sm.resident.remove(cta)
+        sm.warps = [w for w in sm.warps if w.cta is not cta]
+        sm.ptr = sm.ptr % len(sm.warps) if sm.warps else 0
+        self._refill(sm)
+
+    def run_live(self) -> None:
+        """Each cycle ticks the caches and lands its fills, then its
+        completions. Then each SM in id order issues the first warp, from
+        ``ptr`` on, that is ready and has work; the next scan starts after a
+        warp that issues, and at a warp that stalls."""
+        for sm in self.sms:
             self._refill(sm)
+        cycle = 0
+        while self.unfinished:
+            for period, caches in self.levels:
+                if period and cycle % period == 0:
+                    for cache in caches:
+                        cache.tick(cycle)
+            for sm, line in self.fills.pop(cycle, ()):
+                sm.l1.fill(line, cycle)
+                del sm.fill_at[line]
+            done = self.completions.pop(cycle, ())
+            if done:
+                self.last_completion = cycle
+            for warp in done:
+                warp.cta.pending -= 1
+                if warp.cta.pending == 0:
+                    self._complete(warp.cta)
+            for sm in self.sms:
+                n = len(sm.warps)
+                for k in range(n):
+                    j = (sm.ptr + k) % n
+                    warp = sm.warps[j]
+                    if warp.ready_at <= cycle and warp.queue:
+                        completion = self._issue(warp, cycle)
+                        if completion is None:
+                            sm.ptr = j
+                        else:
+                            warp.ready_at = completion
+                            sm.ptr = (j + 1) % n
+                        break
+            cycle += 1
+
+    def metrics(self) -> SimMetrics:
+        demand = self.hits + self.inflight_hits + self.misses
+        sets = [len(sm.lines) for sm in self.sms]
+        share = (lambda count: count / demand) if demand else (lambda count: 0.0)
+        return SimMetrics(
+            demand_accesses=demand, hits=self.hits, inflight_hits=self.inflight_hits,
+            misses=self.misses, l1_hit_rate=share(self.hits),
+            inflight_hit_rate=share(self.inflight_hits), working_set=sets,
+            avg_working_set=sum(sets) / len(sets), access_efficiency=share(self.local),
+            zone_access_distribution=[share(n) for n in self.zone_accesses],
+            total_cycles=self.last_completion,
+            prefetch_accuracy=self.pf_useful / self.pf_issued if self.pf_issued else 0.0,
+            prefetches_issued=self.pf_issued, prefetches_useful=self.pf_useful,
+            remote_traffic=self.remote_traffic,
+        )
+
+
+def assert_matches_reference(workload, system, schedule, placement, policies, where=None):
+    """``simulate`` gives the reference's metrics and demand trace, and a
+    replay of that trace gives the same metrics again."""
+    args = (workload, system, schedule, placement, policies)
+    trace: list[AccessEvent] = []
+    live = simulate(*args, trace_sink=trace).json_str()
+    ref = ReferenceSimulation(*args)
+    ref.run_live()
+    assert live == ref.metrics().json_str(), where
+    assert trace == ref.trace, where
+    assert simulate(*args, trace_in=trace).json_str() == live, where

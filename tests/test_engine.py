@@ -7,7 +7,6 @@ import io
 import itertools
 import json
 import math
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -61,7 +60,7 @@ from ldesc_sim.sched import assign_clusters_by_zone
 
 import oracles
 from conftest import make_desc
-from oracles import OracleCache, cta_flat, working_set
+from oracles import cta_flat, working_set
 
 KB = 1024
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -1051,129 +1050,7 @@ def test_stalled_sm_retries_only_once_its_own_state_changes(monkeypatch, name):
     assert stalls and not repeats, f"{len(repeats)} of {len(stalls)} stalls changed nothing"
 
 
-# -- the cycle loop against the loops it replaced ------------------------------
-
-
-class OracleSimulation(engine_mod._Simulation):
-    """The live and replay loops as they stood before one wake-driven loop
-    replaced them, kept verbatim as the oracle except that the live loop
-    reads a warp's queue as ``slot.queue``, not ``slot.cta.queues[slot.warp]``
-    (the same deque), and a ``_Cta`` is built without that queue dict. They
-    visit the cycle after every issue or stall and tick every cache on each
-    visit, so the caches are OracleCaches, whose pins reset only when
-    ticked. ``_process_due`` is ported to the engine's one ``pending`` count
-    per CTA, and records ``last_completion`` when it lands completions, which
-    the inherited ``_issue`` no longer does."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        for sm in self.sms:
-            sm.l1 = OracleCache(self.config.l1)
-        self.l2 = [OracleCache(self.config.l2) for _ in self.l2]
-        self.caches = [sm.l1 for sm in self.sms] + self.l2
-        self._last_tick = 0
-
-    def _tick_caches(self, now: int) -> None:
-        # Visited cycles can jump over idle stretches; apply any pin-reset
-        # boundary crossed since the last visit (no accesses happened in
-        # between, so one reset is equivalent to several).
-        for cache in self.caches:
-            period = cache.config.pin_reset_period
-            if period <= 0:
-                continue
-            boundary = (now // period) * period
-            if boundary > self._last_tick:
-                cache.tick(boundary)
-        self._last_tick = now
-
-    def _process_due(self, cycle: int) -> None:
-        due = self.due.pop(cycle, engine_mod._Due())
-        for sm, line_addr in due.fills:  # fills before issues
-            sm.l1.fill(line_addr, cycle)
-            sm.fill_at.pop(line_addr, None)
-        if due.comps:
-            self.last_completion = cycle
-        for slot in due.comps:
-            cta = slot.cta
-            cta.pending -= 1
-            if cta.pending == 0:
-                self._complete_cta(slot.sm, cta)
-
-    def _next_cycle(self, cycle: int, active: bool) -> int:
-        if active:
-            return cycle + 1
-        while self.wake:
-            nxt = heapq.heappop(self.wake)
-            if nxt > cycle:
-                return nxt
-        return cycle + 1
-
-    def run_live(self) -> None:
-        self.unfinished = self.workload.grid.total_ctas
-        for sm in self.sms:
-            self._refill(sm)
-        cycle = 0
-        while self.unfinished > 0:
-            self._tick_caches(cycle)
-            self._process_due(cycle)
-            active = False
-            for sm in self.sms:
-                n = len(sm.slots)
-                for i in range(n):
-                    slot = sm.slots[(sm.ptr + i) % n]
-                    if slot.ready_at > cycle:
-                        continue
-                    queue = slot.queue
-                    if not queue:
-                        continue
-                    completion = self._issue(slot, queue[0], cycle)
-                    active = True
-                    if completion is not None:
-                        queue.popleft()
-                        slot.ready_at = completion
-                        sm.ptr = ((sm.ptr + i) % n + 1) % n
-                    else:
-                        sm.ptr = (sm.ptr + i) % n  # stalled: retry this warp first
-                    break
-            if self.unfinished == 0:
-                break
-            cycle = self._next_cycle(cycle, active)
-
-    def run_replay(self, events: list[AccessEvent]) -> None:
-        sm_count, cta_count = self.config.sm_count, self.workload.grid.total_ctas
-        by_cycle: dict[int, list[AccessEvent]] = {}
-        totals: dict[int, int] = {}
-        for ev in events:
-            if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count):
-                raise ConfigMismatch(
-                    f"trace event (sm={ev.sm}, cta={ev.cta}) outside this "
-                    "system/grid"
-                )
-            by_cycle.setdefault(ev.issue_cycle, []).append(ev)
-            totals[ev.cta] = totals.get(ev.cta, 0) + 1
-        ctas = {flat: engine_mod._Cta(flat, total) for flat, total in totals.items()}
-        slots = {}  # one per (CTA, warp), with an empty queue, so it never wakes
-        self.unfinished = len(ctas)
-        for c in by_cycle:
-            heapq.heappush(self.wake, c)
-        cycle = 0
-        while self.unfinished > 0:
-            self._tick_caches(cycle)
-            self._process_due(cycle)
-            for ev in by_cycle.pop(cycle, ()):
-                slot = slots.get((ev.cta, ev.warp))
-                if slot is None:
-                    slot = slots[ev.cta, ev.warp] = engine_mod._WarpSlot(
-                        self.sms[ev.sm], ctas[ev.cta], ev.warp, deque(), 0)
-                completion = self._issue(slot, ev.addr, cycle)
-                if completion is None:
-                    raise ConfigMismatch(
-                        "trace replay stalled on a full MSHR; the trace does not "
-                        "match this configuration"
-                    )
-            if self.unfinished == 0:
-                break
-            cycle = self._next_cycle(cycle, active=False)
+# -- the cycle loop against the reference engine ------------------------------
 
 
 _DESC_KINDS = [
@@ -1189,8 +1066,8 @@ def _loop_cases(draw):
     """A small grid, descriptor set and system whose tiny MSHR tables and
     short pin-reset periods make warps stall and pins reset. Up to 4 SMs per
     zone and one to three resident CTAs per SM leave some SMs without a CTA
-    and make others refill late. Latencies are short, because the old loop
-    visits every cycle a warp stays stalled."""
+    and make others refill late. Latencies are short, because the reference
+    visits every cycle."""
     gx, gy = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     grid = CtaGrid((gx, gy, 1), warps_per_cta=draw(st.sampled_from([1, 2, 4])))
     descs = []
@@ -1223,25 +1100,14 @@ def _loop_cases(draw):
 @given(case=_loop_cases())
 def test_cycle_loop_matches_the_loops_it_replaced(case):
     # Every policy, and every placement on more than one zone: the same
-    # metrics and live trace as the old loops, and a replay that matches.
+    # metrics and live trace as the reference, and replays that match.
     system, grid, descs, seed = case
     placements = PLACEMENT_NAMES if system.zone_count > 1 else PLACEMENT_NAMES[:1]
     for policy, placement in itertools.product(POLICY_NAMES, placements):
         cfg = ExperimentConfig(system, grid, descs, policy, placement, seed)
         workload, policies, schedule, plan = compose(cfg)
-        want_trace: list[AccessEvent] = []
-        oracle = OracleSimulation(workload, system, schedule, plan, policies, want_trace)
-        oracle.run_live()
-        trace: list[AccessEvent] = []
-        live = simulate(workload, system, schedule, plan, policies, trace_sink=trace)
-        where = (policy, placement)
-        assert live.json_str() == oracle.metrics().json_str(), where
-        assert trace == want_trace, where
-        replay = simulate(workload, system, schedule, plan, policies, trace_in=trace)
-        assert replay.json_str() == live.json_str(), where
-        oracle = OracleSimulation(workload, system, schedule, plan, policies, None)
-        oracle.run_replay(trace)
-        assert oracle.metrics().json_str() == live.json_str(), where
+        oracles.assert_matches_reference(workload, system, schedule, plan, policies,
+                                         (policy, placement))
 
 
 @st.composite
@@ -1281,19 +1147,13 @@ _SLOW_HIT_GRID = CtaGrid((1, 3, 1), warps_per_cta=1)
     0,
 ))
 def test_cycle_loop_matches_the_old_loop_with_slow_l1_hits(case):
-    # The live loop against the old one when a CTA completes on an SM whose
-    # warp is stalled: the SM must retry at once, as the old loop did.
+    # The live loop against the reference when a CTA completes on an SM whose
+    # warp is stalled: the SM must retry at once, as the reference does.
     system, grid, descs, seed = case
     for policy in POLICY_NAMES:
         cfg = ExperimentConfig(system, grid, descs, policy, PLACEMENT_NAMES[0], seed)
         workload, policies, schedule, plan = compose(cfg)
-        want_trace: list[AccessEvent] = []
-        oracle = OracleSimulation(workload, system, schedule, plan, policies, want_trace)
-        oracle.run_live()
-        trace: list[AccessEvent] = []
-        live = simulate(workload, system, schedule, plan, policies, trace_sink=trace)
-        assert live.json_str() == oracle.metrics().json_str(), policy
-        assert trace == want_trace, policy
+        oracles.assert_matches_reference(workload, system, schedule, plan, policies, policy)
 
 
 @st.composite

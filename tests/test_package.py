@@ -1,7 +1,8 @@
 """The package's public surface and the README's list of it, the README
 library example, the documented policy table, no unused imports and no
-unread private module-level names in ``src/ldesc_sim``, no enum member read
-on the per-access path, and the functions the benchmark tracer wraps."""
+unread private module-level names in ``src/ldesc_sim``, references in
+``tests/`` that use no private library name, no enum member read on the
+per-access path, and the functions the benchmark tracer wraps."""
 
 import ast
 import contextlib
@@ -9,6 +10,7 @@ import enum
 import importlib.util
 import io
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -170,6 +172,28 @@ def test_every_private_name_is_read():
             if all(id(node) in inside for node in reads.get(name, [])):
                 unread.append(f"{module}:{definition.lineno}: {name}")
     assert not unread, "private names nothing reads: " + ", ".join(unread)
+
+
+def test_references_use_no_private_library_name():
+    # A reference that reads engine internals inherits their bugs, so they
+    # cannot show: tests/oracles.py reads no private ldesc_sim name, imported
+    # or through a module, and no test class subclasses _Simulation.
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imports = [(importlib.import_module(node.module), alias) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("ldesc_sim")
+               for alias in node.names]
+    modules = {alias.asname or alias.name for module, alias in imports
+               if isinstance(getattr(module, alias.name), types.ModuleType)}
+    private = [alias.name for _, alias in imports if alias.name.startswith("_")]
+    private += [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        private += [f"{path.name}: class {node.name}"
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ClassDef)
+                    and any(ast.unparse(b).split(".")[-1] == "_Simulation" for b in node.bases)]
+    assert not private, "private library names in references: " + ", ".join(private)
 
 
 # The functions every demand access or prefetch runs, by module; nested

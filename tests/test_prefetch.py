@@ -1,6 +1,6 @@
 """Prefetch distance formula, nextline fallback, bounds and stream retirement,
 the prefetcher kind a run's policy names, and the engine's stream tracking
-against the code it replaced."""
+against the reference engine."""
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,7 @@ from ldesc_sim.prefetch import on_miss
 import oracles
 from conftest import make_desc
 from oracles import contains
+from test_engine import _DESC_KINDS
 
 NONE, STRIDE, NEXTLINE = PrefetchKind.NONE, PrefetchKind.STRIDE, PrefetchKind.NEXTLINE
 
@@ -232,14 +233,6 @@ def test_request_stays_inside_structure():
             assert contains(ds, target)
 
 
-_DESC_KINDS = [
-    (LocalityType.INTER_THREAD, SharingType.COACCESSED),
-    (LocalityType.INTER_THREAD, SharingType.NEARBY),
-    (LocalityType.INTRA_THREAD, None),
-    (LocalityType.NO_REUSE, None),
-]
-
-
 @st.composite
 def _stream_cases(draw):
     """A small grid with one to three descriptors of any kind, each with a
@@ -285,15 +278,8 @@ def _stream_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=_stream_cases())
 def test_stream_tracking_matches_the_code_it_replaced(case):
-    # The engine's per-SM sets of streaming D-tiles against the StreamStates
-    # they replaced: the same metrics and the same live trace.
+    # The engine's per-SM sets of streaming D-tiles against the reference's,
+    # keyed by each miss's D-tile: the same metrics, live trace and replays.
     workload, system, policies, placement = case
     schedule = baseline_round_robin(workload.grid, system.sm_count)
-    want_trace = []
-    oracle = oracles.StreamStateSimulation(workload, system, schedule, placement, policies,
-                                           want_trace)
-    oracle.run_live()
-    trace = []
-    live = simulate(workload, system, schedule, placement, policies, trace_sink=trace)
-    assert live.json_str() == oracle.metrics().json_str()
-    assert trace == want_trace
+    oracles.assert_matches_reference(workload, system, schedule, placement, policies)
