@@ -40,8 +40,6 @@ from .numa import (
     NumaPlan,
     ZoneMapping,
     baseline_first_touch,
-    comp_util,
-    numa_part,
     place_and_partition,
     zone_of_address,
 )
@@ -88,14 +86,12 @@ __all__ = [
     "baseline_bcs",
     "baseline_first_touch",
     "baseline_round_robin",
-    "comp_util",
     "ctile_count",
     "dtile_byte_runs",
     "dtile_count",
     "form_clusters",
     "generate_accesses",
     "normal_policies",
-    "numa_part",
     "place_and_partition",
     "preset",
     "select_policies",

@@ -222,32 +222,6 @@ class _CtileTable:
         return weight * local / self.total
 
 
-def numa_part(
-    desc: LocalityDescriptor, low_bit: int, grid: CtaGrid, zone_count: int
-) -> dict[int, int]:
-    """Partition CTAs by data affinity: each C-tile goes to the zone that
-    holds the majority of its D-tile's bytes (ties to the lowest zone)."""
-    return _CtileTable(desc, grid, zone_count).partition(low_bit)
-
-
-def comp_util(
-    weight: int,
-    desc: LocalityDescriptor,
-    cta_partition: dict[int, int],
-    low_bit: int,
-    grid: CtaGrid,
-    zone_count: int,
-) -> float:
-    """Priority-weighted fraction of the structure's bytes that are local.
-
-    A C-tile's zone is the majority zone of its CTAs under the partition
-    (ties to the lowest zone); its D-tile's bytes inside that zone count as
-    local.
-    """
-    table = _CtileTable(desc, grid, zone_count)
-    return table.util(weight, table.homes(cta_partition), low_bit)
-
-
 @dataclass
 class NumaPlan:
     """Joint CTA partition and per-structure zone mappings."""

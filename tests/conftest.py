@@ -1,7 +1,7 @@
 """Shared builders for descriptor-based tests."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from ldesc_sim import (
     AccessPattern,
@@ -16,6 +16,12 @@ from ldesc_sim import (
 # CI runs with --hypothesis-profile=ci, so that a property draws the same
 # examples on every run; local runs stay random.
 settings.register_profile("ci", derandomize=True, deadline=None)
+# tests/mutants.py runs the ci draws without shrinking: a mutant is caught by
+# any failing draw, and shrinking one through the reference engine is slow.
+settings.register_profile(
+    "mutants", settings.get_profile("ci"),
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 
 
 def make_desc(

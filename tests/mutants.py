@@ -8,9 +8,11 @@ A mutant is (file under the checkout root, old text that must occur in it
 exactly once, new text, pytest node id). For each one the script copies
 ``src/`` and ``tests/``, with the ``configs/`` and ``docs/`` that tests
 read, to a temporary directory, replaces the old text by the new one there
-and runs ``pytest -x -q -p no:cacheprovider --hypothesis-profile=ci <node>``
-against the copy, whose derandomized draws make each catch repeatable. The
-named tests first run once on an unmutated copy, where they must pass.
+and runs ``pytest -x -q -p no:cacheprovider --hypothesis-profile=mutants
+<node>`` against the copy. That profile (``tests/conftest.py``) draws the ci
+profile's derandomized examples, which make each catch repeatable, and does
+not shrink a failing one, since any failure is a catch. The named tests
+first run once on an unmutated copy, where they must pass.
 
 It exits 1 when a mutant survives (its test passes), does not apply (its
 old text occurs other than once), or its test fails on the unmutated copy
@@ -38,10 +40,12 @@ class Mutant(NamedTuple):
     node: str
 
 
-ENGINE, SCHED = "src/ldesc_sim/engine.py", "src/ldesc_sim/sched.py"
+ENGINE, NUMA = "src/ldesc_sim/engine.py", "src/ldesc_sim/numa.py"
+SCHED = "src/ldesc_sim/sched.py"
 FLIP_TIE = ("return votes.index(max(votes))",
             "return len(votes) - 1 - votes[::-1].index(max(votes))")
 CYCLE_LOOP = "tests/test_engine.py::test_cycle_loop_matches_the_loops_it_replaced"
+SLOW_HITS = "tests/test_engine.py::test_cycle_loop_matches_the_old_loop_with_slow_l1_hits"
 STREAMS = "tests/test_prefetch.py::test_stream_tracking_matches_the_code_it_replaced"
 
 MUTANTS = [
@@ -69,15 +73,22 @@ MUTANTS = [
     Mutant(ENGINE, "if outcome is not _MISS:", "if True:",
            "tests/test_prefetch.py::test_prefetch_evicted_before_its_demand_is_not_useful"),
     # Majority-zone ties go to the highest zone, not the lowest: caught by the
-    # hand-worked search case and by the schedule reference's own vote count.
+    # hand-worked search case, by the schedule reference's own vote count and
+    # by the placement reference's.
     Mutant(SCHED, *FLIP_TIE,
            "tests/test_numa.py::test_place_and_partition_majority_ties_go_to_the_lowest_zone"),
     Mutant(SCHED, *FLIP_TIE,
            "tests/test_sched.py::test_box_schedules_match_the_code_they_replaced"),
+    Mutant(SCHED, *FLIP_TIE, "tests/test_acceptance.py::test_criterion_2_alg2_optimality"),
+    # A C-tile whose D-tile's bytes split evenly goes to the highest zone.
+    Mutant(NUMA, "zone = zone_bytes.index(max(zone_bytes))",
+           "zone = len(zone_bytes) - 1 - zone_bytes[::-1].index(max(zone_bytes))",
+           "tests/test_numa.py::test_place_and_partition_zone_byte_ties_go_to_the_lowest_zone"),
     # From here on, the engine against the reference engine in tests/oracles.py
     # unless the entry names another test.
     # A finished CTA sends its SM's next scan to the first warp.
     Mutant(ENGINE, "sm.ptr %= len(sm.slots)", "sm.ptr = 0", STREAMS),
+    Mutant(ENGINE, "sm.ptr %= len(sm.slots)", "sm.ptr = 0", SLOW_HITS),
     # A remote access does not wait for the link.
     Mutant(ENGINE, "lat.remote_mem + math.ceil(start) - cycle", "lat.remote_mem", CYCLE_LOOP),
     # A stride stream never ends.
@@ -112,7 +123,7 @@ def _pytest(tree: Path, node: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-profile=ci", node],
+         "--hypothesis-profile=mutants", node],
         cwd=tree, env=env, capture_output=True, text=True,
     )
 

@@ -16,6 +16,7 @@ from ldesc_sim import (
     SimMetrics,
     TileTable,
     ZoneMapping,
+    dtile_byte_runs,
     generate_accesses,
     simulate,
 )
@@ -148,6 +149,118 @@ def zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
         out[zone] = (periods + above) * stripe + partial[zone]
         above += offsets[zone]
     return out
+
+
+# The placement search (Algorithm 2) written out from README's rules alone,
+# the reference for ``place_and_partition``. It reads no ``TileTable``,
+# ``dtile_of_ctile``, ``box_ctas``, ``majority_zone`` or private library
+# name, so a slip in those shows as a different plan; each D-tile's zone
+# bytes come from its byte runs. Slow: it works every C-tile out again for
+# every bit it tries.
+_LOW_BITS = range(7, 17)  # bits 7..16, so 128 B bursts never split
+
+
+def _lowest_argmax(values):
+    """Index of the largest value; ties go to the lowest index."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best]:
+            best = i
+    return best
+
+
+def _xyz_order(counts):
+    """Every index triple below ``counts``, X fastest."""
+    return [(x, y, z) for z in range(counts[2]) for y in range(counts[1])
+            for x in range(counts[0])]
+
+
+def ctile_pairs(desc, grid):
+    """Each C-tile's CTA flat ids and its D-tile's byte runs, C-tiles in
+    X->Y->Z order. The k-th C-tile in map-ranked order (the rank-1 axis
+    fastest) accesses the k-th D-tile in X->Y->Z order."""
+    ranks = desc.tiles.compute_data_map
+    counts = [-(-g // c) for g, c in zip(grid.dims, desc.tiles.ctile_dims)]
+    dcounts = [-(-n // d) for n, d in zip(desc.data.dims, desc.tiles.dtile_dims)]
+    ctiles, dtiles = _xyz_order(counts), _xyz_order(dcounts)
+    slowest_first = sorted(range(3), key=lambda axis: -ranks[axis])
+    ranked = sorted(ctiles, key=lambda ct: [ct[axis] for axis in slowest_first])
+    dtile_of = {ct: TileIndex(dtiles[k], k) for k, ct in enumerate(ranked)}
+    return [
+        ([cta_flat(cta, grid) for cta in ctas_in_ctile(ct, desc, grid)],
+         dtile_byte_runs(dtile_of[ct], desc))
+        for ct in ctiles
+    ]
+
+
+def affinity_partition(desc, low_bit, grid, zone_count):
+    """NUMA_PART: each C-tile's CTAs go to the zone that holds the most of
+    its D-tile's bytes, ties to the lowest zone."""
+    part = {}
+    for ctas, runs in ctile_pairs(desc, grid):
+        zone = _lowest_argmax(zone_bytes_of_runs(runs, low_bit, zone_count))
+        for flat in ctas:
+            part[flat] = zone
+    return part
+
+
+def local_utility(weight, desc, part, low_bit, grid, zone_count):
+    """COMP_UTIL: ``weight`` x the share of the structure's bytes that lie in
+    their C-tile's zone, the zone most of its CTAs sit in under ``part``
+    (ties to the lowest zone)."""
+    local = 0
+    for ctas, runs in ctile_pairs(desc, grid):
+        votes = [0] * zone_count
+        for flat in ctas:
+            votes[part[flat]] += 1
+        local += zone_bytes_of_runs(runs, low_bit, zone_count)[_lowest_argmax(votes)]
+    return weight * local / desc.data.total_bytes
+
+
+def placement_plan(descs, grid, zone_count):
+    """The plan the placement search must return for priority-ordered
+    ``descs``, as ``NumaPlan.to_json()`` plus its ``balance_guard_failed``.
+
+    Each bit in 7..16 is a candidate for the top descriptor: its partition
+    is ``affinity_partition`` at that bit. Descriptor i (of n, top first)
+    weighs n - i. Every later structure takes the bit of highest utility
+    under that partition (ties to the lowest bit); a structure placed
+    already, the top one included, keeps its bit. A candidate whose
+    partition puts more than 125% of ceil(CTAs / zones) in one zone is
+    rejected; the best candidate left wins, ties to the lowest bit. If none
+    is left, the best candidate overall wins, with the guard flag set.
+    """
+    n = len(descs)
+    best = best_balanced = None
+    for b_hi in _LOW_BITS:
+        part = affinity_partition(descs[0], b_hi, grid, zone_count)
+        bits = {descs[0].data.name: b_hi}
+        util = local_utility(n, descs[0], part, b_hi, grid, zone_count)
+        added = 0.0
+        for i, desc in enumerate(descs[1:], 1):
+            name = desc.data.name
+            if name not in bits:
+                utils = [local_utility(n - i, desc, part, b, grid, zone_count) for b in _LOW_BITS]
+                bits[name] = _LOW_BITS[_lowest_argmax(utils)]
+            added += local_utility(n - i, desc, part, bits[name], grid, zone_count)
+        loads = [0] * zone_count
+        for zone in part.values():
+            loads[zone] += 1
+        plan = {
+            "partition": [part[flat] for flat in sorted(part)],
+            "mappings": {name: {"scheme": "BITRANGE", "low_bit": bit}
+                         for name, bit in sorted(bits.items())},
+            "utility": util + added,
+        }
+        if best is None or plan["utility"] > best["utility"]:
+            best = plan
+        if max(loads) <= -(-len(part) // zone_count) * 1.25 and (
+            best_balanced is None or plan["utility"] > best_balanced["utility"]
+        ):
+            best_balanced = plan
+    if best_balanced is None:
+        return {**best, "balance_guard_failed": True}
+    return {**best_balanced, "balance_guard_failed": False}
 
 
 # The reference: the cache as it stood when every way of every set was built

@@ -8,7 +8,6 @@ and directional effects instead.
 
 import dataclasses
 import itertools
-import json
 import random
 import time
 from pathlib import Path
@@ -27,7 +26,6 @@ from ldesc_sim import (
     assign_clusters,
     baseline_first_touch,
     baseline_round_robin,
-    comp_util,
     form_clusters,
     generate_accesses,
     normal_policies,
@@ -39,14 +37,13 @@ from ldesc_sim import (
 from ldesc_sim.cache import AccessOutcome
 from ldesc_sim.cli import main
 from ldesc_sim.config import load_config, run_experiment
-from ldesc_sim.engine import SystemConfig, preset
-from ldesc_sim.numa import LOW_BIT_MAX, LOW_BIT_MIN, bitrange, numa_part
+from ldesc_sim.numa import LOW_BIT_MAX, LOW_BIT_MIN, bitrange
 from ldesc_sim.prefetch import on_miss
 
 import oracles
 from conftest import make_desc
 from oracles import working_set
-from test_numa import brute_force_best_utility, random_two_desc_instance
+from test_numa import random_two_desc_instance, search_plan
 from test_sched import alg1_reference, _descs_for
 
 KB = 1024
@@ -89,17 +86,13 @@ def test_criterion_2_alg2_optimality():
     checked = 0
     while checked < 50:
         descs, grid, zone_count = random_two_desc_instance(rng)
-        plan = place_and_partition(descs, grid, zone_count)
-        expect = brute_force_best_utility(descs, grid, zone_count)
-        if expect is None:
-            assert plan.balance_guard_failed
-        else:
-            assert plan.utility == expect
+        assert search_plan(descs, grid, zone_count) == oracles.placement_plan(
+            descs, grid, zone_count)
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
-    report(2, f"placement search equals the brute-forced optimum on {checked} "
-              f"instances in {elapsed:.1f}s")
+    report(2, f"placement search returns the exhaustive reference's plan on "
+              f"{checked} instances in {elapsed:.1f}s")
 
 
 def test_criterion_3_working_set_reduction():

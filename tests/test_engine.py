@@ -1129,23 +1129,30 @@ def _slow_hit_cases(draw):
 _SLOW_HIT_GRID = CtaGrid((1, 3, 1), warps_per_cta=1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=_slow_hit_cases())
-@example(case=(
-    SystemConfig(
+def _slow_hit_example(mshr_entries, tile, sharing):
+    """One SM with 2-cycle L1 hits and three resident one-warp CTAs, each on
+    one ``tile``-element D-tile of an irregular structure."""
+    system = SystemConfig(
         sm_count=1,
-        l1=CacheConfig(1 * KB, ways=1, mshr_entries=2),
+        l1=CacheConfig(1 * KB, ways=1, mshr_entries=mshr_entries),
         l2=CacheConfig(8 * KB, ways=4),
         latencies=Latencies(2, 2, 6, 6),
         max_resident_ctas_per_sm=3,
-    ),
-    _SLOW_HIT_GRID,
-    validate_descriptor_set([make_desc(
-        name="s0", data_dims=(384, 1, 1), dtile=(128, 1, 1), ctile=(1, 1, 1),
-        cdmap=(1, 2, 3), sharing=SharingType.NEARBY, pattern=AccessPattern.irregular(),
-    )], _SLOW_HIT_GRID),
-    0,
-))
+    )
+    desc = make_desc(
+        name="s0", data_dims=(3 * tile, 1, 1), dtile=(tile, 1, 1), ctile=(1, 1, 1),
+        cdmap=(1, 2, 3), sharing=sharing, pattern=AccessPattern.irregular(),
+    )
+    return system, _SLOW_HIT_GRID, validate_descriptor_set([desc], _SLOW_HIT_GRID), 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_slow_hit_cases())
+@example(case=_slow_hit_example(2, 128, SharingType.NEARBY))
+# Under rr, CTA 0 completes while the scan pointer sits at slot 1, CTA 1's
+# warp, with CTAs 1 and 2 ready. Renumbered, slot 1 is CTA 2's warp, and it
+# issues first; a scan restarted at slot 0 would issue CTA 1's.
+@example(case=_slow_hit_example(1, 64, SharingType.COACCESSED))
 def test_cycle_loop_matches_the_old_loop_with_slow_l1_hits(case):
     # The live loop against the reference when a CTA completes on an SM whose
     # warp is stalled: the SM must retry at once, as the reference does.

@@ -14,9 +14,7 @@ from ldesc_sim import grid as grid_mod
 from ldesc_sim import (
     CtaGrid,
     baseline_first_touch,
-    comp_util,
     numa,
-    numa_part,
     place_and_partition,
     zone_of_address,
 )
@@ -80,13 +78,15 @@ def test_unplaced_page_raises():
         oracles.zone_of_address(0x10000, m, 4)
 
 
+# The per-bit rules of the search, worked out by hand, against the
+# reference's partition and utility helpers.
 def test_numa_part_aligned_tiles():
-    part = numa_part(four_tile_desc(), 14, GRID4, 4)
+    part = oracles.affinity_partition(four_tile_desc(), 14, GRID4, 4)
     assert part == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_numa_part_low_bit_16_all_zone0():
-    part = numa_part(four_tile_desc(), 16, GRID4, 4)
+    part = oracles.affinity_partition(four_tile_desc(), 16, GRID4, 4)
     assert part == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
@@ -96,14 +96,14 @@ def test_numa_part_tie_lowest_zone():
         elem=4, data_dims=(8 * KB, 1, 1), dtile=(8 * KB, 1, 1), ctile=(1, 1, 1),
         cdmap=(1, 0, 0),
     )
-    part = numa_part(desc, 14, CtaGrid((1, 1, 1)), 2)
+    part = oracles.affinity_partition(desc, 14, CtaGrid((1, 1, 1)), 2)
     assert part == {0: 0}
 
 
 def test_comp_util_perfectly_local():
     desc = four_tile_desc()
-    part = numa_part(desc, 14, GRID4, 4)
-    assert comp_util(3, desc, part, 14, GRID4, 4) == pytest.approx(3.0)
+    part = oracles.affinity_partition(desc, 14, GRID4, 4)
+    assert oracles.local_utility(3, desc, part, 14, GRID4, 4) == pytest.approx(3.0)
 
 
 def test_comp_util_fully_remote():
@@ -113,7 +113,7 @@ def test_comp_util_fully_remote():
     )
     grid = CtaGrid((2, 1, 1))
     wrong = {0: 1, 1: 0}  # each C-tile sent to the other zone's stripe
-    assert comp_util(2, desc, wrong, 14, grid, 2) == 0.0
+    assert oracles.local_utility(2, desc, wrong, 14, grid, 2) == 0.0
 
 
 def test_comp_util_half_local():
@@ -122,16 +122,16 @@ def test_comp_util_half_local():
         cdmap=(1, 0, 0),
     )
     grid = CtaGrid((1, 1, 1))
-    assert comp_util(1, desc, {0: 0}, 14, grid, 2) == pytest.approx(0.5)
+    assert oracles.local_utility(1, desc, {0: 0}, 14, grid, 2) == pytest.approx(0.5)
 
 
 def test_comp_util_monotone_in_locality():
     desc = four_tile_desc()
-    part = numa_part(desc, 14, GRID4, 4)
-    base = comp_util(1, desc, part, 14, GRID4, 4)
+    part = oracles.affinity_partition(desc, 14, GRID4, 4)
+    base = oracles.local_utility(1, desc, part, 14, GRID4, 4)
     worse = dict(part)
     worse[2] = 3  # degrade one C-tile's locality
-    assert comp_util(1, desc, worse, 14, GRID4, 4) < base
+    assert oracles.local_utility(1, desc, worse, 14, GRID4, 4) < base
 
 
 def test_place_and_partition_single_descriptor():
@@ -216,6 +216,30 @@ def test_place_and_partition_majority_ties_go_to_the_lowest_zone():
     assert not plan.balance_guard_failed
 
 
+def test_place_and_partition_zone_byte_ties_go_to_the_lowest_zone():
+    # 2x1 grid on 4 zones; "a" is 48x2 fp32 (192 B rows) at 0 in two 24x2
+    # D-tiles, one CTA each. D-tile 0 is [0, 96) and [192, 288), D-tile 1
+    # [96, 192) and [288, 384). Worked out by hand from README's rules:
+    #  b_hi 7 (128 B stripes): D-tile 0 places 96/64/32 B in zones 0/1/2,
+    #    D-tile 1 32/64/96 B, so the CTAs sit in zones 0 and 2 and 96 + 96
+    #    of the 384 B are local: 0.5.
+    #  b_hi 8 (256 B stripes): D-tile 0 places 160 B in zone 0 and 32 B in
+    #    zone 1; D-tile 1 places 96 B in zone 0 and 96 B in zone 1, a tie
+    #    that sends its CTA to zone 0 too. Two CTAs in zone 0, whose ideal
+    #    load is 1, fail the 125% guard.
+    #  b_hi >= 9: all 384 B lie in zone 0, and so do both CTAs: rejected.
+    # Ties that went to the highest zone would keep bit 8, with CTAs in
+    # zones 0 and 1 and 160 + 96 B local: 2/3.
+    grid = CtaGrid((2, 1, 1))
+    desc = make_desc(elem=4, data_dims=(48, 2, 1), dtile=(24, 2, 1), ctile=(1, 1, 1),
+                     cdmap=(1, 2, 0))
+    plan = place_and_partition(validate_descriptor_set([desc], grid), grid, 4)
+    assert [plan.cta_partition[flat] for flat in range(2)] == [0, 2]
+    assert plan.per_structure["a"].low_bit == 7
+    assert plan.utility == 0.5
+    assert not plan.balance_guard_failed
+
+
 def test_later_descriptor_over_the_top_structure_takes_each_candidates_bit():
     # The top descriptor's one 16 KiB D-tile feeds all four CTAs, so every
     # candidate bit gives one partition, all CTAs in zone 0, and the guard
@@ -234,61 +258,46 @@ def test_later_descriptor_over_the_top_structure_takes_each_candidates_bit():
     assert plan.balance_guard_failed
 
 
-def brute_force_best_utility(descs, grid, zone_count):
-    """Exhaustive cross-product search over guarded candidates."""
-    n = len(descs)
-    best = None
-    for b_hi in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
-        part = numa_part(descs[0], b_hi, grid, zone_count)
-        loads = [0] * zone_count
-        for z in part.values():
-            loads[z] += 1
-        if max(loads) > -(-len(part) // zone_count) * 1.25:
-            continue
-        util = comp_util(n, descs[0], part, b_hi, grid, zone_count)
-        for i in range(1, n):
-            util += max(
-                comp_util(n - i, descs[i], part, b, grid, zone_count)
-                for b in range(LOW_BIT_MIN, LOW_BIT_MAX + 1)
-            )
-        if best is None or util > best:
-            best = util
-    return best
-
-
 def random_two_desc_instance(rng):
+    """Two descriptors on 4 or 8 CTAs, in a row or in two rows, and 2 or 4
+    zones. The first descriptor has one CTA per C-tile, the second 1, 2 or
+    4 CTAs along X. Each structure is 1-D, in D-tiles of 1 to 16 KiB, or
+    2-D, in D-tiles whose last column and last row are clipped."""
     zone_count = rng.choice([2, 4])
-    ctas = rng.choice([4, 8])
-    grid = CtaGrid((ctas, 1, 1))
+    gx, gy = rng.choice([(4, 1), (8, 1), (2, 2), (4, 2)])
+    grid = CtaGrid((gx, gy, 1))
+    cdmap = (1, 2, 0) if gy == 1 else rng.choice([(1, 2, 0), (2, 1, 0)])
     descs = []
-    for i in range(2):
-        tile_kb = rng.choice([1, 2, 4, 8, 16])
-        elems_per_tile = tile_kb * KB // 4
-        descs.append(
-            make_desc(
-                name=f"s{i}",
-                base=i << 21,
-                elem=4,
-                data_dims=(elems_per_tile * ctas, 1, 1),
-                dtile=(elems_per_tile, 1, 1),
-                ctile=(1, 1, 1),
-                cdmap=(1, 0, 0),
-                priority=i,
+    for i, width in enumerate([1, rng.choice([w for w in (1, 2, 4) if w <= gx])]):
+        tiles = -(-gx // width) * gy
+        if rng.random() < 0.5:
+            elems = rng.choice([1, 2, 4, 8, 16]) * KB // 4
+            dims, dtile = (elems * tiles, 1, 1), (elems, 1, 1)
+        else:
+            tx = rng.choice([t for t in (1, 2, 4) if tiles % t == 0])
+            dtile = (rng.randint(8, 512), rng.randint(2, 16), 1)
+            # one D-tile along an axis spans it whole; more leave the last clipped
+            dims = tuple(
+                (n - 1) * d + (rng.randint(1, d) if n > 1 else d)
+                for n, d in zip((tx, tiles // tx, 1), dtile)
             )
-        )
-    return descs, grid, zone_count
+        descs.append(make_desc(name=f"s{i}", base=i << 21, elem=4, data_dims=dims,
+                               dtile=dtile, ctile=(width, 1, 1), cdmap=cdmap, priority=i))
+    return validate_descriptor_set(descs, grid), grid, zone_count
+
+
+def search_plan(descs, grid, zone_count):
+    """The search's plan in the shape of ``oracles.placement_plan``."""
+    plan = place_and_partition(descs, grid, zone_count)
+    return {**plan.to_json(), "balance_guard_failed": plan.balance_guard_failed}
 
 
 def test_search_matches_brute_force_sample():
     rng = random.Random(17)
     for _ in range(10):
         descs, grid, zone_count = random_two_desc_instance(rng)
-        plan = place_and_partition(descs, grid, zone_count)
-        expect = brute_force_best_utility(descs, grid, zone_count)
-        if expect is None:
-            assert plan.balance_guard_failed
-        else:
-            assert plan.utility == expect
+        assert search_plan(descs, grid, zone_count) == oracles.placement_plan(
+            descs, grid, zone_count)
 
 
 def two_matrix_instance(n):
@@ -387,7 +396,8 @@ def test_search_fits_each_distinct_partition_once(monkeypatch):
     place_and_partition(cfg.descs, cfg.grid, zone_count)
     bits = range(LOW_BIT_MIN, LOW_BIT_MAX + 1)
     partitions = {
-        tuple(sorted(numa_part(cfg.descs[0], b, cfg.grid, zone_count).items())) for b in bits
+        tuple(sorted(oracles.affinity_partition(cfg.descs[0], b, cfg.grid, zone_count).items()))
+        for b in bits
     }
     assert len(partitions) < len(bits)
     assert len(calls) == len(partitions) * len(cfg.descs)

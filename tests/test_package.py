@@ -2,7 +2,8 @@
 library example, the documented policy table, no unused imports and no
 unread private module-level names in ``src/ldesc_sim``, references in
 ``tests/`` that use no private library name, no enum member read on the
-per-access path, and the functions the benchmark tracer wraps."""
+per-access path, a placement reference that reads none of the search's
+code, and the functions the benchmark tracer wraps."""
 
 import ast
 import contextlib
@@ -20,6 +21,7 @@ from ldesc_sim.config import POLICIES
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ldesc_sim").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _library_example() -> str:
@@ -118,7 +120,7 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), str(path))
     used = _used_names(tree)
@@ -194,6 +196,42 @@ def test_references_use_no_private_library_name():
                     if isinstance(node, ast.ClassDef)
                     and any(ast.unparse(b).split(".")[-1] == "_Simulation" for b in node.bases)]
     assert not private, "private library names in references: " + ", ".join(private)
+
+
+# The search's own building blocks, which the placement reference may not
+# read: with them, it would share their slips and could not show them.
+_SEARCH_PARTS = {"TileTable", "dtile_of_ctile", "box_ctas", "majority_zone",
+                 "place_and_partition"}
+
+
+def test_placement_reference_shares_no_search_code():
+    # placement_plan and every top-level name of tests/oracles.py that it
+    # reads, followed through, read no private name that oracles.py does not
+    # define itself and none of the search's building blocks.
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node
+    todo, seen, found = ["placement_plan"], set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for read, node in _reads(defined[name]):
+            private = read.startswith("_") and not read.endswith("__")
+            if read in _SEARCH_PARTS or (private and read not in defined):
+                found.append(f"oracles.py:{node.lineno}: {read} in {name}")
+            elif read in defined:
+                todo.append(read)
+    assert {"placement_plan", "affinity_partition", "local_utility"} <= seen
+    assert not found, "search code in the placement reference: " + ", ".join(found)
 
 
 # The functions every demand access or prefetch runs, by module; nested
