@@ -4,8 +4,9 @@ Lines carry an insertion priority (normal < soft pin < hard pin). The
 victim is the lowest-priority line, LRU among equals. Hard-pinned sets get
 thrash protection: once every way in a set is pinned at the highest
 priority, way 0 becomes the sacrificial way, so ways 1..N-1 stay resident.
-Pins fade: an ``access`` or ``fill`` whose cycle has reached the next
-multiple of ``pin_reset_period`` first resets every resident line to normal.
+Pins fade: a call whose cycle has reached the next multiple of
+``pin_reset_period`` first resets every resident line to normal, except a
+``reserve`` that changes nothing.
 
 Each set is a dict, line number (addr // line_size) -> priority, least
 recently used first, so the victim is its first line of the lowest
@@ -15,6 +16,12 @@ way 0; a line taking a victim's place takes its way.
 Misses allocate MSHR entries; a second miss to an in-flight line reports
 INFLIGHT_HIT instead of re-requesting. The owner calls ``fill`` when the
 miss data returns, and passes cycles that never decrease.
+
+Two calls serve the miss path. ``reserve`` takes a SOFT_PIN MSHR entry for
+a prefetch unless its line is resident or in flight, or no entry is free.
+``lookup_fill`` is an ``access`` at NORMAL followed, on a miss, by a
+same-cycle ``fill``, for a cache whose misses all complete at once (the
+L2): it leaves no MSHR entry behind.
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ class AccessOutcome(Enum):
 
 # The access path reads a global several times faster than an enum member;
 # the engine imports these aliases too.
-_NORMAL = InsertionClass.NORMAL
 _SOFT_PIN = InsertionClass.SOFT_PIN
 _HIT = AccessOutcome.HIT
 _INFLIGHT_HIT = AccessOutcome.INFLIGHT_HIT
@@ -102,13 +108,6 @@ class CacheModel:
         # The first pin-reset boundary not yet applied; a period of 0 never resets.
         self._next_reset = config.pin_reset_period or math.inf
 
-    def contains(self, addr: int) -> bool:
-        line = addr // self.line_size
-        return line in self.sets[line % self.num_sets]
-
-    def inflight(self, addr: int) -> bool:
-        return addr // self.line_size in self.mshr
-
     def access(self, addr: int, iclass: InsertionClass, cycle: int) -> AccessOutcome:
         """Look up one address; on a primary miss, allocate an MSHR entry.
 
@@ -134,18 +133,59 @@ class CacheModel:
         self.mshr[line] = iclass
         return _MISS
 
-    def fill(self, addr: int, cycle: int) -> None:
-        """Complete an outstanding miss and install the line (unless bypassed).
+    def reserve(self, addr: int, cycle: int) -> bool:
+        """Take a SOFT_PIN MSHR entry for a prefetch of ``addr``'s line.
 
-        A set with a free way takes the line in its next way; a full set
-        evicts its victim, which hands over its way.
+        Returns False, changing nothing, when the line is resident or in
+        flight, and False after any due pin reset when no entry is free.
+        The caller calls ``fill`` when the line returns.
+        """
+        line = addr // self.line_size
+        if line in self.sets[line % self.num_sets] or line in self.mshr:
+            return False
+        if cycle >= self._next_reset:
+            self._reset_pins(cycle)
+        if len(self.mshr) >= self.config.mshr_entries:
+            return False
+        self.mshr[line] = _SOFT_PIN
+        return True
+
+    def lookup_fill(self, addr: int, cycle: int) -> bool:
+        """Look up ``addr`` at NORMAL priority; True on a hit, which becomes
+        the most recently used line and keeps its priority. A miss installs
+        the line at once, as ``fill`` would, and returns False.
+
+        This is ``access`` followed on a miss by a same-cycle ``fill`` when
+        the line is not in flight and an MSHR entry is free, as on a cache
+        that only this call drives.
         """
         if cycle >= self._next_reset:
             self._reset_pins(cycle)
         line = addr // self.line_size
+        ways = self.sets[line % self.num_sets]
+        held = ways.get(line)
+        if held is not None:
+            del ways[line]
+            ways[line] = held
+            return True
+        self._install(line, 0)  # NORMAL
+        return False
+
+    def fill(self, addr: int, cycle: int) -> None:
+        """Complete an outstanding miss and install the line (unless bypassed)."""
+        if cycle >= self._next_reset:
+            self._reset_pins(cycle)
+        line = addr // self.line_size
         priority = _PRIORITY[self.mshr.pop(line)]
-        if priority < 0:
-            return
+        if priority >= 0:
+            self._install(line, priority)
+
+    def _install(self, line: int, priority: int) -> None:
+        """Put ``line`` in its set at ``priority`` as the most recently used.
+
+        A set with a free way takes the line in its next way; a full set
+        evicts its victim, which hands over its way.
+        """
         set_idx = line % self.num_sets
         ways = self.sets[set_idx]
         if not ways:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
 
 from . import prefetch as pf
 from .cache import (
-    _HIT, _INFLIGHT_HIT, _MISS, _NORMAL, _SOFT_PIN, CacheConfig, CacheModel, InsertionClass,
+    _HIT, _INFLIGHT_HIT, _MISS, CacheConfig, CacheModel, InsertionClass,
 )
 from .descriptor import PAGE_BITS, LocalityDescriptor, LocalityType, SharingType
 from .errors import TOO_DEEP, ConfigError, ConfigMismatch, MshrFull, too_long_int, undecodable
@@ -441,10 +441,13 @@ class _Due:
 
 class _Row(NamedTuple):
     """One descriptor's address range, tile table and the levers resolved
-    for it once per run. ``home(addr, toucher_zone)`` is an address's zone
-    under ``mapping``, the run's copy of its structure's mapping, into whose
-    page table a first-touch ``home`` places pages; on one zone both are
-    None and every address is in zone 0."""
+    for it once per run. ``mapping`` is the run's copy of its structure's
+    mapping, None on one zone. An address's home zone is
+    ``(addr >> shift) % zone_count`` where ``shift`` is not None: the low
+    bit of a BITRANGE mapping, or 0 on one zone, where every address is in
+    zone 0. Under FIRST_TOUCH and XOR_HASH, ``shift`` is None and
+    ``home(addr, toucher_zone)`` is the zone; a first-touch ``home`` places
+    pages in ``mapping``'s page table."""
 
     base: int
     end: int
@@ -453,15 +456,15 @@ class _Row(NamedTuple):
     insertion: InsertionClass
     prefetch: PrefetchKind
     mapping: ZoneMapping | None
+    shift: int | None
     home: Callable[[int, int], int] | None
 
 
 def _home_resolver(mapping: ZoneMapping, zone_count: int) -> Callable[[int, int], int]:
-    """``home(addr, toucher_zone)`` under ``mapping`` on ``zone_count`` zones."""
-    low_bit, place = mapping.low_bit, mapping.page_table.setdefault
-    if mapping.scheme is MappingScheme.BITRANGE:
-        return lambda addr, _: (addr >> low_bit) % zone_count
+    """``home(addr, toucher_zone)`` under a FIRST_TOUCH or XOR_HASH
+    ``mapping`` on ``zone_count`` zones."""
     if mapping.scheme is MappingScheme.FIRST_TOUCH:
+        place = mapping.page_table.setdefault
         return lambda addr, toucher: place(addr >> PAGE_BITS, toucher)
     return lambda addr, _: zone_of_address(addr, mapping, zone_count)
 
@@ -481,6 +484,7 @@ class _Simulation:
         self.schedule = schedule
         self.trace_sink = trace_sink
         self.line_size = config.l1.line_size
+        self.zone_count = config.zone_count
         self.l1_hit = config.latencies.l1_hit
         self._check_consistency()
 
@@ -518,15 +522,18 @@ class _Simulation:
                 mapping = placement.per_structure.get(desc.data.name)
                 if mapping is None:
                     raise ConfigMismatch(f"placement plan lacks structure {desc.data.name!r}")
-            if config.zone_count > 1:
+            if config.zone_count == 1:
+                mapping, shift, home = None, 0, None
+            else:
                 fresh = replace(mapping, page_table=dict(mapping.page_table))
                 mapping = copies.setdefault(id(mapping), fresh)
-                home = _home_resolver(mapping, config.zone_count)
-            else:
-                mapping = home = None
+                if mapping.scheme is MappingScheme.BITRANGE:
+                    shift, home = mapping.low_bit, None
+                else:
+                    shift, home = None, _home_resolver(mapping, config.zone_count)
             data = desc.data
             self.rows.append(_Row(data.base_addr, data.end_addr, i, TileTable(desc, workload.grid),
-                                  policy.insertion, policy.prefetch, mapping, home))
+                                  policy.insertion, policy.prefetch, mapping, shift, home))
         self.tables = [r.table for r in self.rows]
         # The rows' ranges cut the address space into intervals, at every
         # base and end. Each interval is held by the same rows throughout,
@@ -595,11 +602,7 @@ class _Simulation:
 
     def _memory_latency(self, sm_zone: int, line_addr: int, home: int, cycle: int) -> int:
         lat = self.config.latencies
-        l2 = self.l2[home]
-        out = l2.access(line_addr, _NORMAL, cycle)
-        if out is _MISS:
-            l2.fill(line_addr, cycle)
-        else:
+        if self.l2[home].lookup_fill(line_addr, cycle):
             return lat.l2_hit
         if home == sm_zone:
             return lat.local_mem
@@ -627,7 +630,9 @@ class _Simulation:
         the prefetcher kind its policy names (not NONE). Under STRIDE the
         D-tile of ``addr`` streams on ``sm`` from now on. A target's home
         zone is that of the row that holds it, which may be a
-        higher-priority, overlapping descriptor's."""
+        higher-priority, overlapping descriptor's. Every target's line has a
+        row: ``on_miss`` keeps targets inside the structure, whose base is
+        page aligned."""
         table, active = row.table, sm.streams[row.index]
         if row.prefetch is _STRIDE:
             active.add(table.dtile_at(addr))
@@ -635,14 +640,14 @@ class _Simulation:
         for target in pf.on_miss(addr, row.prefetch, table, self.config.l1.capacity,
                                  len(active), line_size):
             line_addr = target & -line_size
-            if l1.contains(line_addr) or l1.inflight(line_addr):
+            if not l1.reserve(line_addr, cycle):
                 continue
-            try:
-                l1.access(line_addr, _SOFT_PIN, cycle)
-            except MshrFull:
-                continue
-            resolve = self._row_of(line_addr).home
-            home = 0 if resolve is None else resolve(line_addr, sm.zone)
+            held_by = self.owner[bisect_right(self.bounds, line_addr)]
+            shift = held_by.shift
+            if shift is not None:
+                home = (line_addr >> shift) % self.zone_count
+            else:
+                home = held_by.home(line_addr, sm.zone)
             latency = self._memory_latency(sm.zone, line_addr, home, cycle)
             self._schedule_fill(sm, line_addr, cycle + latency)
             self.pf_issued += 1
@@ -719,8 +724,11 @@ class _Simulation:
         except MshrFull:
             return None
 
-        resolve = row.home
-        home = 0 if resolve is None else resolve(addr, sm.zone)
+        shift = row.shift
+        if shift is not None:
+            home = (addr >> shift) % self.zone_count
+        else:
+            home = row.home(addr, sm.zone)
         sm.homes[home] += 1
         line_addr = addr & -self.line_size
         sm.lines.add(line_addr)

@@ -41,12 +41,13 @@ class Mutant(NamedTuple):
 
 
 ENGINE, NUMA = "src/ldesc_sim/engine.py", "src/ldesc_sim/numa.py"
-SCHED = "src/ldesc_sim/sched.py"
+SCHED, CACHE = "src/ldesc_sim/sched.py", "src/ldesc_sim/cache.py"
 FLIP_TIE = ("return votes.index(max(votes))",
             "return len(votes) - 1 - votes[::-1].index(max(votes))")
 CYCLE_LOOP = "tests/test_engine.py::test_cycle_loop_matches_the_loops_it_replaced"
 SLOW_HITS = "tests/test_engine.py::test_cycle_loop_matches_the_old_loop_with_slow_l1_hits"
 STREAMS = "tests/test_prefetch.py::test_stream_tracking_matches_the_code_it_replaced"
+CACHE_ORACLE = "tests/test_cache.py::test_cache_matches_full_array_oracle"
 
 MUTANTS = [
     # The interval map: an address at a cut point takes the interval below it.
@@ -102,14 +103,28 @@ MUTANTS = [
     Mutant(ENGINE, "self.last_completion = cycle", "self.last_completion = cycle - 1",
            CYCLE_LOOP),
     # The prefetcher requests a line that is already in flight.
-    Mutant(ENGINE, "if l1.contains(line_addr) or l1.inflight(line_addr):",
-           "if l1.contains(line_addr):", STREAMS),
+    Mutant(CACHE, "if line in self.sets[line % self.num_sets] or line in self.mshr:",
+           "if line in self.sets[line % self.num_sets]:", STREAMS),
     # Every stride miss streams on D-tile 0.
     Mutant(ENGINE, "active.add(table.dtile_at(addr))", "active.add(0)", STREAMS),
     # A prefetch target takes the missing row's mapping, not its own row's.
-    Mutant(ENGINE, "resolve = self._row_of(line_addr).home", "resolve = row.home",
+    Mutant(ENGINE, "held_by = self.owner[bisect_right(self.bounds, line_addr)]",
+           "held_by = row",
            "tests/test_engine.py::"
            "test_prefetch_into_a_higher_priority_row_uses_that_rows_mapping"),
+    # A BITRANGE row interleaves zones one address bit too high.
+    Mutant(ENGINE, "shift, home = mapping.low_bit, None", "shift, home = mapping.low_bit + 1, None",
+           "tests/test_engine.py::test_row_resolver_matches_the_home_zone_rule"),
+    # An L2 hit stays where it was in its set's recency order.
+    Mutant(CACHE, "del ways[line]\n            ways[line] = held\n            return True",
+           "return True", CACHE_ORACLE),
+    # An L2 hit unpins its line.
+    Mutant(CACHE, "ways[line] = held\n            return True",
+           "ways[line] = 0\n            return True",
+           "tests/test_cache.py::test_lookup_fill_hit_keeps_the_pin_and_becomes_most_recent"),
+    # A prefetch takes an MSHR entry that is not free.
+    Mutant(CACHE, "if len(self.mshr) >= self.config.mshr_entries:\n            return False\n"
+           "        self.mshr[line] = _SOFT_PIN", "self.mshr[line] = _SOFT_PIN", CACHE_ORACLE),
 ]
 
 

@@ -26,6 +26,15 @@ def small_cache(**kw):
     return CacheModel(CacheConfig(**defaults))
 
 
+def contains(cache, addr):
+    line = addr // cache.line_size
+    return line in cache.sets[line % cache.num_sets]
+
+
+def inflight(cache, addr):
+    return addr // cache.line_size in cache.mshr
+
+
 def touch(cache, addr, iclass=NORMAL, cycle=0):
     out = cache.access(addr, iclass, cycle)
     if out is AccessOutcome.MISS:
@@ -57,6 +66,34 @@ def test_mshr_full_stalls():
     assert c.access(0x2000, NORMAL, 2) is AccessOutcome.MISS
 
 
+def test_reserve_takes_no_entry_for_a_resident_or_inflight_line_or_a_full_mshr():
+    c = small_cache(mshr_entries=2)
+    touch(c, 0x0, HARD)
+    c.access(0x1000, NORMAL, 0)
+    before = ([dict(s) for s in c.sets], dict(c.mshr))
+    assert not c.reserve(0x40, 1)  # resident
+    assert not c.reserve(0x1000, 1)  # in flight
+    assert ([dict(s) for s in c.sets], dict(c.mshr)) == before
+    assert c.reserve(0x2000, 1)
+    assert c.mshr[0x2000 // 128] is SOFT
+    before = ([dict(s) for s in c.sets], dict(c.mshr))
+    assert not c.reserve(0x3000, 2)  # no free entry
+    assert ([dict(s) for s in c.sets], dict(c.mshr)) == before
+    c.fill(0x2000, 3)
+    assert c.sets[0][0x2000 // 128] == 1  # soft pinned
+
+
+def test_lookup_fill_hit_keeps_the_pin_and_becomes_most_recent():
+    c = small_cache()
+    step = 4 * 128  # same-set lines
+    touch(c, 0, HARD)
+    touch(c, step, NORMAL, cycle=1)
+    assert c.lookup_fill(0x40, 2)  # line 0, hit at NORMAL
+    assert list(c.sets[0].items()) == [(4, 0), (0, 2)]
+    assert not c.lookup_fill(2 * step, 3)  # a miss installs the line, normal
+    assert list(c.sets[0].items()) == [(4, 0), (0, 2), (8, 0)] and not c.mshr
+
+
 def test_hard_pin_saturated_set_evicts_way0():
     c = small_cache()  # 4 sets; same-set lines are 4 lines apart
     step = 4 * 128
@@ -74,7 +111,7 @@ def test_hard_pin_saturated_set_evicts_way0():
 def test_bypass_never_allocates():
     c = small_cache()
     assert touch(c, 0x100, BYPASS) is AccessOutcome.MISS
-    assert not c.contains(0x100)
+    assert not contains(c, 0x100)
     assert c.access(0x100, NORMAL, 1) is AccessOutcome.MISS
 
 
@@ -86,14 +123,14 @@ def test_bypass_does_not_disturb_lru():
     # A bypass hit on the LRU line must not refresh it.
     assert c.access(0, BYPASS, 10) is AccessOutcome.HIT
     touch(c, 4 * step, NORMAL, cycle=11)
-    assert not c.contains(0)  # line 0 was still LRU and got evicted
+    assert not contains(c, 0)  # line 0 was still LRU and got evicted
 
 
 def test_fill_of_bypassed_line_no_residency():
     c = small_cache()
     c.access(0x300, BYPASS, 0)
     c.fill(0x300, 3)
-    assert not c.contains(0x300)
+    assert not contains(c, 0x300)
 
 
 def test_pin_reset_at_period():
@@ -106,7 +143,7 @@ def test_pin_reset_at_period():
     assert any(p > 0 for s in c.sets for p in s.values())
     assert c.access(0x0, BYPASS, 100) is AccessOutcome.HIT
     assert all(p == 0 for s in c.sets for p in s.values())
-    assert c.contains(0x0) and c.contains(0x80)  # residency survives
+    assert contains(c, 0x0) and contains(c, 0x80)  # residency survives
 
 
 def test_repin_after_reset():
@@ -131,7 +168,7 @@ def test_pin_reset_keeps_recency_order():
     evicted = []
     for i in range(4, 8):
         touch(c, i * step, NORMAL, cycle=100 + i)
-        evicted += [a for a in lines if not c.contains(a) and a not in evicted]
+        evicted += [a for a in lines if not contains(c, a) and a not in evicted]
     assert evicted == [0, 2 * step, 3 * step, step]
 
 
@@ -163,7 +200,7 @@ def test_eviction_prefers_unpinned():
     for i in range(3, 40):
         touch(c, i * step, rng.choice([NORMAL, SOFT]))
         for a in pinned:
-            assert c.contains(a), "pinned line evicted while unpinned lines exist"
+            assert contains(c, a), "pinned line evicted while unpinned lines exist"
 
 
 def test_soft_pin_between_normal_and_hard():
@@ -174,8 +211,8 @@ def test_soft_pin_between_normal_and_hard():
     touch(c, 2 * step, NORMAL, cycle=5)
     touch(c, 3 * step, NORMAL, cycle=6)
     touch(c, 4 * step, SOFT)  # victim must be the LRU NORMAL line
-    assert not c.contains(2 * step)
-    assert c.contains(0) and c.contains(step) and c.contains(3 * step)
+    assert not contains(c, 2 * step)
+    assert contains(c, 0) and contains(c, step) and contains(c, 3 * step)
 
 
 def test_conservation_counts():
@@ -254,14 +291,15 @@ LINE = 128
 # and more tags than ways, so that sets fill up and evict. An access draws
 # its insertion class from a per-example palette, so that some examples pin
 # nothing but HARD_PIN and saturate their sets.
-_KINDS = ("access", "access", "fill", "fill", "advance", "contains", "inflight")
+_KINDS = ("access", "access", "fill", "fill", "advance", "contains", "inflight",
+          "reserve", "lookup_fill")
 _OP_CODES = len(_KINDS) * 2 * 10 * LINE * 4
 
 
 def _decode_op(code):
     kind, code = _KINDS[code % len(_KINDS)], code // len(_KINDS)
     line = (code % 2, code // 2 % 10)
-    if kind == "access":
+    if kind in ("access", "reserve", "lookup_fill"):
         return kind, line, code // 20 % LINE, code // (20 * LINE) % 4
     if kind == "fill":
         # picks one of the outstanding lines, if any
@@ -283,6 +321,8 @@ def _decode_op(code):
 def test_cache_matches_full_array_oracle(
     sets, ways, mshr_entries, pin_reset_period, palette, codes
 ):
+    # ``reserve`` and ``lookup_fill`` are checked against the oracle calls
+    # that they stand for on the engine's miss path.
     config = CacheConfig(capacity=sets * ways * LINE, ways=ways, line_size=LINE,
                          mshr_entries=mshr_entries, pin_reset_period=pin_reset_period)
     cache, oracle = CacheModel(config), OracleCache(config)
@@ -290,6 +330,29 @@ def test_cache_matches_full_array_oracle(
     def addr(line, offset=0):
         set_pick, tag = line
         return (tag * sets + set_pick % sets) * LINE + offset
+
+    def tick():
+        # Before each oracle access or fill, its pins reset by the rule the
+        # engine once applied on every visited cycle: one tick for any
+        # boundary crossed since the last one.
+        nonlocal last_tick
+        boundary = cycle // pin_reset_period * pin_reset_period if pin_reset_period else 0
+        if boundary > last_tick:
+            oracle.tick(boundary)
+        last_tick = cycle
+
+    def oracle_reserve(a):
+        if oracle.contains(a) or oracle.inflight(a):
+            return False
+        tick()
+        return _call(oracle.access, a, SOFT, cycle) is AccessOutcome.MISS
+
+    def oracle_lookup_fill(a):
+        tick()
+        out = oracle.access(a, NORMAL, cycle)
+        if out is AccessOutcome.MISS:
+            oracle.fill(a, cycle)
+        return out is AccessOutcome.HIT
 
     cycle = last_tick = 0
     for op in map(_decode_op, codes):
@@ -301,23 +364,29 @@ def test_cache_matches_full_array_oracle(
             else:
                 cycle += n
             continue
-        if kind == "access":
-            _, line, offset, pick = op
-            args = (addr(line, offset), palette[pick % len(palette)], cycle)
-        elif kind == "fill":
-            if not oracle.mshr:
-                continue
-            args = (list(oracle.mshr)[op[1] % len(oracle.mshr)] * LINE, cycle)
-        else:
-            args = (addr(op[1]),)
         if kind in ("access", "fill"):
-            # The oracle's pins reset by the rule the engine once applied on
-            # every visited cycle: one tick for any boundary crossed since.
-            boundary = cycle // pin_reset_period * pin_reset_period if pin_reset_period else 0
-            if boundary > last_tick:
-                oracle.tick(boundary)
-            last_tick = cycle
-        assert _call(getattr(cache, kind), *args) == _call(getattr(oracle, kind), *args), op
+            if kind == "access":
+                _, line, offset, pick = op
+                args = (addr(line, offset), palette[pick % len(palette)], cycle)
+            elif oracle.mshr:
+                args = (list(oracle.mshr)[op[1] % len(oracle.mshr)] * LINE, cycle)
+            else:
+                continue
+            tick()
+            got, want = _call(getattr(cache, kind), *args), _call(getattr(oracle, kind), *args)
+        elif kind == "reserve":
+            a = addr(op[1], op[2])
+            got, want = cache.reserve(a, cycle), oracle_reserve(a)
+        elif kind == "lookup_fill":
+            a = addr(op[1], op[2])
+            if oracle.inflight(a) or len(oracle.mshr) == mshr_entries:
+                continue  # the access would not miss into a same-cycle fill
+            got, want = cache.lookup_fill(a, cycle), oracle_lookup_fill(a)
+        else:
+            a = addr(op[1])
+            helper = contains if kind == "contains" else inflight
+            got, want = helper(cache, a), getattr(oracle, kind)(a)
+        assert got == want, op
         assert _ways(cache) == _oracle_ways(oracle), op
         assert cache.mshr == oracle.mshr, op
 

@@ -644,7 +644,7 @@ def test_first_touch_run_leaves_caller_mapping_untouched():
     touches=st.lists(st.tuples(st.integers(0, 256 * KB - 1), st.integers(0, 3)), max_size=40),
 )
 def test_row_resolver_matches_the_home_zone_rule(scheme, low_bit, placed, touches):
-    # Each row's resolver gives the zone that the per-access rule,
+    # Each row's shift or resolver gives the zone that the per-access rule,
     # oracles.home_zone, gives. A first-touch row fills the run's page-table
     # copy in the order the rule fills its own; the caller's table is kept.
     wl = stripe_workload()  # one 256 KiB structure at address 0: pages 0-3
@@ -664,10 +664,13 @@ def test_row_resolver_matches_the_home_zone_rule(scheme, low_bit, placed, touche
         baseline_round_robin(wl.grid, 16), mapping, select_policies(wl.descs), None,
     )
     (row,) = sim.rows
-    assert (row.home is None) == (zone_count == 1)
+    assert (row.shift is None) == (scheme in ("xor", "first_touch")) == (row.home is not None)
     for offset, toucher in touches:
         addr = row.base + offset
-        got = 0 if row.home is None else row.home(addr, toucher)
+        if row.shift is None:
+            got = row.home(addr, toucher)
+        else:
+            got = (addr >> row.shift) % zone_count
         assert got == oracles.home_zone(addr, reference, toucher, zone_count)
     if reference is not None:
         assert list(row.mapping.page_table.items()) == list(reference.page_table.items())

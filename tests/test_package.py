@@ -237,8 +237,8 @@ def test_placement_reference_shares_no_search_code():
 # The functions every demand access or prefetch runs, by module; nested
 # functions, such as run_live's and run_replay's ``issue``, are checked too.
 _PER_ACCESS = {
-    "cache": ["CacheModel.access", "CacheModel.fill", "CacheModel.contains",
-              "CacheModel.inflight"],
+    "cache": ["CacheModel.access", "CacheModel.fill", "CacheModel.reserve",
+              "CacheModel.lookup_fill", "CacheModel._install"],
     "engine": ["_Simulation._issue", "_Simulation._memory_latency",
                "_Simulation._maybe_prefetch", "_Simulation._due_at",
                "_Simulation._schedule_fill", "_Simulation._run", "_Simulation.run_live",

@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import jsonschema
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ldesc_sim.cli import main
@@ -80,12 +80,24 @@ def _values(node: dict):
 
 
 def _set(raw: dict, path: tuple, value) -> None:
+    """Set or delete one field. A drawn value goes in as a copy. JUNK's
+    ``{}`` and ``[]`` and ``_values``' ``{}`` are one object each: set into
+    two fields, one could hold itself, and an edit inside one would reach
+    later examples."""
     for key in path[:-1]:
         raw = raw[key]
     if value is DELETE:
         raw.pop(path[-1], None)
     else:
-        raw[path[-1]] = value
+        raw[path[-1]] = copy.deepcopy(value)
+
+
+def _edited(name: str, edits: list[tuple[tuple, object]]) -> dict:
+    """Shipped config ``name`` with each (path, value) of ``edits`` set in turn."""
+    raw = copy.deepcopy(SHIPPED[name])
+    for path, value in edits:
+        _set(raw, path, value)
+    return raw
 
 
 @st.composite
@@ -117,8 +129,12 @@ def _run(raw: dict) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+_SHARED: dict = {}  # one drawn object set into two fields, as JUNK's {} can be
+
+
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_configs())
+@example(_edited("histo.json", [(("grid",), _SHARED), (("grid", "warps_per_cta"), _SHARED)]))
 def test_cli_agrees_with_the_schema(raw):
     code, err = _run(raw)
     if not VALIDATOR.is_valid(raw):
