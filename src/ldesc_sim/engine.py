@@ -545,8 +545,9 @@ class _Simulation:
         ]
         self.stride_rows = [r for r in self.rows if r.prefetch is _STRIDE]
 
-        # Resident CTAs per (sm, descriptor index, D-tile) of the stride rows;
-        # each SM keeps its streaming D-tiles in ``_Sm.streams``.
+        # Started (``_mark_started``: first access issued), unfinished CTAs per
+        # (sm, descriptor index, D-tile) of the stride rows; each SM keeps its
+        # streaming D-tiles in ``_Sm.streams``.
         self.dtile_users: dict[tuple[int, int, int], int] = {}
 
         # Event plumbing: each cycle with something due has one entry in

@@ -250,45 +250,6 @@ def _is_balanced(part: dict[int, int], zone_count: int) -> bool:
     return max(loads) <= ideal * BALANCE_SLACK
 
 
-@dataclass
-class _PartitionFit:
-    """Every descriptor fitted to one CTA partition of the placement search.
-
-    ``homes[i]`` is descriptor i's C-tile zones under the partition,
-    ``bits`` the low bit fitted for each structure other than the top
-    descriptor's, and ``terms[i - 1]`` descriptor i's weighted utility at
-    its structure's bit, or None where that structure is the top
-    descriptor's, which keeps the candidate's own bit.
-    """
-
-    homes: list[list[int]]
-    bits: dict[str, int]
-    terms: list[float | None]
-
-
-def _fit_partition(
-    descs: list[LocalityDescriptor], tables: list[_CtileTable], part: dict[int, int]
-) -> _PartitionFit:
-    n = len(descs)
-    top = descs[0].data.name
-    homes = [table.homes(part) for table in tables]
-    bits: dict[str, int] = {}
-    terms: list[float | None] = []
-    for i in range(1, n):
-        weight = n - i  # alg position i+1 -> weight n - (i+1) + 1
-        table, name = tables[i], descs[i].data.name
-        if name == top:
-            terms.append(None)
-            continue
-        if name not in bits:  # max() keeps the first, so the lowest bit
-            bits[name] = max(
-                range(LOW_BIT_MIN, LOW_BIT_MAX + 1),
-                key=lambda b: table.util(weight, homes[i], b),
-            )
-        terms.append(table.util(weight, homes[i], bits[name]))
-    return _PartitionFit(homes, bits, terms)
-
-
 def place_and_partition(
     descs: list[LocalityDescriptor], grid: CtaGrid, zone_count: int
 ) -> NumaPlan:
@@ -296,34 +257,43 @@ def place_and_partition(
     CTAs by data affinity, and fit every other structure to that partition.
 
     Each remaining structure takes the low bit with the highest utility; a
-    structure already placed keeps its bit. Ties go to the lowest bit, both
-    for the top descriptor's candidates and for the fitted bits. The best
-    candidate whose partition loads no zone past 125% of the ideal load
-    wins; should every candidate fail that guard, the best candidate
-    overall is returned with ``balance_guard_failed`` set.
+    structure already placed, the top one included, keeps its bit. Ties go
+    to the lowest bit, both for the top descriptor's candidates and for the
+    fitted bits. The best candidate whose partition loads no zone past 125%
+    of the ideal load wins; should every candidate fail that guard, the best
+    candidate overall is returned with ``balance_guard_failed`` set.
 
-    Candidate bits often yield the same partition, so the structures are
-    fitted once per distinct partition; only the top descriptor's own
-    utility, and that of a later descriptor over its structure, are worked
-    out per candidate bit.
+    Candidate bits often yield the same partition, so every descriptor's
+    C-tile zones and every other structure's fitted bit are worked out once
+    per distinct partition. Each candidate then sums its descriptors'
+    utilities at the bits it chose.
     """
     n = len(descs)
+    names = [d.data.name for d in descs]
+    top = names[0]
+    bits = range(LOW_BIT_MIN, LOW_BIT_MAX + 1)
     tables = [_CtileTable(d, grid, zone_count) for d in descs]
-    fits: dict[tuple[int, ...], _PartitionFit] = {}
+    fits: dict[tuple[int, ...], tuple[list[list[int]], dict[str, int]]] = {}
     plans = []
-    for b_hi in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
+    for b_hi in bits:
         part = tables[0].partition(b_hi)
         key = tuple(part.values())  # every candidate inserts the CTAs in one order
         if key not in fits:
-            fits[key] = _fit_partition(descs, tables, part)
-        fit = fits[key]
-        util = tables[0].util(n, fit.homes[0], b_hi)
-        added = 0.0
-        for i, term in enumerate(fit.terms, 1):
-            added += tables[i].util(n - i, fit.homes[i], b_hi) if term is None else term
-        chosen = {descs[0].data.name: b_hi, **fit.bits}
+            homes = [table.homes(part) for table in tables]
+            fitted: dict[str, int] = {}
+            for i in range(1, n):  # alg position i+1 -> weight n - (i+1) + 1
+                if names[i] != top and names[i] not in fitted:
+                    # max() keeps the first, so the lowest bit
+                    fitted[names[i]] = max(bits, key=lambda b: tables[i].util(n - i, homes[i], b))
+            fits[key] = homes, fitted
+        homes, fitted = fits[key]
+        chosen = {top: b_hi, **fitted}
+        added = 0.0  # a plain loop: sum() rounds differently on Python 3.12+
+        for i in range(1, n):
+            added += tables[i].util(n - i, homes[i], chosen[names[i]])
+        util = tables[0].util(n, homes[0], b_hi) + added
         mappings = {name: bitrange(bit, zone_count) for name, bit in chosen.items()}
-        plans.append(NumaPlan(part, mappings, util + added))
+        plans.append(NumaPlan(part, mappings, util))
     balanced = [p for p in plans if _is_balanced(p.cta_partition, zone_count)]
     if balanced:
         return max(balanced, key=lambda p: p.utility)

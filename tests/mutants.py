@@ -85,6 +85,14 @@ MUTANTS = [
     Mutant(NUMA, "zone = zone_bytes.index(max(zone_bytes))",
            "zone = len(zone_bytes) - 1 - zone_bytes[::-1].index(max(zone_bytes))",
            "tests/test_numa.py::test_place_and_partition_zone_byte_ties_go_to_the_lowest_zone"),
+    # A later descriptor over the top structure refits its bit, so that the
+    # candidate's own bit is overridden.
+    Mutant(NUMA, "if names[i] != top and names[i] not in fitted:",
+           "if names[i] not in fitted:",
+           "tests/test_numa.py::test_search_matches_the_reference_over_shared_structures"),
+    # A fitted structure's utility ties go to the highest bit.
+    Mutant(NUMA, "max(bits, key=lambda b:", "max(reversed(bits), key=lambda b:",
+           "tests/test_numa.py::test_place_and_partition_majority_ties_go_to_the_lowest_zone"),
     # From here on, the engine against the reference engine in tests/oracles.py
     # unless the entry names another test.
     # A finished CTA sends its SM's next scan to the first warp.

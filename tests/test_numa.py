@@ -269,19 +269,68 @@ def random_two_desc_instance(rng):
     cdmap = (1, 2, 0) if gy == 1 else rng.choice([(1, 2, 0), (2, 1, 0)])
     descs = []
     for i, width in enumerate([1, rng.choice([w for w in (1, 2, 4) if w <= gx])]):
-        tiles = -(-gx // width) * gy
-        if rng.random() < 0.5:
-            elems = rng.choice([1, 2, 4, 8, 16]) * KB // 4
-            dims, dtile = (elems * tiles, 1, 1), (elems, 1, 1)
-        else:
-            tx = rng.choice([t for t in (1, 2, 4) if tiles % t == 0])
-            dtile = (rng.randint(8, 512), rng.randint(2, 16), 1)
-            # one D-tile along an axis spans it whole; more leave the last clipped
-            dims = tuple(
-                (n - 1) * d + (rng.randint(1, d) if n > 1 else d)
-                for n, d in zip((tx, tiles // tx, 1), dtile)
-            )
+        dims, dtile = random_structure(rng, -(-gx // width) * gy)
         descs.append(make_desc(name=f"s{i}", base=i << 21, elem=4, data_dims=dims,
+                               dtile=dtile, ctile=(width, 1, 1), cdmap=cdmap, priority=i))
+    return validate_descriptor_set(descs, grid), grid, zone_count
+
+
+def random_structure(rng, tiles):
+    """A fp32 structure's dims and a D-tile shape that cuts it into ``tiles``
+    D-tiles: 1-D, in D-tiles of 1 to 16 KiB, or 2-D, in D-tiles whose last
+    column and last row are clipped."""
+    if rng.random() < 0.5:
+        elems = rng.choice([1, 2, 4, 8, 16]) * KB // 4
+        return (elems * tiles, 1, 1), (elems, 1, 1)
+    tx = rng.choice([t for t in (1, 2, 4) if tiles % t == 0])
+    dtile = (rng.randint(8, 512), rng.randint(2, 16), 1)
+    # one D-tile along an axis spans it whole; more leave the last clipped
+    dims = tuple(
+        (n - 1) * d + (rng.randint(1, d) if n > 1 else d)
+        for n, d in zip((tx, tiles // tx, 1), dtile)
+    )
+    return dims, dtile
+
+
+def dtile_over(rng, dims, tiles):
+    """A D-tile shape that cuts the 1-D or 2-D structure ``dims`` into
+    ``tiles`` D-tiles, or None if no shape does. A side d cuts n elements
+    into m tiles when (m - 1) * d < n <= m * d."""
+    def sides(n, m):
+        return range(-(-n // m), n + 1 if m == 1 else -(-n // (m - 1)))
+
+    options = [
+        (sides(dims[0], tx), sides(dims[1], tiles // tx))
+        for tx in (1, 2, 4, 8) if tiles % tx == 0
+    ]
+    options = [(xs, ys) for xs, ys in options if xs and ys]
+    if not options:
+        return None
+    xs, ys = rng.choice(options)
+    return (rng.choice(xs), rng.choice(ys), 1)
+
+
+def random_shared_structure_instance(rng):
+    """Two or three descriptors on 4 or 8 CTAs and 2 or 4 zones, where a
+    later descriptor often reads the top structure or an earlier fitted one.
+    Each descriptor has its own C-tile width (1, 2 or 4 CTAs along X) and its
+    own D-tile shape over its structure, pairing 1:1 with its C-tiles."""
+    zone_count = rng.choice([2, 4])
+    gx, gy = rng.choice([(4, 1), (8, 1), (2, 2), (4, 2)])
+    grid = CtaGrid((gx, gy, 1))
+    cdmap = (1, 2, 0) if gy == 1 else rng.choice([(1, 2, 0), (2, 1, 0)])
+    structures = {}  # name -> dims, in order of first appearance
+    descs = []
+    for i in range(rng.choice([2, 3])):
+        width = rng.choice([w for w in (1, 2, 4) if w <= gx])
+        tiles = -(-gx // width) * gy
+        name = rng.choice([*structures, None])
+        dtile = name and dtile_over(rng, structures[name], tiles)
+        if not dtile:
+            name = f"s{len(structures)}"
+            structures[name], dtile = random_structure(rng, tiles)
+        base = list(structures).index(name) << 21
+        descs.append(make_desc(name=name, base=base, elem=4, data_dims=structures[name],
                                dtile=dtile, ctile=(width, 1, 1), cdmap=cdmap, priority=i))
     return validate_descriptor_set(descs, grid), grid, zone_count
 
@@ -298,6 +347,16 @@ def test_search_matches_brute_force_sample():
         descs, grid, zone_count = random_two_desc_instance(rng)
         assert search_plan(descs, grid, zone_count) == oracles.placement_plan(
             descs, grid, zone_count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_search_matches_the_reference_over_shared_structures(rng):
+    # A later descriptor over the top structure keeps each candidate's bit,
+    # and one over an earlier fitted structure keeps that structure's bit.
+    descs, grid, zone_count = random_shared_structure_instance(rng)
+    assert search_plan(descs, grid, zone_count) == oracles.placement_plan(
+        descs, grid, zone_count)
 
 
 def two_matrix_instance(n):
