@@ -8,7 +8,10 @@ CTA partition, then fits every remaining structure to that partition, once
 per distinct partition. It counts the bytes each D-tile places in each zone
 from the tile's geometry and builds no byte runs: one row per residue of
 the stripe period, or, when the stripes are wide against the row pitch and
-the tile spans fewer of them than that, one stripe at a time.
+the tile spans fewer of them than that, one stripe at a time. A D-tile
+whole stripes further on holds the same bytes in zones rotated by those
+stripes, so each count is made once per D-tile shape, pitches and offset
+inside the stripe, and every descriptor of the search shares it.
 """
 
 from __future__ import annotations
@@ -158,20 +161,31 @@ class _CtileTable:
     walk or the stripe walk of ``_zone_bytes_of_dtile``, whichever visits
     fewer steps. They are worked out once per low_bit, and within one
     low_bit once per key: the D-tile's clipped extents and its first byte
-    modulo the stripe period ``zone_count << low_bit``. The placement
+    modulo the stripe period ``zone_count << low_bit``. A key's count is the
+    count of a D-tile of that shape at the first byte's offset inside its
+    stripe, rotated by the stripes in front of it; the counts by offset sit
+    in ``counts``, which every table of one search shares. The placement
     search asks for ``homes`` once per distinct partition of the top
     descriptor.
 
-    The key is exact. Two D-tiles of one descriptor with equal clipped
+    Both keys are exact. Two D-tiles of one descriptor with equal clipped
     extents have byte runs that are translates of each other: each run
     lies at the same offset from the tile's first byte, with the same
     length. Stripe k lives in zone k % zone_count, so the layout repeats
     every period, and a translation by a multiple of the period leaves
-    every zone's byte count unchanged. C-tiles with equal keys share one
-    (read-only) list.
+    every zone's byte count unchanged; C-tiles with equal keys share one
+    (read-only) list. A translation by s whole stripes moves every byte
+    from zone z to zone (z + s) % zone_count, so a D-tile at ``first`` has
+    the bytes of one at ``first & (stripe - 1)`` rotated by ``(first >>
+    low_bit) % zone_count``. That offset's count depends on the low bit,
+    the clipped extents and the row and plane pitches, and on nothing that
+    tells two descriptors apart, so descriptors with those equal share it.
     """
 
-    def __init__(self, desc: LocalityDescriptor, grid: CtaGrid, zone_count: int):
+    def __init__(
+        self, desc: LocalityDescriptor, grid: CtaGrid, zone_count: int,
+        counts: dict[tuple, list[int]] | None = None,
+    ):
         self.tiles = TileTable(desc, grid)
         self.total = desc.data.total_bytes
         self.zone_count = zone_count
@@ -185,40 +199,44 @@ class _CtileTable:
             shape = (min(d[0], lenx - x0) * elem, min(d[1], leny - y0), min(d[2], lenz - z0))
             first = ds.base_addr + ((z0 * leny + y0) * lenx + x0) * elem
             self._dtiles.append((shape, first))
+        # (low bit, clipped extents, pitches, offset in the stripe) -> zone bytes
+        self._counts = {} if counts is None else counts
         self._zone_bytes: dict[int, list[list[int]]] = {}
 
     def zone_bytes(self, low_bit: int) -> list[list[int]]:
         """Per C-tile, the bytes of its D-tile in each zone."""
         if low_bit not in self._zone_bytes:
-            period = self.zone_count << low_bit
+            zone_count, pitches, counts = self.zone_count, self._pitches, self._counts
+            period = zone_count << low_bit
+            mask = (1 << low_bit) - 1
             by_key: dict[tuple, list[int]] = {}
             out = []
             for shape, first in self._dtiles:
                 key = (shape, first % period)
                 if key not in by_key:
-                    by_key[key] = _zone_bytes_of_dtile(
-                        key[1], shape, self._pitches, low_bit, self.zone_count
-                    )
+                    offset = first & mask
+                    base = (low_bit, shape, pitches, offset)
+                    if base not in counts:
+                        counts[base] = _zone_bytes_of_dtile(
+                            offset, shape, pitches, low_bit, zone_count
+                        )
+                    zb, r = counts[base], (first >> low_bit) % zone_count
+                    by_key[key] = zb[-r:] + zb[:-r]
                 out.append(by_key[key])
             self._zone_bytes[low_bit] = out
         return self._zone_bytes[low_bit]
 
-    def partition(self, low_bit: int) -> dict[int, int]:
-        """Each C-tile's CTAs go to the zone holding most of its D-tile's
-        bytes (ties to the lowest zone)."""
-        part: dict[int, int] = {}
-        for ctas, zone_bytes in zip(self.tiles.ctas, self.zone_bytes(low_bit)):
-            zone = zone_bytes.index(max(zone_bytes))
-            for flat in ctas:
-                part[flat] = zone
-        return part
+    def partition(self, low_bit: int) -> list[int]:
+        """Per C-tile, the zone holding most of its D-tile's bytes (ties to
+        the lowest zone): every CTA of the C-tile goes there."""
+        return [zb.index(max(zb)) for zb in self.zone_bytes(low_bit)]
 
     def homes(self, part: dict[int, int]) -> list[int]:
         """Each C-tile's zone: the majority zone of its CTAs under ``part``."""
         return [majority_zone(ctas, part, self.zone_count) for ctas in self.tiles.ctas]
 
     def util(self, weight: int, homes: list[int], low_bit: int) -> float:
-        local = sum(zb[home] for zb, home in zip(self.zone_bytes(low_bit), homes))
+        local = sum(map(list.__getitem__, self.zone_bytes(low_bit), homes))
         return weight * local / self.total
 
 
@@ -263,43 +281,46 @@ def place_and_partition(
     of the ideal load wins; should every candidate fail that guard, the best
     candidate overall is returned with ``balance_guard_failed`` set.
 
-    Candidate bits often yield the same partition, so every descriptor's
-    C-tile zones and every other structure's fitted bit are worked out once
-    per distinct partition. Each candidate then sums its descriptors'
-    utilities at the bits it chose.
+    Candidate bits often yield the same partition, so every later
+    descriptor's C-tile zones, every other structure's fitted bit and the
+    balance guard are worked out once per distinct partition, keyed by the
+    top descriptor's per-C-tile zones. Each candidate then sums its
+    descriptors' utilities at the bits it chose, and only the winner's
+    mappings and plan are built.
     """
     n = len(descs)
     names = [d.data.name for d in descs]
     top = names[0]
     bits = range(LOW_BIT_MIN, LOW_BIT_MAX + 1)
-    tables = [_CtileTable(d, grid, zone_count) for d in descs]
-    fits: dict[tuple[int, ...], tuple[list[list[int]], dict[str, int]]] = {}
-    plans = []
+    counts: dict[tuple, list[int]] = {}  # zone bytes by offset, shared by every table
+    tables = [_CtileTable(d, grid, zone_count, counts) for d in descs]
+    fits: dict[tuple[int, ...], tuple[dict[int, int], bool, list[list[int]], dict[str, int]]] = {}
+    candidates = []  # (utility, balanced, partition, chosen bits), one per b_hi
     for b_hi in bits:
-        part = tables[0].partition(b_hi)
-        key = tuple(part.values())  # every candidate inserts the CTAs in one order
+        zones = tables[0].partition(b_hi)
+        key = tuple(zones)
         if key not in fits:
-            homes = [table.homes(part) for table in tables]
+            part = {flat: zone for ctas, zone in zip(tables[0].tiles.ctas, zones) for flat in ctas}
+            # the top descriptor's C-tiles hold all their CTAs in their own zone
+            homes = [zones] + [table.homes(part) for table in tables[1:]]
             fitted: dict[str, int] = {}
             for i in range(1, n):  # alg position i+1 -> weight n - (i+1) + 1
                 if names[i] != top and names[i] not in fitted:
                     # max() keeps the first, so the lowest bit
                     fitted[names[i]] = max(bits, key=lambda b: tables[i].util(n - i, homes[i], b))
-            fits[key] = homes, fitted
-        homes, fitted = fits[key]
+            fits[key] = part, _is_balanced(part, zone_count), homes, fitted
+        part, balanced, homes, fitted = fits[key]
         chosen = {top: b_hi, **fitted}
         added = 0.0  # a plain loop: sum() rounds differently on Python 3.12+
         for i in range(1, n):
             added += tables[i].util(n - i, homes[i], chosen[names[i]])
         util = tables[0].util(n, homes[0], b_hi) + added
-        mappings = {name: bitrange(bit, zone_count) for name, bit in chosen.items()}
-        plans.append(NumaPlan(part, mappings, util))
-    balanced = [p for p in plans if _is_balanced(p.cta_partition, zone_count)]
-    if balanced:
-        return max(balanced, key=lambda p: p.utility)
-    best = max(plans, key=lambda p: p.utility)
-    best.balance_guard_failed = True
-    return best
+        candidates.append((util, balanced, part, chosen))
+    pool = [c for c in candidates if c[1]]
+    # max() keeps the first, so ties go to the lowest bit
+    util, balanced, part, chosen = max(pool or candidates, key=lambda c: c[0])
+    mappings = {name: bitrange(bit, zone_count) for name, bit in chosen.items()}
+    return NumaPlan(part, mappings, util, balance_guard_failed=not balanced)
 
 
 def distributed_schedule(grid: CtaGrid, zone_count: int, sm_count: int) -> Schedule:

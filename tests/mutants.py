@@ -48,6 +48,8 @@ CYCLE_LOOP = "tests/test_engine.py::test_cycle_loop_matches_the_loops_it_replace
 SLOW_HITS = "tests/test_engine.py::test_cycle_loop_matches_the_old_loop_with_slow_l1_hits"
 STREAMS = "tests/test_prefetch.py::test_stream_tracking_matches_the_code_it_replaced"
 CACHE_ORACLE = "tests/test_cache.py::test_cache_matches_full_array_oracle"
+SHARED_COUNTS = ("tests/test_numa.py::"
+                 "test_zone_bytes_shared_across_descriptors_match_the_run_count")
 
 MUTANTS = [
     # The interval map: an address at a cut point takes the interval below it.
@@ -82,9 +84,15 @@ MUTANTS = [
            "tests/test_sched.py::test_box_schedules_match_the_code_they_replaced"),
     Mutant(SCHED, *FLIP_TIE, "tests/test_acceptance.py::test_criterion_2_alg2_optimality"),
     # A C-tile whose D-tile's bytes split evenly goes to the highest zone.
-    Mutant(NUMA, "zone = zone_bytes.index(max(zone_bytes))",
-           "zone = len(zone_bytes) - 1 - zone_bytes[::-1].index(max(zone_bytes))",
+    Mutant(NUMA, "[zb.index(max(zb)) for zb in",
+           "[len(zb) - 1 - zb[::-1].index(max(zb)) for zb in",
            "tests/test_numa.py::test_place_and_partition_zone_byte_ties_go_to_the_lowest_zone"),
+    # A D-tile's bytes by in-stripe offset are rotated the wrong way.
+    Mutant(NUMA, "by_key[key] = zb[-r:] + zb[:-r]", "by_key[key] = zb[r:] + zb[:r]",
+           SHARED_COUNTS),
+    # The counts by offset are shared by D-tiles of equal extents but other pitches.
+    Mutant(NUMA, "base = (low_bit, shape, pitches, offset)", "base = (low_bit, shape, offset)",
+           SHARED_COUNTS),
     # A later descriptor over the top structure refits its bit, so that the
     # candidate's own bit is overridden.
     Mutant(NUMA, "if names[i] != top and names[i] not in fitted:",

@@ -409,10 +409,8 @@ def test_search_builds_no_byte_runs(monkeypatch):
     assert calls == []
 
 
-def test_search_works_out_zone_bytes_once_per_key(monkeypatch):
-    # C-tiles whose D-tiles have equal clipped extents and equal first bytes
-    # modulo the stripe period share one zone-byte count per low bit.
-    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "matrix.json")
+def zone_byte_calls(monkeypatch, descs, grid, zone_count):
+    """The low bit of each ``_zone_bytes_of_dtile`` call one search makes."""
     zone_bytes_of = numa._zone_bytes_of_dtile
     calls = []
 
@@ -421,27 +419,42 @@ def test_search_works_out_zone_bytes_once_per_key(monkeypatch):
         return zone_bytes_of(first, shape, pitches, low_bit, zone_count)
 
     monkeypatch.setattr(numa, "_zone_bytes_of_dtile", counting)
+    place_and_partition(descs, grid, zone_count)
+    monkeypatch.undo()
+    return calls
+
+
+def test_search_works_out_zone_bytes_once_per_key(monkeypatch):
+    # D-tiles whose clipped extents, row and plane pitches and first bytes
+    # modulo the stripe are equal share one zone-byte count per low bit,
+    # across descriptors too: a D-tile further on by whole stripes has the
+    # same bytes in zones rotated by those stripes.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "matrix.json")
     zone_count = cfg.system.zone_count
-    place_and_partition(cfg.descs, cfg.grid, zone_count)
-    keys = 0
+    calls = zone_byte_calls(monkeypatch, cfg.descs, cfg.grid, zone_count)
+    keys = set()
     for desc in cfg.descs:
         table = TileTable(desc, cfg.grid)
-        dims, d = desc.data.dims, desc.tiles.dtile_dims
+        dims, d, elem = desc.data.dims, desc.tiles.dtile_dims, desc.data.elem_size
+        pitches = (dims[0] * elem, dims[0] * dims[1] * elem)
         for low_bit in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
-            keys += len({
-                (tuple(min(d[i], dims[i] - dtile.coords[i] * d[i]) for i in range(3)),
-                 dtile_byte_runs(dtile, desc)[0].start % (zone_count << low_bit))
-                for dtile in table.dtiles
-            })
+            for dtile in table.dtiles:
+                x, y, z = (min(d[i], dims[i] - dtile.coords[i] * d[i]) for i in range(3))
+                first = dtile_byte_runs(dtile, desc)[0].start
+                keys.add((low_bit, (x * elem, y, z), pitches, first % (1 << low_bit)))
     ctiles = ctile_count(cfg.descs[0], cfg.grid)
     bound = ctiles[0] * ctiles[1] * ctiles[2] * (LOW_BIT_MAX - LOW_BIT_MIN + 1) * len(cfg.descs)
-    assert 0 < len(calls) == keys < bound
+    assert 0 < len(calls) == len(keys) < bound
+    # perfbench's place-matrix shape; counting once per descriptor and first
+    # byte modulo the stripe period made 108 calls
+    assert len(zone_byte_calls(monkeypatch, *two_matrix_instance(256))) == 32
 
 
 def test_search_fits_each_distinct_partition_once(monkeypatch):
     # Candidate bits that give the top descriptor one partition share one
-    # fit: every descriptor's C-tile homes are worked out once per distinct
-    # partition, not once per candidate.
+    # fit: every later descriptor's C-tile homes are worked out once per
+    # distinct partition, not once per candidate. The top descriptor's homes
+    # are its C-tiles' own zones.
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "matrix.json")
     zone_count = cfg.system.zone_count
     homes_of = numa._CtileTable.homes
@@ -459,7 +472,8 @@ def test_search_fits_each_distinct_partition_once(monkeypatch):
         for b in bits
     }
     assert len(partitions) < len(bits)
-    assert len(calls) == len(partitions) * len(cfg.descs)
+    assert len(calls) == len(partitions) * (len(cfg.descs) - 1)
+    assert set(calls) == {d.data.name for d in cfg.descs[1:]}
 
 
 def wide_stripe_3d_instance():
@@ -579,6 +593,50 @@ def test_zone_bytes_per_key_match_per_ctile_count(case, zone_count):
         for k in range(len(table.tiles.dtiles)):
             runs = table.tiles.runs(k)
             assert got[k] == oracles.zone_bytes_of_runs(runs, low_bit, zone_count)
+
+
+@st.composite
+def shifted_pair(draw):
+    """Two 2-D structures of one element size cut into the same gx x gy
+    D-tiles, one CTA per C-tile, on 2, 4 or 8 zones. "a" lies at 0 and "b"
+    an odd number of 64 KiB pages past 2 MiB: that is not a multiple of the
+    stripe period at the top low bits, so there b's D-tiles sit at a's
+    offsets inside the stripe but in other zones. In about half the draws
+    b's rows are longer than a's, so the D-tiles of its first row, but for
+    the last, have a's extents and offsets under another row pitch."""
+    gx, gy = draw(st.sampled_from([(2, 1), (2, 2), (4, 1), (4, 2), (2, 3)]))
+    dx, dy = draw(st.integers(8, 96)), draw(st.integers(2, 6))
+    ax = (gx - 1) * dx + draw(st.integers(1, dx))
+    bx = ax if draw(st.booleans()) else (gx - 1) * dx + draw(st.integers(1, dx))
+    rows = (gy - 1) * dy + draw(st.integers(1, dy)) if gy > 1 else dy
+    elem = draw(st.sampled_from([1, 4, 8]))
+    shift = (draw(st.integers(0, 15)) * 2 + 1) * PAGE_SIZE
+    grid = CtaGrid((gx, gy, 1))
+    descs = [
+        make_desc(name=name, base=base, elem=elem, data_dims=(x, rows, 1), dtile=(dx, dy, 1),
+                  ctile=(1, 1, 1), cdmap=(1, 2, 0), priority=i)
+        for i, (name, base, x) in enumerate([("a", 0, ax), ("b", (2 << 20) + shift, bx)])
+    ]
+    return validate_descriptor_set(descs, grid), grid, draw(st.sampled_from([2, 4, 8]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_pair())
+def test_zone_bytes_shared_across_descriptors_match_the_run_count(instance):
+    # One search's tables share the zone-byte counts by offset inside the
+    # stripe: b's D-tiles take a's counts rotated to their own stripes, and
+    # only where their pitches match a's.
+    descs, grid, zone_count = instance
+    counts = {}
+    tables = [numa._CtileTable(desc, grid, zone_count, counts) for desc in descs]
+    for low_bit in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
+        for table in tables:
+            got = table.zone_bytes(low_bit)
+            for k in range(len(table.tiles.dtiles)):
+                runs = table.tiles.runs(k)
+                assert got[k] == oracles.zone_bytes_of_runs(runs, low_bit, zone_count)
+    assert search_plan(descs, grid, zone_count) == oracles.placement_plan(
+        descs, grid, zone_count)
 
 
 @given(
