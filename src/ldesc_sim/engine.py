@@ -373,14 +373,16 @@ class _Cta:
     """One CTA of a run. ``pending`` counts its accesses not yet completed,
     issued or not: a live CTA starts with its whole access count, a replayed
     one counts each of its trace events. Landing an access's completion
-    record takes it off, and the CTA completes when it reaches 0."""
+    record takes it off, and the CTA completes when it reaches 0. ``streams``
+    is None until its first access issues, then its ``(row index, D-tile)``
+    stream key of each STRIDE row: the D-tile it walks there."""
 
-    __slots__ = ("flat", "pending", "started")
+    __slots__ = ("flat", "pending", "streams")
 
     def __init__(self, flat: int, pending: int):
         self.flat = flat
         self.pending = pending
-        self.started = False
+        self.streams: list[tuple[int, int]] | None = None
 
 
 class _WarpSlot:
@@ -401,23 +403,28 @@ class _WarpSlot:
 
 
 class _Sm:
-    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ready", "ptr",
-                 "prefetched", "fill_at", "streams", "lines", "homes")
+    """One SM of a run. ``pending`` queues the CTAs a live run scheduled on it
+    and has not made resident; a replay's stays empty. ``streams[i]`` holds
+    the D-tiles that row ``i``'s stride prefetches stream on it now, and
+    ``users`` counts its started, unfinished CTAs per stream key
+    (``_Cta.streams``): a D-tile stops streaming when its count falls to 0."""
 
-    def __init__(self, sm: int, zone: int, l1: CacheModel, pending: deque[int], rows: int,
-                 zones: int):
+    __slots__ = ("sm", "zone", "l1", "pending", "resident", "slots", "ready", "ptr",
+                 "prefetched", "fill_at", "streams", "users", "lines", "homes")
+
+    def __init__(self, sm: int, zone: int, l1: CacheModel, rows: int, zones: int):
         self.sm = sm
         self.zone = zone
         self.l1 = l1
-        self.pending = pending
+        self.pending: deque[int] = deque()
         self.resident: list[_Cta] = []
         self.slots: list[_WarpSlot] = []
         self.ready: list[int] = []  # sorted positions of ready slots with work left
         self.ptr = 0
         self.prefetched: set[int] = set()  # lines it prefetched and has not demanded yet
         self.fill_at: dict[int, int] = {}  # line address -> cycle its in-flight fill lands
-        # per row index: the D-tiles its stride prefetches stream on this SM now
         self.streams: list[set[int]] = [set() for _ in range(rows)]
+        self.users: dict[tuple[int, int], int] = {}
         self.lines: set[int] = set()  # line addresses it demanded: its working set
         self.homes = [0] * zones  # per home zone: how many demand accesses it issued there
 
@@ -489,13 +496,8 @@ class _Simulation:
         self._check_consistency()
 
         self.l2 = [CacheModel(config.l2) for _ in range(config.zone_count)]
-        self.sms = []
-        per_sm_ctas: dict[int, list[int]] = {s: [] for s in range(config.sm_count)}
-        for flat in sorted(schedule.assignment):
-            per_sm_ctas[schedule.assignment[flat]].append(flat)
-        for s in range(config.sm_count):
-            self.sms.append(_Sm(s, config.sm_zone(s), CacheModel(config.l1),
-                                deque(per_sm_ctas[s]), len(workload.descs), config.zone_count))
+        self.sms = [_Sm(s, config.sm_zone(s), CacheModel(config.l1), len(workload.descs),
+                        config.zone_count) for s in range(config.sm_count)]
 
         # Address resolution: one row per descriptor, in priority order. The
         # first row whose range holds an address is its highest-priority
@@ -544,11 +546,6 @@ class _Simulation:
             next((r for r in self.rows if r.base <= lo < r.end), None) for lo in self.bounds
         ]
         self.stride_rows = [r for r in self.rows if r.prefetch is _STRIDE]
-
-        # Started (``_mark_started``: first access issued), unfinished CTAs per
-        # (sm, descriptor index, D-tile) of the stride rows; each SM keeps its
-        # streaming D-tiles in ``_Sm.streams``.
-        self.dtile_users: dict[tuple[int, int, int], int] = {}
 
         # Event plumbing: each cycle with something due has one entry in
         # ``due`` and one place on the ``wake`` heap.
@@ -657,38 +654,35 @@ class _Simulation:
     # -- CTA lifecycle -------------------------------------------------------
 
     def _mark_started(self, sm: _Sm, cta: _Cta) -> None:
-        cta.started = True
-        for row in self.stride_rows:
-            table = row.table
-            key = (sm.sm, row.index, table.dtiles[table.slot[cta.flat][0]].flat)
-            self.dtile_users[key] = self.dtile_users.get(key, 0) + 1
+        cta.streams = [(r.index, r.table.dtiles[r.table.slot[cta.flat][0]].flat)
+                       for r in self.stride_rows]
+        for key in cta.streams:
+            sm.users[key] = sm.users.get(key, 0) + 1
 
     def _complete_cta(self, sm: _Sm, cta: _Cta) -> None:
+        """Finish ``cta`` on ``sm``, live or replayed: end each stream it was
+        the last user of, take it off ``sm``, renumber the slots and refill."""
         self.unfinished -= 1
-        for row in self.stride_rows:
-            table = row.table
-            dt = table.dtiles[table.slot[cta.flat][0]].flat
-            key = (sm.sm, row.index, dt)
-            self.dtile_users[key] -= 1
-            if self.dtile_users[key] == 0:
+        for key in cta.streams:  # not None: a CTA completes only after it issues
+            sm.users[key] -= 1
+            if sm.users[key] == 0:
                 # Its stream ends, widening the distances of the rest.
-                sm.streams[row.index].discard(dt)
-        if cta in sm.resident:
-            sm.resident.remove(cta)
-            # Renumber the slots left, keeping their order and which are ready.
-            ready = set(sm.ready)
-            sm.slots = [s for s in sm.slots if s.cta is not cta]
-            sm.ready = [pos for pos, s in enumerate(sm.slots) if s.pos in ready]
-            for pos, slot in enumerate(sm.slots):
-                slot.pos = pos
-            if sm.slots:
-                sm.ptr %= len(sm.slots)
-            else:
-                sm.ptr = 0
-            # ``ptr`` may now name another warp, so a stalled SM tries again.
-            if sm.ready:
-                self.awake.add(sm.sm)
-            self._refill(sm)
+                sm.streams[key[0]].discard(key[1])
+        sm.resident.remove(cta)
+        # Renumber the slots left, keeping their order and which are ready.
+        ready = set(sm.ready)
+        sm.slots = [s for s in sm.slots if s.cta is not cta]
+        sm.ready = [pos for pos, s in enumerate(sm.slots) if s.pos in ready]
+        for pos, slot in enumerate(sm.slots):
+            slot.pos = pos
+        if sm.slots:
+            sm.ptr %= len(sm.slots)
+        else:
+            sm.ptr = 0
+        # ``ptr`` may now name another warp, so a stalled SM tries again.
+        if sm.ready:
+            self.awake.add(sm.sm)
+        self._refill(sm)
 
     def _refill(self, sm: _Sm) -> None:
         """Make pending CTAs resident while there is room; an SM that gains
@@ -698,10 +692,10 @@ class _Simulation:
             flat = sm.pending.popleft()
             queues = cta_warp_queues(self.workload, self.tables, flat, self.line_size)
             pending = sum(len(q) for q in queues.values())
-            cta = _Cta(flat, pending)
             if pending == 0:
                 self.unfinished -= 1
                 continue
+            cta = _Cta(flat, pending)
             sm.resident.append(cta)
             for w in sorted(queues):
                 if queues[w]:
@@ -733,7 +727,7 @@ class _Simulation:
         sm.homes[home] += 1
         line_addr = addr & -self.line_size
         sm.lines.add(line_addr)
-        if not cta.started:
+        if cta.streams is None:
             self._mark_started(sm, cta)
         if self.trace_sink is not None:
             self.trace_sink.append(AccessEvent(sm.sm, cta.flat, slot.warp, addr, cycle))
@@ -833,9 +827,11 @@ class _Simulation:
         with the same result, by the next access or fill of its L1.
         """
         self.unfinished = self.workload.grid.total_ctas
-        for sm in self.sms:
-            self._refill(sm)
         sms, awake, issue_one = self.sms, self.awake, self._issue
+        for flat, s in sorted(self.schedule.assignment.items()):
+            sms[s].pending.append(flat)
+        for sm in sms:
+            self._refill(sm)
 
         def issue(cycle: int) -> None:
             issued = False
@@ -866,7 +862,9 @@ class _Simulation:
     def run_replay(self, events: list[AccessEvent]) -> None:
         """Issue each trace event at its cycle, through one slot per (CTA,
         warp) with an empty queue. A CTA's events must all name one SM, and a
-        warp's event may not come before its previous access completes."""
+        warp's event may not come before its previous access completes. Each
+        CTA is resident from the start on the SM of its first event, whose
+        ``slots`` and ``pending`` stay empty, so its completion admits none."""
         grid = self.workload.grid
         sm_count, cta_count, warps = self.config.sm_count, grid.total_ctas, grid.warps_per_cta
         by_cycle: dict[int, list[tuple[_WarpSlot, int]]] = {}
@@ -886,6 +884,7 @@ class _Simulation:
                 entry = ctas.get(ev.cta)
                 if entry is None:
                     entry = ctas[ev.cta] = (_Cta(ev.cta, 0), self.sms[ev.sm])
+                    entry[1].resident.append(entry[0])
                 slot = slots[key] = _WarpSlot(entry[1], entry[0], ev.warp, deque(), 0)
             if slot.sm.sm != ev.sm:
                 raise ConfigMismatch(

@@ -184,7 +184,7 @@ class _CtileTable:
 
     def __init__(
         self, desc: LocalityDescriptor, grid: CtaGrid, zone_count: int,
-        counts: dict[tuple, list[int]] | None = None,
+        counts: dict[tuple, list[int]],
     ):
         self.tiles = TileTable(desc, grid)
         self.total = desc.data.total_bytes
@@ -200,7 +200,7 @@ class _CtileTable:
             first = ds.base_addr + ((z0 * leny + y0) * lenx + x0) * elem
             self._dtiles.append((shape, first))
         # (low bit, clipped extents, pitches, offset in the stripe) -> zone bytes
-        self._counts = {} if counts is None else counts
+        self._counts = counts
         self._zone_bytes: dict[int, list[list[int]]] = {}
 
     def zone_bytes(self, low_bit: int) -> list[list[int]]:

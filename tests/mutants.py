@@ -109,7 +109,16 @@ MUTANTS = [
     # A remote access does not wait for the link.
     Mutant(ENGINE, "lat.remote_mem + math.ceil(start) - cycle", "lat.remote_mem", CYCLE_LOOP),
     # A stride stream never ends.
-    Mutant(ENGINE, "if self.dtile_users[key] == 0:", "if False:", STREAMS),
+    Mutant(ENGINE, "if sm.users[key] == 0:", "if False:", STREAMS),
+    # A stream that ends is taken off row 0's set, not its own row's.
+    Mutant(ENGINE, "sm.streams[key[0]].discard(key[1])", "sm.streams[0].discard(key[1])",
+           STREAMS),
+    # A live run queues the schedule's CTAs on their SMs in descending flat order.
+    Mutant(ENGINE, "sorted(self.schedule.assignment.items())",
+           "sorted(self.schedule.assignment.items(), reverse=True)", CYCLE_LOOP),
+    # A replayed CTA is not resident on the SM of its first event.
+    Mutant(ENGINE, "                    entry[1].resident.append(entry[0])\n", "",
+           "tests/test_engine.py::test_trace_replay_reproduces_metrics"),
     # An inflight hit completes as an L1 hit, not when its line lands.
     Mutant(ENGINE, "completion = sm.fill_at[line_addr]", "completion = cycle + self.l1_hit",
            CYCLE_LOOP),

@@ -811,6 +811,46 @@ def test_one_completion_record_per_access(monkeypatch):
         assert landed == metrics.demand_accesses > 0, run.keys()
 
 
+def test_replay_issues_exactly_its_trace_and_generates_no_accesses(monkeypatch):
+    # A replay bypasses workload generation and scheduling: it issues the
+    # trace's events and nothing else, so a CTA or warp without events runs
+    # nothing, even where the schedule places it.
+    cfg = load_config(CONFIGS / "matrix.json")
+    workload, policies, schedule, plan = compose(cfg)
+    assert workload.grid.total_ctas == 16
+    live_trace: list[AccessEvent] = []
+    live = simulate(workload, cfg.system, schedule, plan, policies, trace_sink=live_trace)
+
+    def generate(*args, **kwargs):
+        raise AssertionError("replay generated accesses")
+
+    monkeypatch.setattr(engine_mod, "generate_accesses", generate)
+
+    def replay(events):
+        sink: list[AccessEvent] = []
+        metrics = simulate(workload, cfg.system, schedule, plan, policies,
+                           trace_sink=sink, trace_in=events)
+        return metrics, sink
+
+    metrics, sink = replay(live_trace)
+    assert metrics.json_str() == live.json_str()
+    assert sink == live_trace
+
+    first = {}  # (cta, warp) -> its first live event
+    for ev in live_trace:
+        first.setdefault((ev.cta, ev.warp), ev)
+    hand = [first[0, w]._replace(issue_cycle=0) for w in range(workload.grid.warps_per_cta)]
+    hand.append(first[1, 0]._replace(issue_cycle=3))
+    metrics, sink = replay(hand)
+    assert sink == hand
+    assert metrics.demand_accesses == len(hand)
+
+    metrics, sink = replay([])
+    assert sink == []
+    assert metrics.demand_accesses == 0
+    assert metrics.total_cycles == 0
+
+
 _trace_ints = st.integers(0, 2**40)
 _trace_event = st.builds(AccessEvent, _trace_ints, _trace_ints, _trace_ints,
                          st.one_of(st.just(0), st.integers(0, 2**200)), _trace_ints)

@@ -512,7 +512,7 @@ def test_both_zone_byte_walks_match_the_run_count(instance):
     descs, grid, zone_count = instance()
     walks = set()
     for desc in descs:
-        table = numa._CtileTable(desc, grid, zone_count)
+        table = numa._CtileTable(desc, grid, zone_count, {})
         for low_bit in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
             got = table.zone_bytes(low_bit)
             period = zone_count << low_bit
@@ -587,7 +587,7 @@ def pitched_structure(draw):
 @given(st.one_of(clipped_structure(), pitched_structure()), st.sampled_from([1, 2, 4, 8]))
 def test_zone_bytes_per_key_match_per_ctile_count(case, zone_count):
     desc, grid = case
-    table = numa._CtileTable(desc, grid, zone_count)
+    table = numa._CtileTable(desc, grid, zone_count, {})
     for low_bit in range(LOW_BIT_MIN, LOW_BIT_MAX + 1):
         got = table.zone_bytes(low_bit)
         for k in range(len(table.tiles.dtiles)):
