@@ -268,6 +268,18 @@ _TRACE_LINE = (
 _TRACE_BLOCK = 1 << 16  # characters of whole lines read at a time
 
 
+class _Decimals(dict):
+    """Decimal text -> its int, converting each text once. A trace's SM,
+    CTA, warp and cycle texts repeat from line to line, and a text's value
+    does not depend on its field, so one memo serves all four."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
 def load_trace(fp: TextIO) -> list[AccessEvent]:
     """Parse a JSONL demand trace; a malformed line, or one with a negative
     ``sm``, ``cta``, ``warp`` or ``cycle``, raises ConfigError naming it.
@@ -281,6 +293,7 @@ def load_trace(fp: TextIO) -> list[AccessEvent]:
     # lines exactly when every line is in dump_trace's form.
     every_line = re.compile("^" + _TRACE_LINE + "$", re.M).findall
     new = tuple.__new__
+    num = _Decimals()
     events: list[AccessEvent] = []
     n = 0  # lines read so far
     try:
@@ -289,7 +302,7 @@ def load_trace(fp: TextIO) -> list[AccessEvent]:
             if len(found) == len(lines):
                 try:
                     events += [
-                        new(AccessEvent, (int(sm), int(cta), int(warp), int(addr, 16), int(cycle)))
+                        new(AccessEvent, (num[sm], num[cta], num[warp], int(addr, 16), num[cycle]))
                         for addr, cta, cycle, sm, warp in found
                     ]
                     n += len(lines)
@@ -834,7 +847,6 @@ class _Simulation:
             self._refill(sm)
 
         def issue(cycle: int) -> None:
-            issued = False
             for sm_id in sorted(awake):
                 sm = sms[sm_id]
                 ready = sm.ready
@@ -851,10 +863,11 @@ class _Simulation:
                     queue.popleft()
                     del ready[i]
                     sm.ptr = (j + 1) % len(sm.slots)
-                    issued = True
                     if not ready:
                         awake.discard(sm_id)
-            if issued:
+            # An SM still awake issues again next cycle. With none awake,
+            # each SM waits on a fill or completion whose cycle is queued.
+            if awake:
                 self._due_at(cycle + 1)
 
         self._run(issue)
@@ -864,35 +877,47 @@ class _Simulation:
         warp) with an empty queue. A CTA's events must all name one SM, and a
         warp's event may not come before its previous access completes. Each
         CTA is resident from the start on the SM of its first event, whose
-        ``slots`` and ``pending`` stay empty, so its completion admits none."""
+        ``slots`` and ``pending`` stay empty, so its completion admits none.
+
+        The first bad event raises: one outside the system or grid, then one
+        before cycle 0, then one that puts its CTA on a second SM, in that
+        order of checks. Slots are keyed by (SM, CTA, warp) and made only for
+        events that passed every check, so an event whose slot exists needs
+        only its cycle checked."""
         grid = self.workload.grid
         sm_count, cta_count, warps = self.config.sm_count, grid.total_ctas, grid.warps_per_cta
         by_cycle: dict[int, list[tuple[_WarpSlot, int]]] = {}
         ctas: dict[int, tuple[_Cta, _Sm]] = {}  # each CTA and the SM of its first event
-        slots: dict[int, _WarpSlot] = {}  # keyed by cta * warps + warp
-        for ev in events:
-            if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count and 0 <= ev.warp < warps):
-                raise ConfigMismatch(
-                    f"trace event (sm={ev.sm}, cta={ev.cta}, warp={ev.warp}) outside "
-                    "this system/grid"
-                )
-            if ev.issue_cycle < 0:
-                raise ConfigMismatch(f"trace event at cycle {ev.issue_cycle}, before cycle 0")
-            key = ev.cta * warps + ev.warp
+        slots: dict[tuple[int, int, int], _WarpSlot] = {}
+        for sm, cta, warp, addr, cycle in events:
+            key = sm, cta, warp
             slot = slots.get(key)
-            if slot is None:
-                entry = ctas.get(ev.cta)
+            if slot is None or cycle < 0:
+                if not (0 <= sm < sm_count and 0 <= cta < cta_count and 0 <= warp < warps):
+                    raise ConfigMismatch(
+                        f"trace event (sm={sm}, cta={cta}, warp={warp}) outside "
+                        "this system/grid"
+                    )
+                if cycle < 0:
+                    raise ConfigMismatch(f"trace event at cycle {cycle}, before cycle 0")
+                # An existing slot has raised by now, so this event's warp is
+                # new, or its CTA is on another SM.
+                entry = ctas.get(cta)
                 if entry is None:
-                    entry = ctas[ev.cta] = (_Cta(ev.cta, 0), self.sms[ev.sm])
+                    entry = ctas[cta] = (_Cta(cta, 0), self.sms[sm])
                     entry[1].resident.append(entry[0])
-                slot = slots[key] = _WarpSlot(entry[1], entry[0], ev.warp, deque(), 0)
-            if slot.sm.sm != ev.sm:
-                raise ConfigMismatch(
-                    f"trace puts CTA {ev.cta} on SM {slot.sm.sm} and on SM {ev.sm}; a CTA "
-                    "runs on one SM"
-                )
+                elif entry[1].sm != sm:
+                    raise ConfigMismatch(
+                        f"trace puts CTA {cta} on SM {entry[1].sm} and on SM {sm}; a CTA "
+                        "runs on one SM"
+                    )
+                slot = slots[key] = _WarpSlot(entry[1], entry[0], warp, deque(), 0)
             slot.cta.pending += 1
-            by_cycle.setdefault(ev.issue_cycle, []).append((slot, ev.addr))
+            issues = by_cycle.get(cycle)
+            if issues is None:
+                by_cycle[cycle] = [(slot, addr)]
+            else:
+                issues.append((slot, addr))
         self.unfinished = len(ctas)
         for c in by_cycle:
             self._due_at(c)

@@ -116,6 +116,17 @@ MUTANTS = [
     # A live run queues the schedule's CTAs on their SMs in descending flat order.
     Mutant(ENGINE, "sorted(self.schedule.assignment.items())",
            "sorted(self.schedule.assignment.items(), reverse=True)", CYCLE_LOOP),
+    # The cycle is looked up in the trace loader's memo under the CTA's text:
+    # caught once the reference properties replay through dumped text.
+    Mutant(ENGINE, "int(addr, 16), num[cycle])", "int(addr, 16), num[cta])", CYCLE_LOOP),
+    # A replayed event whose (CTA, warp) slot exists skips the SM check.
+    Mutant(ENGINE, "key = sm, cta, warp", "key = cta, warp",
+           "tests/test_engine.py::test_trace_replay_raises_the_first_bad_events_error"),
+    # A live scan queues the next cycle whenever an SM issued, not only while
+    # one is still awake.
+    Mutant(ENGINE, "sm.ptr = (j + 1) % len(sm.slots)\n",
+           "sm.ptr = (j + 1) % len(sm.slots)\n                    self._due_at(cycle + 1)\n",
+           "tests/test_engine.py::test_live_run_visits_no_cycle_without_work"),
     # A replayed CTA is not resident on the SM of its first event.
     Mutant(ENGINE, "                    entry[1].resident.append(entry[0])\n", "",
            "tests/test_engine.py::test_trace_replay_reproduces_metrics"),

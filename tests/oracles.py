@@ -1,5 +1,6 @@
 """Reference implementations that tests compare the simulator against."""
 
+import io
 import json
 import math
 from collections import deque
@@ -20,7 +21,7 @@ from ldesc_sim import (
     generate_accesses,
     simulate,
 )
-from ldesc_sim import numa, sched
+from ldesc_sim import engine, numa, sched
 from ldesc_sim.descriptor import PAGE_BITS, LocalityType, SharingType, ctile_count, dtile_count
 from ldesc_sim.engine import AccessEvent, Workload
 from ldesc_sim.errors import ConfigError, ConfigMismatch, LdescError, MshrFull
@@ -506,6 +507,25 @@ def _reject_trace_line(line: str, where: str) -> NoReturn:
     raise ConfigError(f"{where}: addr {raw['addr']!r} is not a hex string")
 
 
+def replay_error(events, sm_count, cta_count, warps):
+    """The message of the ConfigMismatch that replaying ``events`` raises
+    before it issues any, or None. Each event in turn is checked for an SM,
+    CTA or warp outside the system or grid, then for a cycle before 0, then
+    for a CTA that an earlier event put on another SM; the first failed
+    check names the error."""
+    first_sm = {}  # CTA -> the SM of its first event
+    for ev in events:
+        if not (0 <= ev.sm < sm_count and 0 <= ev.cta < cta_count and 0 <= ev.warp < warps):
+            return (f"trace event (sm={ev.sm}, cta={ev.cta}, warp={ev.warp}) outside "
+                    "this system/grid")
+        if ev.issue_cycle < 0:
+            return f"trace event at cycle {ev.issue_cycle}, before cycle 0"
+        home = first_sm.setdefault(ev.cta, ev.sm)
+        if home != ev.sm:
+            return f"trace puts CTA {ev.cta} on SM {home} and on SM {ev.sm}; a CTA runs on one SM"
+    return None
+
+
 # Policy composition as it stood when each descriptor's policy also said
 # whether it wanted clusters and a table of booleans named each policy's
 # levers: ``select_policies``, ``build_policies`` and ``compose`` kept
@@ -866,8 +886,9 @@ class ReferenceSimulation:
 
 
 def assert_matches_reference(workload, system, schedule, placement, policies, where=None):
-    """``simulate`` gives the reference's metrics and demand trace, and a
-    replay of that trace gives the same metrics again."""
+    """``simulate`` gives the reference's metrics and demand trace. That
+    trace, dumped and loaded back, equals it, and replays to the same
+    metrics again."""
     args = (workload, system, schedule, placement, policies)
     trace: list[AccessEvent] = []
     live = simulate(*args, trace_sink=trace).json_str()
@@ -875,4 +896,9 @@ def assert_matches_reference(workload, system, schedule, placement, policies, wh
     ref.run_live()
     assert live == ref.metrics().json_str(), where
     assert trace == ref.trace, where
-    assert simulate(*args, trace_in=trace).json_str() == live, where
+    text = io.StringIO()
+    engine.dump_trace(trace, text)
+    text.seek(0)
+    loaded = engine.load_trace(text)
+    assert loaded == trace, where
+    assert simulate(*args, trace_in=loaded).json_str() == live, where

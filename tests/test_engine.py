@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import heapq
 import io
 import itertools
@@ -10,7 +11,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ldesc_sim import (
@@ -787,6 +788,64 @@ def test_trace_replay_rejects_a_cta_on_two_sms(moved):
         simulate(wl, cfg, sched, trace_in=events)
 
 
+@functools.cache
+def _recorded_histo_run():
+    """The histo workload on four SMs under round robin, and its live trace."""
+    wl = histo_workload()
+    cfg = SystemConfig(sm_count=4)
+    sched = baseline_round_robin(wl.grid, 4)
+    events: list[AccessEvent] = []
+    simulate(wl, cfg, sched, trace_sink=events)
+    return wl, cfg, sched, tuple(events)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trace_replay_raises_the_first_bad_events_error(data):
+    # One event of a real trace gets one or more of its SM, CTA, warp and
+    # cycle changed: the first event of its (CTA, warp) slot, or a later one.
+    # The replay raises the reference's message for the first bad event, or,
+    # if every event passes the reference's checks, none of them.
+    wl, cfg, sched, trace = _recorded_histo_run()
+    sms, ctas, warps = cfg.sm_count, wl.grid.total_ctas, wl.grid.warps_per_cta
+    firsts, laters, seen = [], [], set()
+    for i, ev in enumerate(trace):
+        (laters if (ev.cta, ev.warp) in seen else firsts).append(i)
+        seen.add((ev.cta, ev.warp))
+    i = data.draw(st.sampled_from(laters if data.draw(st.booleans()) else firsts))
+    ev = trace[i]
+    # Each field keeps its value, takes another valid one or takes a bad one,
+    # a third of the time each, and at least one changes. ``warps + warp``
+    # and a CTA one off would alias another slot under a key of
+    # cta * warps + warp.
+    def pick(keep, valid, bad):
+        return data.draw(st.one_of(st.just(keep), st.sampled_from(valid), st.sampled_from(bad)))
+
+    near = [c for c in (ev.cta - 1, ev.cta + 1, (ev.cta + 4) % ctas) if 0 <= c < ctas]
+    changes = {
+        "sm": pick(ev.sm, [s for s in range(sms) if s != ev.sm], [-1, sms, sms + ev.sm]),
+        "cta": pick(ev.cta, near, [-1, ctas, ctas + ev.cta]),
+        "warp": pick(ev.warp, [(ev.warp + 1) % warps], [-1, warps, warps + ev.warp]),
+        "issue_cycle": pick(ev.issue_cycle, [ev.issue_cycle + 1], [-1, -ev.issue_cycle - 1]),
+    }
+    assume(ev._replace(**changes) != ev)
+    events = list(trace)
+    events[i] = ev._replace(**changes)
+    want = oracles.replay_error(events, sms, ctas, warps)
+    try:
+        simulate(wl, cfg, sched, trace_in=events)
+    except ConfigMismatch as exc:
+        got = str(exc)
+    else:
+        got = None
+    if want is not None or got is None:
+        assert got == want, (i, events[i])
+    else:
+        # The checks before the first issue all pass; a moved event can still
+        # meet its warp's access in flight or a full MSHR.
+        assert got.startswith(("trace issues CTA", "trace replay stalled")), got
+
+
 def test_one_completion_record_per_access(monkeypatch):
     # Each demand access lands exactly one record in its completion cycle,
     # live and replayed; fills are not completion records.
@@ -1262,6 +1321,36 @@ def test_each_visited_cycle_is_pushed_once(monkeypatch, name, policy):
     # a cycle pushed but never visited is a fill due after the last completion
     assert set(visited) <= set(pushed)
     assert all(c > visited[-1] for c in set(pushed) - set(visited))
+
+
+@pytest.mark.parametrize("name", ["histo.json", "mixed.json", "matrix.json"])
+@pytest.mark.parametrize("policy", ["ldesc-pref", "rr"])
+def test_live_run_visits_no_cycle_without_work(monkeypatch, name, policy):
+    # Every visited cycle after cycle 0 lands a fill or a completion record,
+    # or has an awake SM when its scan starts. The loop that queued the next
+    # cycle whenever a scan issued also visited cycles after scans that left
+    # every SM asleep, where nothing landed and nothing could issue.
+    cfg = dataclasses.replace(load_config(CONFIGS / name), policy=policy)
+    run, due_at = engine_mod._Simulation._run, engine_mod._Simulation._due_at
+    dues, idle = {}, []
+
+    def recording_due_at(sim, cycle):
+        dues[cycle] = due_at(sim, cycle)
+        return dues[cycle]
+
+    def checking_run(sim, step):
+        def checked(cycle):
+            due = dues[cycle]
+            if cycle and not (due.fills or due.comps or sim.awake):
+                idle.append(cycle)
+            step(cycle)
+        run(sim, checked)
+
+    monkeypatch.setattr(engine_mod._Simulation, "_due_at", recording_due_at)
+    monkeypatch.setattr(engine_mod._Simulation, "_run", checking_run)
+    metrics = run_experiment(cfg)
+    assert metrics.demand_accesses > 0
+    assert not idle, f"{len(idle)} visited cycles had no work, the first {idle[0]}"
 
 
 @pytest.mark.parametrize("policy", ["rr", "ldesc"])
