@@ -22,6 +22,7 @@ import re
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, cycle, repeat, zip_longest
 from typing import Callable, Iterable, NamedTuple, NoReturn, TextIO
 
 from . import prefetch as pf
@@ -135,6 +136,8 @@ class Workload:
 
 
 def _slice(items: list[int], index: int, parts: int) -> list[int]:
+    """Part ``index`` of ``parts`` near-equal parts, as a new list: callers
+    shuffle it in place, and ``items`` may be a tile table's shared list."""
     width = -(-len(items) // parts) if items else 0
     return items[index * width : (index + 1) * width]
 
@@ -169,17 +172,15 @@ def generate_accesses(
     warps = table.grid.warps_per_cta
 
     def deal(addrs: Iterable[int]) -> list[tuple[int, int]]:
-        return [(i % warps, a) for i, a in enumerate(addrs)]
+        return list(zip(cycle(range(warps)), addrs))
 
     if desc.ltype is LocalityType.INTER_THREAD:
         if desc.sharing is SharingType.COACCESSED:
             if desc.pattern.regular:
                 stride = desc.pattern.stride_bytes
-                addrs = [
-                    a
-                    for run in runs
-                    for a in range(run.start, run.start + run.length, stride)
-                ]
+                addrs = chain.from_iterable(
+                    range(start, start + length, stride) for start, length in runs
+                )
             else:
                 addrs = list(table.lines(k, line_size))
                 _rng(seed, dtile.flat, cta).shuffle(addrs)
@@ -197,23 +198,14 @@ def generate_accesses(
         per_warp = []
         for w in range(warps):
             sub = _slice(share, w, warps)
-            if not sub:
-                continue
             if not desc.pattern.regular:
-                sub = list(sub)
                 _rng(seed, dtile.flat, cta, w).shuffle(sub)
-            per_warp.append((w, sub + sub))  # two passes: the declared reuse
-        out: list[tuple[int, int]] = []
-        depth = max(len(s) for _, s in per_warp) if per_warp else 0
-        for i in range(depth):
-            for w, s in per_warp:
-                if i < len(s):
-                    out.append((w, s[i]))
-        return out
+            per_warp.append(zip(repeat(w), sub + sub))  # two passes: the declared reuse
+        # the warps take turns, index by index, until each has walked its own
+        return list(filter(None, chain.from_iterable(zip_longest(*per_warp))))
 
     # NO_REUSE: one streaming pass over this CTA's share
     if not desc.pattern.regular:
-        share = list(share)
         _rng(seed, dtile.flat, cta).shuffle(share)
     return deal(share)
 
@@ -227,12 +219,9 @@ def cta_warp_queues(
     """
     streams = [generate_accesses(t, cta, workload.seed, line_size) for t in tables]
     queues: dict[int, deque[int]] = {w: deque() for w in range(workload.grid.warps_per_cta)}
-    depth = max((len(s) for s in streams), default=0)
-    for i in range(depth):
-        for s in streams:
-            if i < len(s):
-                w, addr = s[i]
-                queues[w].append(addr)
+    # the descriptors take turns, index by index, in priority order
+    for w, addr in filter(None, chain.from_iterable(zip_longest(*streams))):
+        queues[w].append(addr)
     return queues
 
 
@@ -459,7 +448,8 @@ class _Due:
         self.comps: list[_WarpSlot] = []
 
 
-class _Row(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _Row:
     """One descriptor's address range, tile table and the levers resolved
     for it once per run. ``mapping`` is the run's copy of its structure's
     mapping, None on one zone. An address's home zone is

@@ -17,6 +17,7 @@ out again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .descriptor import (
@@ -104,29 +105,21 @@ def dtile_byte_runs(dtile: TileIndex, desc: LocalityDescriptor) -> list[ByteRun]
     dx, dy, dz = desc.tiles.dtile_dims
     lenx, leny, lenz = ds.dims
     ix, iy, iz = dtile.coords
-    x0 = ix * dx
-    run_elems = min(dx, lenx - x0)
-    runs = []
-    for z in range(min(dz, lenz - iz * dz)):
-        for y in range(min(dy, leny - iy * dy)):
-            elem = ((iz * dz + z) * leny + (iy * dy + y)) * lenx + x0
-            runs.append(
-                ByteRun(ds.base_addr + elem * ds.elem_size, run_elems * ds.elem_size)
-            )
-    return runs
+    x0, size = ix * dx, ds.elem_size
+    length = min(dx, lenx - x0) * size
+    row = lenx * size  # bytes from one (y, z) line to the next y
+    plane = row * leny  # and to the next z
+    first = ds.base_addr + ((iz * dz * leny + iy * dy) * lenx + x0) * size
+    planes = range(first, first + min(dz, lenz - iz * dz) * plane, plane)
+    rows = range(0, min(dy, leny - iy * dy) * row, row)
+    new = tuple.__new__  # a ByteRun without a Python __new__ frame per run
+    return [new(ByteRun, (p + r, length)) for p in planes for r in rows]
 
 
 def _lines_of_runs(runs: list[ByteRun], line_size: int) -> list[int]:
-    lines: list[int] = []
-    seen = set()
-    for run in runs:
-        first = run.start // line_size
-        last = (run.start + run.length - 1) // line_size
-        for ln in range(first, last + 1):
-            if ln not in seen:
-                seen.add(ln)
-                lines.append(ln * line_size)
-    return lines
+    return list(dict.fromkeys(chain.from_iterable(
+        range(start - start % line_size, start + length, line_size) for start, length in runs
+    )))
 
 
 class TileTable:

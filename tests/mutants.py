@@ -42,12 +42,14 @@ class Mutant(NamedTuple):
 
 ENGINE, NUMA = "src/ldesc_sim/engine.py", "src/ldesc_sim/numa.py"
 SCHED, CACHE = "src/ldesc_sim/sched.py", "src/ldesc_sim/cache.py"
+GRID = "src/ldesc_sim/grid.py"
 FLIP_TIE = ("return votes.index(max(votes))",
             "return len(votes) - 1 - votes[::-1].index(max(votes))")
 CYCLE_LOOP = "tests/test_engine.py::test_cycle_loop_matches_the_loops_it_replaced"
 SLOW_HITS = "tests/test_engine.py::test_cycle_loop_matches_the_old_loop_with_slow_l1_hits"
 STREAMS = "tests/test_prefetch.py::test_stream_tracking_matches_the_code_it_replaced"
 CACHE_ORACLE = "tests/test_cache.py::test_cache_matches_full_array_oracle"
+GENERATION = "tests/test_engine.py::test_access_generation_matches_the_loops_it_replaced"
 SHARED_COUNTS = ("tests/test_numa.py::"
                  "test_zone_bytes_shared_across_descriptors_match_the_run_count")
 
@@ -161,6 +163,24 @@ MUTANTS = [
     # A prefetch takes an MSHR entry that is not free.
     Mutant(CACHE, "if len(self.mshr) >= self.config.mshr_entries:\n            return False\n"
            "        self.mshr[line] = _SOFT_PIN", "self.mshr[line] = _SOFT_PIN", CACHE_ORACLE),
+    # Access generation against the per-element loops in tests/oracles.py,
+    # and the queues through the reference engine, which builds its own.
+    # A CTA's descriptors take turns in reverse priority order.
+    Mutant(ENGINE, "chain.from_iterable(zip_longest(*streams))",
+           "chain.from_iterable(zip_longest(*streams[::-1]))", GENERATION),
+    Mutant(ENGINE, "chain.from_iterable(zip_longest(*streams))",
+           "chain.from_iterable(zip_longest(*streams[::-1]))", CYCLE_LOOP),
+    # Intra-thread warps are queued one after another, not index by index.
+    Mutant(ENGINE, "list(filter(None, chain.from_iterable(zip_longest(*per_warp))))",
+           "list(chain.from_iterable(per_warp))", GENERATION),
+    # A stream's first access goes to the last warp.
+    Mutant(ENGINE, "zip(cycle(range(warps)), addrs)", "zip(cycle(range(warps)[::-1]), addrs)",
+           "tests/test_engine.py::test_generate_regular_walk_ascending"),
+    # A line that two runs share is listed once per run.
+    Mutant(GRID, "list(dict.fromkeys(chain.from_iterable(", "list((chain.from_iterable(",
+           GENERATION),
+    # A D-tile's planes are stepped by the row pitch.
+    Mutant(GRID, "* plane, plane)", "* plane, row)", GENERATION),
 ]
 
 

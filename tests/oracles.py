@@ -3,9 +3,9 @@
 import io
 import json
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 from typing import Iterable, NoReturn, TextIO
 
 from ldesc_sim import (
@@ -17,15 +17,13 @@ from ldesc_sim import (
     SimMetrics,
     TileTable,
     ZoneMapping,
-    dtile_byte_runs,
-    generate_accesses,
     simulate,
 )
 from ldesc_sim import engine, numa, sched
 from ldesc_sim.descriptor import PAGE_BITS, LocalityType, SharingType, ctile_count, dtile_count
 from ldesc_sim.engine import AccessEvent, Workload
 from ldesc_sim.errors import ConfigError, ConfigMismatch, LdescError, MshrFull
-from ldesc_sim.grid import TileIndex, unflatten_xyz
+from ldesc_sim.grid import ByteRun, TileIndex, unflatten_xyz
 from ldesc_sim.numa import MappingScheme
 
 # Tile arithmetic per CTA and per address, a data structure's bounds and the
@@ -189,7 +187,7 @@ def ctile_pairs(desc, grid):
     dtile_of = {ct: TileIndex(dtiles[k], k) for k, ct in enumerate(ranked)}
     return [
         ([cta_flat(cta, grid) for cta in ctas_in_ctile(ct, desc, grid)],
-         dtile_byte_runs(dtile_of[ct], desc))
+         byte_runs(dtile_of[ct], desc))
         for ct in ctiles
     ]
 
@@ -450,6 +448,122 @@ def distributed_schedule(grid, zone_count, sm_count):
 def _slice(items, index, parts):
     width = -(-len(items) // parts) if items else 0
     return items[index * width : (index + 1) * width]
+
+
+# Access generation as it stood with one Python step per element, kept (only
+# renamed) as the reference for ``dtile_byte_runs``, ``TileTable.lines``,
+# ``generate_accesses`` and ``cta_warp_queues``. A tile table only names each
+# CTA's C-tile, rank and D-tile here; runs and lines are worked out again.
+def byte_runs(dtile, desc):
+    """One run per (y, z) line inside the D-tile, clipped to the structure."""
+    ds = desc.data
+    dx, dy, dz = desc.tiles.dtile_dims
+    lenx, leny, lenz = ds.dims
+    ix, iy, iz = dtile.coords
+    x0 = ix * dx
+    run_elems = min(dx, lenx - x0)
+    runs = []
+    for z in range(min(dz, lenz - iz * dz)):
+        for y in range(min(dy, leny - iy * dy)):
+            elem = ((iz * dz + z) * leny + (iy * dy + y)) * lenx + x0
+            runs.append(
+                ByteRun(ds.base_addr + elem * ds.elem_size, run_elems * ds.elem_size)
+            )
+    return runs
+
+
+def line_list(runs, line_size):
+    """The line addresses the runs touch, in run order, each once."""
+    lines = []
+    seen = set()
+    for run in runs:
+        first = run.start // line_size
+        last = (run.start + run.length - 1) // line_size
+        for ln in range(first, last + 1):
+            if ln not in seen:
+                seen.add(ln)
+                lines.append(ln * line_size)
+    return lines
+
+
+def _seeded(seed, *salt):
+    mixed = seed
+    for s in salt:
+        mixed = mixed * 1_000_003 + s + 1
+    return random.Random(mixed)
+
+
+def accesses(table, cta, seed, line_size=128):
+    """The (warp, address) stream of one CTA over ``table``'s descriptor."""
+    desc = table.desc
+    k, rank = table.slot[cta]
+    dtile = table.dtiles[k]
+    runs = byte_runs(dtile, desc)
+    members = len(table.ctas[k])
+    warps = table.grid.warps_per_cta
+
+    def deal(addrs):
+        return [(i % warps, a) for i, a in enumerate(addrs)]
+
+    if desc.ltype is LocalityType.INTER_THREAD:
+        if desc.sharing is SharingType.COACCESSED:
+            if desc.pattern.regular:
+                stride = desc.pattern.stride_bytes
+                addrs = [
+                    a
+                    for run in runs
+                    for a in range(run.start, run.start + run.length, stride)
+                ]
+            else:
+                addrs = line_list(runs, line_size)
+                _seeded(seed, dtile.flat, cta).shuffle(addrs)
+            return deal(addrs)
+        # this CTA's share of the lines, widened by one line on each side
+        lines = line_list(runs, line_size)
+        width = -(-len(lines) // members)
+        start = rank * width
+        if start >= len(lines):
+            return []
+        return deal(lines[max(0, start - 1) : start + width + 1])
+
+    share = _slice(line_list(runs, line_size), rank, members)
+    if desc.ltype is LocalityType.INTRA_THREAD:
+        per_warp = []
+        for w in range(warps):
+            sub = _slice(share, w, warps)
+            if not sub:
+                continue
+            if not desc.pattern.regular:
+                sub = list(sub)
+                _seeded(seed, dtile.flat, cta, w).shuffle(sub)
+            per_warp.append((w, sub + sub))  # two passes: the declared reuse
+        out = []
+        depth = max(len(s) for _, s in per_warp) if per_warp else 0
+        for i in range(depth):
+            for w, s in per_warp:
+                if i < len(s):
+                    out.append((w, s[i]))
+        return out
+
+    # NO_REUSE: one streaming pass over this CTA's share
+    if not desc.pattern.regular:
+        share = list(share)
+        _seeded(seed, dtile.flat, cta).shuffle(share)
+    return deal(share)
+
+
+def warp_queues(workload, tables, cta, line_size):
+    """Per-warp address queues of one CTA: its descriptors' streams take
+    turns, index by index, in priority order."""
+    streams = [accesses(t, cta, workload.seed, line_size) for t in tables]
+    queues = {w: deque() for w in range(workload.grid.warps_per_cta)}
+    depth = max((len(s) for s in streams), default=0)
+    for i in range(depth):
+        for s in streams:
+            if i < len(s):
+                w, addr = s[i]
+                queues[w].append(addr)
+    return queues
 
 
 def nearby_window(lines, rank, members):
@@ -799,22 +913,17 @@ class ReferenceSimulation:
     def _refill(self, sm: _RefSm) -> None:
         """Make waiting CTAs resident while there is room; each CTA's warps
         take its descriptors' accesses in turn, one from each per step."""
-        grid, seed = self.workload.grid, self.workload.seed
         while sm.waiting and len(sm.resident) < self.config.max_resident_ctas_per_sm:
             flat = sm.waiting.popleft()
-            queues = [deque() for _ in range(grid.warps_per_cta)]
-            streams = [generate_accesses(t, flat, seed, self.line_size) for t in self.tables]
-            for step in zip_longest(*streams):
-                for w, addr in filter(None, step):
-                    queues[w].append(addr)
-            if not any(queues):
+            queues = warp_queues(self.workload, self.tables, flat, self.line_size)
+            if not any(queues.values()):
                 self.unfinished -= 1
                 continue
             keys = [(sm.sm, j, self.tables[j].dtiles[self.tables[j].slot[flat][0]].flat)
                     for j in self.stride]
-            cta = _RefCta(flat, sm, sum(map(len, queues)), keys)
+            cta = _RefCta(flat, sm, sum(map(len, queues.values())), keys)
             sm.resident.append(cta)
-            sm.warps += [_RefWarp(cta, w, q) for w, q in enumerate(queues) if q]
+            sm.warps += [_RefWarp(cta, w, q) for w, q in queues.items() if q]
 
     def _complete(self, cta: _RefCta) -> None:
         """A finished CTA ends the streams no other CTA of its SM uses and

@@ -257,6 +257,68 @@ def test_generate_no_reuse_ctile_covers_its_dtile_once():
         assert sorted(addrs) == list(range(k * 4 * KB, (k + 1) * 4 * KB, 128))
 
 
+_DESC_KINDS = [
+    (LocalityType.INTER_THREAD, SharingType.COACCESSED),
+    (LocalityType.INTER_THREAD, SharingType.NEARBY),
+    (LocalityType.INTRA_THREAD, None),
+    (LocalityType.NO_REUSE, None),
+]
+
+
+@st.composite
+def _generation_cases(draw):
+    """A grid of 1-8 warps per CTA, one to three descriptors over it and a
+    line size. Each descriptor draws its locality type, sharing kind and
+    pattern, C-tiles of one or more CTAs, ranked in a drawn order, and 1-D,
+    2-D or 3-D D-tiles whose last tile along each axis of more than one is
+    clipped, a few lines each."""
+    grid = CtaGrid(tuple(draw(st.integers(1, hi)) for hi in (4, 3, 2)),
+                   warps_per_cta=draw(st.integers(1, 8)))
+    descs = []
+    kinds = draw(st.lists(st.sampled_from(_DESC_KINDS), min_size=1, max_size=3))
+    for i, (ltype, sharing) in enumerate(kinds):
+        ctile = tuple(draw(st.integers(1, g)) for g in grid.dims)
+        counts = tuple(-(-g // c) for g, c in zip(grid.dims, ctile))
+        ranked = [a for a in range(3) if counts[a] > 1 or draw(st.booleans())] or [0]
+        order = draw(st.permutations(ranked))
+        n = math.prod(counts)
+        dcounts = draw(st.sampled_from([(n, 1, 1), (1, n, 1), counts, counts[::-1]]))
+        dtile = (draw(st.integers(1, 40)), draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+        elem = draw(st.sampled_from([1, 4, 8]))
+        stride = draw(st.sampled_from([0, elem, 64, 128, 256]))
+        descs.append(make_desc(
+            name=f"s{i}", base=i << 20, elem=elem, ltype=ltype, sharing=sharing,
+            data_dims=tuple(draw(st.integers((m - 1) * d + 1, m * d)) if m > 1 else d
+                            for m, d in zip(dcounts, dtile)),
+            dtile=dtile, ctile=ctile, priority=i,
+            cdmap=tuple(order.index(a) + 1 if a in order else 0 for a in range(3)),
+            pattern=AccessPattern.regular_stride(stride) if stride else AccessPattern.irregular(),
+        ))
+    workload = Workload(grid, validate_descriptor_set(descs, grid), draw(st.integers(0, 3)))
+    return workload, draw(st.sampled_from([96, 128]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_generation_cases())
+def test_access_generation_matches_the_loops_it_replaced(case):
+    # Byte runs, line lists, each CTA's stream of each descriptor and its
+    # warp queues, against the per-element loops in tests/oracles.py.
+    workload, line_size = case
+    tables = [TileTable(d, workload.grid) for d in workload.descs]
+    for table in tables:
+        for k, dtile in enumerate(table.dtiles):
+            runs = oracles.byte_runs(dtile, table.desc)
+            assert grid_mod.dtile_byte_runs(dtile, table.desc) == runs
+            assert {type(r) for r in table.runs(k)} == {grid_mod.ByteRun}
+            assert table.lines(k, line_size) == oracles.line_list(runs, line_size)
+    for cta in range(workload.grid.total_ctas):
+        for table in tables:
+            assert (generate_accesses(table, cta, workload.seed, line_size)
+                    == oracles.accesses(table, cta, workload.seed, line_size))
+        assert (engine_mod.cta_warp_queues(workload, tables, cta, line_size)
+                == oracles.warp_queues(workload, tables, cta, line_size))
+
+
 def test_simulate_builds_byte_runs_once_per_ctile(monkeypatch):
     # histo has 8 CTAs per C-tile; all of them read the runs of their
     # C-tile's D-tile from one tile table. The engine gets the counter too,
@@ -1153,14 +1215,6 @@ def test_stalled_sm_retries_only_once_its_own_state_changes(monkeypatch, name):
 
 
 # -- the cycle loop against the reference engine ------------------------------
-
-
-_DESC_KINDS = [
-    (LocalityType.INTER_THREAD, SharingType.COACCESSED),
-    (LocalityType.INTER_THREAD, SharingType.NEARBY),
-    (LocalityType.INTRA_THREAD, None),
-    (LocalityType.NO_REUSE, None),
-]
 
 
 @st.composite

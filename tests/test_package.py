@@ -1,9 +1,10 @@
 """The package's public surface and the README's list of it, the README
 library example, the documented policy table, no unused imports and no
 unread private module-level names in ``src/ldesc_sim``, references in
-``tests/`` that use no private library name, no enum member read on the
-per-access path, a placement reference that reads none of the search's
-code, and the functions the benchmark tracer wraps."""
+``tests/`` that use no private library name and no access generation code,
+slotted per-access records, no enum member read on the per-access path, a
+placement reference that reads none of the search's code, and the functions
+the benchmark tracer wraps."""
 
 import ast
 import contextlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import ldesc_sim
+from ldesc_sim import engine
 from ldesc_sim.config import POLICIES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +198,26 @@ def test_references_use_no_private_library_name():
                     if isinstance(node, ast.ClassDef)
                     and any(ast.unparse(b).split(".")[-1] == "_Simulation" for b in node.bases)]
     assert not private, "private library names in references: " + ", ".join(private)
+
+
+# Access generation, which no reference may read: the reference engine and
+# the generation property would share its slips and could not show them.
+_GENERATION_PARTS = {"generate_accesses", "cta_warp_queues", "dtile_byte_runs"}
+
+
+def test_references_share_no_access_generation_code():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    found = [f"oracles.py:{node.lineno}: {name}" for name, node in _reads(tree)
+             if name in _GENERATION_PARTS]
+    assert not found, "access generation code in the references: " + ", ".join(found)
+
+
+def test_per_access_records_are_slotted():
+    # A slotted field reads faster than a NamedTuple's, whose fields are
+    # properties over tuple items (about 8 ns against 19 ns on Python 3.11).
+    for record in (engine._Row, engine._Sm, engine._WarpSlot, engine._Cta, engine._Due):
+        assert "__slots__" in vars(record), record.__name__
+        assert not issubclass(record, tuple), record.__name__
 
 
 # The search's own building blocks, which the placement reference may not
