@@ -11,7 +11,8 @@ and the placement search does not (it counts zone bytes from each D-tile's
 geometry). The table also maps an address of the structure to the D-tile
 that holds it. The placement search, access generation and the stride
 prefetcher's streams all read these facts from it rather than working them
-out again.
+out again, and this module alone works out a D-tile's geometry: its first
+byte, its extents clipped to the structure and the structure's pitches.
 """
 
 from __future__ import annotations
@@ -75,24 +76,20 @@ def box_ctas(box: Triple, dims: Triple, grid: CtaGrid) -> list[int]:
     ]
 
 
-def dtile_of_ctile(
-    ctile: TileIndex, desc: LocalityDescriptor, grid: CtaGrid
-) -> TileIndex:
-    """The D-tile a C-tile accesses under the descriptor's compute-data map.
-
-    The k-th C-tile in map-ranked traversal order pairs with the k-th D-tile
-    in X->Y->Z order; validation guarantees the counts match, so this is a
-    bijection.
+def _dtile_geometry(
+    dtile: TileIndex, desc: LocalityDescriptor
+) -> tuple[int, Triple, tuple[int, int]]:
+    """A D-tile's first byte, its ``(run bytes, rows, planes)`` clipped to
+    the data structure's extent, and the structure's ``(row, plane)``
+    pitches in bytes: run (y, z) starts at ``first + y * row + z * plane``.
     """
-    counts = ctile_count(desc, grid)
-    ranks = desc.tiles.compute_data_map
-    # Axes are consumed fastest-first: rank 1, then 2, then 3. Rank-0 axes
-    # always hold index 0 (validation pins their count to 1).
-    k, scale = 0, 1
-    for axis in sorted((a for a in range(3) if ranks[a] != 0), key=lambda a: ranks[a]):
-        k += ctile.coords[axis] * scale
-        scale *= counts[axis]
-    return TileIndex(unflatten_xyz(k, dtile_count(desc)), k)
+    ds, (dx, dy, dz) = desc.data, desc.tiles.dtile_dims
+    elem, (lenx, leny, lenz) = ds.elem_size, ds.dims
+    ix, iy, iz = dtile.coords
+    x0, y0, z0 = ix * dx, iy * dy, iz * dz
+    first = ds.base_addr + ((z0 * leny + y0) * lenx + x0) * elem
+    shape = (min(dx, lenx - x0) * elem, min(dy, leny - y0), min(dz, lenz - z0))
+    return first, shape, (lenx * elem, leny * lenx * elem)
 
 
 def dtile_byte_runs(dtile: TileIndex, desc: LocalityDescriptor) -> list[ByteRun]:
@@ -101,19 +98,13 @@ def dtile_byte_runs(dtile: TileIndex, desc: LocalityDescriptor) -> list[ByteRun]
     One run per (y, z) line inside the tile, ordered and disjoint; edge
     tiles are clipped to the data structure's extent.
     """
-    ds = desc.data
-    dx, dy, dz = desc.tiles.dtile_dims
-    lenx, leny, lenz = ds.dims
-    ix, iy, iz = dtile.coords
-    x0, size = ix * dx, ds.elem_size
-    length = min(dx, lenx - x0) * size
-    row = lenx * size  # bytes from one (y, z) line to the next y
-    plane = row * leny  # and to the next z
-    first = ds.base_addr + ((iz * dz * leny + iy * dy) * lenx + x0) * size
-    planes = range(first, first + min(dz, lenz - iz * dz) * plane, plane)
-    rows = range(0, min(dy, leny - iy * dy) * row, row)
+    first, (length, rows, planes), (row, plane) = _dtile_geometry(dtile, desc)
     new = tuple.__new__  # a ByteRun without a Python __new__ frame per run
-    return [new(ByteRun, (p + r, length)) for p in planes for r in rows]
+    return [
+        new(ByteRun, (p + r, length))
+        for p in range(first, first + planes * plane, plane)
+        for r in range(0, rows * row, row)
+    ]
 
 
 def _lines_of_runs(runs: list[ByteRun], line_size: int) -> list[int]:
@@ -139,25 +130,32 @@ class TileTable:
     def __init__(self, desc: LocalityDescriptor, grid: CtaGrid):
         self.desc = desc
         self.grid = grid
-        self.ctas: list[list[int]] = []
-        self.dtiles: list[TileIndex] = []
-        self.slot: dict[int, tuple[int, int]] = {}
         self._runs: dict[int, list[ByteRun]] = {}
         self._lines: dict[tuple[int, int], list[int]] = {}
         ds = desc.data
         self.base, self.end = ds.base_addr, ds.end_addr
         self.row_bytes = desc.tiles.dtile_dims[0] * ds.elem_size
-        self._geometry = (ds.elem_size, *ds.dims[:2], *desc.tiles.dtile_dims,
-                          *dtile_count(desc)[:2])
-        counts = ctile_count(desc, grid)
-        for k in range(counts[0] * counts[1] * counts[2]):
-            ctile = TileIndex(unflatten_xyz(k, counts), k)
-            flats = box_ctas(ctile.coords, desc.tiles.ctile_dims, grid)
-            for rank, flat in enumerate(flats):
-                self.slot[flat] = (k, rank)
-            dtile = dtile_of_ctile(ctile, desc, grid)
-            self.ctas.append(flats)
-            self.dtiles.append(dtile)
+        counts, dcounts = ctile_count(desc, grid), dtile_count(desc)
+        self._geometry = (ds.elem_size, *ds.dims[:2], *desc.tiles.dtile_dims, *dcounts[:2])
+        # The k-th C-tile in map-ranked order (the rank-1 axis fastest)
+        # accesses the k-th D-tile in X->Y->Z order, so C-tile (x, y, z) takes
+        # D-tile x * sx + y * sy + z * sz. A rank-0 axis holds one C-tile
+        # (validation pins its count to 1) and keeps scale 0.
+        ranks = desc.tiles.compute_data_map
+        scales, scale = [0, 0, 0], 1
+        for axis in sorted((a for a in range(3) if ranks[a]), key=ranks.__getitem__):
+            scales[axis], scale = scale, scale * counts[axis]
+        sx, sy, sz = scales
+        cx, cy, cz = counts
+        ctiles = [(x, y, z) for z in range(cz) for y in range(cy) for x in range(cx)]
+        self.ctas = [box_ctas(ctile, desc.tiles.ctile_dims, grid) for ctile in ctiles]
+        self.dtiles = [
+            TileIndex(unflatten_xyz(k, dcounts), k)
+            for k in (x * sx + y * sy + z * sz for x, y, z in ctiles)
+        ]
+        self.slot = {
+            flat: (k, rank) for k, flats in enumerate(self.ctas) for rank, flat in enumerate(flats)
+        }
 
     def dtile_at(self, addr: int) -> int:
         elem_size, lenx, leny, dx, dy, dz, nx, ny = self._geometry

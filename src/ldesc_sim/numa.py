@@ -21,7 +21,7 @@ from enum import Enum
 from math import gcd
 
 from .descriptor import PAGE_BITS, LocalityDescriptor, log2_exact
-from .grid import CtaGrid, TileTable
+from .grid import CtaGrid, TileTable, _dtile_geometry
 from .sched import ClusterDims, Schedule, assign_clusters_by_zone, majority_zone
 
 LOW_BIT_MIN = 7  # never split a 128 B burst across zones
@@ -189,16 +189,8 @@ class _CtileTable:
         self.tiles = TileTable(desc, grid)
         self.total = desc.data.total_bytes
         self.zone_count = zone_count
-        ds, d = desc.data, desc.tiles.dtile_dims
-        elem, (lenx, leny, lenz) = ds.elem_size, ds.dims
-        self._pitches = (lenx * elem, leny * lenx * elem)
-        # per C-tile: its D-tile's (run length in bytes, rows, planes) and first byte
-        self._dtiles = []
-        for dtile in self.tiles.dtiles:
-            x0, y0, z0 = (c * n for c, n in zip(dtile.coords, d))
-            shape = (min(d[0], lenx - x0) * elem, min(d[1], leny - y0), min(d[2], lenz - z0))
-            first = ds.base_addr + ((z0 * leny + y0) * lenx + x0) * elem
-            self._dtiles.append((shape, first))
+        # per C-tile: its D-tile's first byte, clipped extents and pitches
+        self._dtiles = [_dtile_geometry(dtile, desc) for dtile in self.tiles.dtiles]
         # (low bit, clipped extents, pitches, offset in the stripe) -> zone bytes
         self._counts = counts
         self._zone_bytes: dict[int, list[list[int]]] = {}
@@ -206,12 +198,12 @@ class _CtileTable:
     def zone_bytes(self, low_bit: int) -> list[list[int]]:
         """Per C-tile, the bytes of its D-tile in each zone."""
         if low_bit not in self._zone_bytes:
-            zone_count, pitches, counts = self.zone_count, self._pitches, self._counts
+            zone_count, counts = self.zone_count, self._counts
             period = zone_count << low_bit
             mask = (1 << low_bit) - 1
             by_key: dict[tuple, list[int]] = {}
             out = []
-            for shape, first in self._dtiles:
+            for first, shape, pitches in self._dtiles:
                 key = (shape, first % period)
                 if key not in by_key:
                     offset = first & mask

@@ -50,6 +50,7 @@ SLOW_HITS = "tests/test_engine.py::test_cycle_loop_matches_the_old_loop_with_slo
 STREAMS = "tests/test_prefetch.py::test_stream_tracking_matches_the_code_it_replaced"
 CACHE_ORACLE = "tests/test_cache.py::test_cache_matches_full_array_oracle"
 GENERATION = "tests/test_engine.py::test_access_generation_matches_the_loops_it_replaced"
+TILE_TABLE = "tests/test_grid.py::test_tile_table_matches_per_cta_functions"
 SHARED_COUNTS = ("tests/test_numa.py::"
                  "test_zone_bytes_shared_across_descriptors_match_the_run_count")
 
@@ -180,7 +181,24 @@ MUTANTS = [
     Mutant(GRID, "list(dict.fromkeys(chain.from_iterable(", "list((chain.from_iterable(",
            GENERATION),
     # A D-tile's planes are stepped by the row pitch.
-    Mutant(GRID, "* plane, plane)", "* plane, row)", GENERATION),
+    Mutant(GRID, "planes * plane, plane)", "planes * plane, row)", GENERATION),
+    # C-tiles pair with D-tiles in map-ranked order with the rank-3 axis fastest.
+    Mutant(GRID, "key=ranks.__getitem__):", "key=ranks.__getitem__, reverse=True):",
+           "tests/test_grid.py::test_map_312_traverses_y_first"),
+    Mutant(GRID, "key=ranks.__getitem__):", "key=ranks.__getitem__, reverse=True):",
+           TILE_TABLE),
+    # The map-ranked scales step by the D-tile counts, not the C-tile counts.
+    Mutant(GRID, "scale * counts[axis]", "scale * dcounts[axis]",
+           "tests/test_grid.py::test_mapping_bijection_small_spaces"),
+    Mutant(GRID, "scale * counts[axis]", "scale * dcounts[axis]", TILE_TABLE),
+    # An edge D-tile keeps its full X, Y or Z extent past the end of the structure.
+    Mutant(GRID, "min(dx, lenx - x0) * elem", "dx * elem",
+           "tests/test_grid.py::test_byte_runs_edge_tile"),
+    Mutant(GRID, "min(dx, lenx - x0) * elem", "dx * elem", TILE_TABLE),
+    Mutant(GRID, "min(dy, leny - y0)", "dy", TILE_TABLE),
+    Mutant(GRID, "min(dz, lenz - z0)", "dz", TILE_TABLE),
+    Mutant(GRID, "min(dy, leny - y0)", "dy",
+           "tests/test_acceptance.py::test_criterion_2_alg2_optimality"),
 ]
 
 

@@ -152,10 +152,9 @@ def zone_bytes_of_runs(runs, low_bit: int, zone_count: int) -> list[int]:
 
 # The placement search (Algorithm 2) written out from README's rules alone,
 # the reference for ``place_and_partition``. It reads no ``TileTable``,
-# ``dtile_of_ctile``, ``box_ctas``, ``majority_zone`` or private library
-# name, so a slip in those shows as a different plan; each D-tile's zone
-# bytes come from its byte runs. Slow: it works every C-tile out again for
-# every bit it tries.
+# ``box_ctas``, ``majority_zone`` or private library name, so a slip in
+# those shows as a different plan; each D-tile's zone bytes come from its
+# byte runs. Slow: it works every C-tile out again for every bit it tries.
 _LOW_BITS = range(7, 17)  # bits 7..16, so 128 B bursts never split
 
 
@@ -174,10 +173,10 @@ def _xyz_order(counts):
             for x in range(counts[0])]
 
 
-def ctile_pairs(desc, grid):
-    """Each C-tile's CTA flat ids and its D-tile's byte runs, C-tiles in
-    X->Y->Z order. The k-th C-tile in map-ranked order (the rank-1 axis
-    fastest) accesses the k-th D-tile in X->Y->Z order."""
+def ranked_dtiles(desc, grid):
+    """Each C-tile's D-tile, C-tiles in X->Y->Z order. The k-th C-tile in
+    map-ranked order (the rank-1 axis fastest) accesses the k-th D-tile in
+    X->Y->Z order."""
     ranks = desc.tiles.compute_data_map
     counts = [-(-g // c) for g, c in zip(grid.dims, desc.tiles.ctile_dims)]
     dcounts = [-(-n // d) for n, d in zip(desc.data.dims, desc.tiles.dtile_dims)]
@@ -185,10 +184,16 @@ def ctile_pairs(desc, grid):
     slowest_first = sorted(range(3), key=lambda axis: -ranks[axis])
     ranked = sorted(ctiles, key=lambda ct: [ct[axis] for axis in slowest_first])
     dtile_of = {ct: TileIndex(dtiles[k], k) for k, ct in enumerate(ranked)}
+    return [dtile_of[ct] for ct in ctiles]
+
+
+def ctile_pairs(desc, grid):
+    """Each C-tile's CTA flat ids and its D-tile's byte runs, C-tiles in
+    X->Y->Z order, each D-tile from ``ranked_dtiles``."""
+    counts = [-(-g // c) for g, c in zip(grid.dims, desc.tiles.ctile_dims)]
     return [
-        ([cta_flat(cta, grid) for cta in ctas_in_ctile(ct, desc, grid)],
-         byte_runs(dtile_of[ct], desc))
-        for ct in ctiles
+        ([cta_flat(cta, grid) for cta in ctas_in_ctile(ct, desc, grid)], byte_runs(dtile, desc))
+        for ct, dtile in zip(_xyz_order(counts), ranked_dtiles(desc, grid))
     ]
 
 

@@ -223,6 +223,21 @@ def test_run_replay_rejects_a_warp_with_two_accesses_in_flight(tmp_path, capsys)
     assert first["cycle"] < completes <= recorded
 
 
+def test_run_replay_rejects_a_trace_that_needs_more_mshr_entries(tmp_path, capsys):
+    # The trace is recorded on the preset's 32 L1 MSHR entries and replayed
+    # on one, which cannot hold the misses it has in flight together.
+    trace = tmp_path / "t.jsonl"
+    assert main(["run", HISTO, "--trace-out", str(trace), "--out", str(tmp_path / "m")]) == 0
+    raw = json.loads(Path(HISTO).read_text())
+    raw["system"]["l1"] = {"mshr_entries": 1}
+    cfg = tmp_path / "one_mshr.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--trace-in", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("simulation error: trace replay stalled on a full MSHR; the trace does not "
+                   "match this configuration\n")
+
+
 @pytest.mark.parametrize("addr", [0x8000, 0x150000, 0x208000, 0x7FFF0000])
 def test_run_replay_rejects_an_address_outside_every_structure(tmp_path, capsys, addr):
     # configs/mixed.json: table 0x0-0x8000, stream 0x100000-0x110000 and

@@ -908,6 +908,16 @@ def test_trace_replay_raises_the_first_bad_events_error(data):
         assert got.startswith(("trace issues CTA", "trace replay stalled")), got
 
 
+def test_trace_replay_rejects_a_trace_that_needs_more_mshr_entries():
+    # A live run on 32 L1 MSHR entries has misses in flight together that
+    # one entry cannot hold, so its replay on one entry stalls.
+    wl, cfg, sched, trace = _recorded_histo_run()
+    one = dataclasses.replace(cfg, l1=dataclasses.replace(cfg.l1, mshr_entries=1))
+    with pytest.raises(ConfigMismatch, match="^trace replay stalled on a full MSHR; the trace "
+                       "does not match this configuration$"):
+        simulate(wl, one, sched, trace_in=list(trace))
+
+
 def test_one_completion_record_per_access(monkeypatch):
     # Each demand access lands exactly one record in its completion cycle,
     # live and replayed; fills are not completion records.

@@ -16,12 +16,18 @@ from ldesc_sim.descriptor import PAGE_SIZE, ctile_count, dtile_count
 from ldesc_sim.grid import (
     TileIndex,
     box_ctas,
-    dtile_of_ctile,
     unflatten_xyz,
 )
 
 from conftest import make_desc
-from oracles import cta_flat, ctile_of_cta, dtile_of_address
+from oracles import (
+    byte_runs,
+    cta_flat,
+    ctile_of_cta,
+    dtile_of_address,
+    flatten_xyz,
+    ranked_dtiles,
+)
 
 
 def test_ctile_of_cta_column():
@@ -47,7 +53,7 @@ def test_map_1d_is_identity_along_x():
         data_dims=(16 * 256, 1, 1), dtile=(256, 1, 1), ctile=(1, 8, 1), cdmap=(1, 0, 0)
     )
     grid = CtaGrid((16, 8, 1))
-    got = dtile_of_ctile(TileIndex((5, 0, 0), 5), desc, grid)
+    got = TileTable(desc, grid).dtiles[5]  # C-tile (5, 0, 0)
     assert got.coords == (5, 0, 0) and got.flat == 5
 
 
@@ -59,9 +65,7 @@ def test_identity_permutation_matches_flat():
         cdmap=(1, 2, 3),
     )
     grid = CtaGrid((3, 2, 2))
-    for k in range(12):
-        ctile = TileIndex(unflatten_xyz(k, (3, 2, 2)), k)
-        assert dtile_of_ctile(ctile, desc, grid).flat == k
+    assert [dtile.flat for dtile in TileTable(desc, grid).dtiles] == list(range(12))
 
 
 def test_map_312_traverses_y_first():
@@ -74,7 +78,7 @@ def test_map_312_traverses_y_first():
         cdmap=(3, 1, 2),
     )
     grid = CtaGrid((2, 2, 2))
-    got = dtile_of_ctile(TileIndex((1, 0, 0), 1), desc, grid)
+    got = TileTable(desc, grid).dtiles[1]  # C-tile (1, 0, 0)
     assert got.flat == 4 and got.coords == (0, 0, 1)
 
 
@@ -85,8 +89,9 @@ def test_map_312_brute_force_order():
     )
     grid = CtaGrid((2, 2, 2))
     order = [(x, y, z) for x in range(2) for z in range(2) for y in range(2)]
+    dtiles = TileTable(desc, grid).dtiles
     for k, coords in enumerate(order):
-        assert dtile_of_ctile(TileIndex(coords, 0), desc, grid).flat == k
+        assert dtiles[flatten_xyz(coords, (2, 2, 2))].flat == k
 
 
 def _mapping_bijective(desc, grid):
@@ -94,11 +99,8 @@ def _mapping_bijective(desc, grid):
         -(-grid.dims[i] // desc.tiles.ctile_dims[i]) for i in range(3)
     ]
     total = counts[0] * counts[1] * counts[2]
-    seen = set()
-    for k in range(total):
-        ctile = TileIndex(unflatten_xyz(k, tuple(counts)), k)
-        seen.add(dtile_of_ctile(ctile, desc, grid).flat)
-    return seen == set(range(total))
+    flats = [dtile.flat for dtile in TileTable(desc, grid).dtiles]
+    return sorted(flats) == list(range(total))
 
 
 def test_mapping_bijection_small_spaces():
@@ -236,14 +238,15 @@ def test_tile_table_matches_per_cta_functions(case):
     members: dict[int, list[int]] = {}
     for cta in ctas:
         members.setdefault(ctile_of_cta(cta, desc, grid).flat, []).append(cta_flat(cta, grid))
+    # Each C-tile's D-tile, from the reference's map-ranked sort of the C-tiles.
+    dtiles = ranked_dtiles(desc, grid)
     for cta in ctas:
         ctile = ctile_of_cta(cta, desc, grid)
-        dtile = dtile_of_ctile(ctile, desc, grid)
         k, rank = table.slot[cta_flat(cta, grid)]
         assert (k, rank) == (ctile.flat, members[k].index(cta_flat(cta, grid)))
         assert table.ctas[k] == members[k]
-        assert table.dtiles[k] == dtile
-        assert table.runs(k) == dtile_byte_runs(dtile, desc)
+        assert table.dtiles[k] == dtiles[k]
+        assert table.runs(k) == byte_runs(dtiles[k], desc)
 
 
 @settings(max_examples=80, deadline=None)

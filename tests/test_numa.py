@@ -517,11 +517,11 @@ def test_both_zone_byte_walks_match_the_run_count(instance):
             got = table.zone_bytes(low_bit)
             period = zone_count << low_bit
             seen = set()
-            for k, (shape, first) in enumerate(table._dtiles):
+            for k, (first, shape, pitches) in enumerate(table._dtiles):
                 if (shape, first % period) in seen:
                     continue
                 seen.add((shape, first % period))
-                walks.add(stripe_walk_runs(shape, first, table._pitches, low_bit, zone_count))
+                walks.add(stripe_walk_runs(shape, first, pitches, low_bit, zone_count))
                 assert got[k] == oracles.zone_bytes_of_runs(table.tiles.runs(k), low_bit, zone_count)
     assert walks == {False, True}
 

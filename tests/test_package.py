@@ -222,8 +222,7 @@ def test_per_access_records_are_slotted():
 
 # The search's own building blocks, which the placement reference may not
 # read: with them, it would share their slips and could not show them.
-_SEARCH_PARTS = {"TileTable", "dtile_of_ctile", "box_ctas", "majority_zone",
-                 "place_and_partition"}
+_SEARCH_PARTS = {"TileTable", "box_ctas", "majority_zone", "place_and_partition"}
 
 
 def test_placement_reference_shares_no_search_code():
